@@ -36,8 +36,10 @@
 // -interval it keeps cycling; without, one cycle runs and the command
 // exits nonzero if any alarm fired.
 //
-// Targets: every name in the lab registry (tcp, google, google-fixed,
-// quiche, mvfst, lossy-retransmit). Ctrl-C cancels a run cleanly
+// Targets: every name in the lab registry — the in-process targets tcp,
+// tcp-sack, google, google-fixed, quiche, mvfst, lossy-retransmit, and
+// quic-vn, plus adapter, which drives an external implementation over the
+// stdio adapter protocol (-adapter-cmd). Ctrl-C cancels a run cleanly
 // mid-round. Invoking prognosis with learn-style flags and no subcommand
 // (e.g. `prognosis -target tcp`) behaves like `learn`, matching the
 // pre-subcommand interface; a bare `prognosis` prints usage. See
@@ -45,80 +47,9 @@
 package main
 
 import (
-	"context"
-	"flag"
-	"fmt"
 	"os"
-	"os/signal"
-	"strings"
-	"time"
 
 	"repro/internal/cli"
-	"repro/internal/server"
 )
 
-func main() {
-	// The monitor subcommand dispatches here rather than in internal/cli:
-	// it drives the server package's monitor subsystem, and server
-	// already imports cli (for the shared regress machinery) — the
-	// command binary is the one place that can see both sides.
-	if len(os.Args) > 1 && os.Args[1] == "monitor" {
-		if err := runMonitor(os.Args[2:]); err != nil {
-			if err == flag.ErrHelp {
-				os.Exit(0)
-			}
-			fmt.Fprintln(os.Stderr, "prognosis:", err)
-			os.Exit(1)
-		}
-		os.Exit(0)
-	}
-	os.Exit(cli.Main(os.Args[1:], os.Stderr))
-}
-
-func runMonitor(args []string) error {
-	fs := flag.NewFlagSet("prognosis monitor", flag.ContinueOnError)
-	manifest := fs.String("manifest", "internal/analysis/testdata/regress.json",
-		"regression manifest naming the monitored (target × config) cells")
-	data := fs.String("data", "prognosis-monitor",
-		"monitor state root: lineage journal, model snapshots, and the shared query store")
-	targets := fs.String("targets", "", "comma-separated subset of manifest cells to monitor (default: all)")
-	workers := fs.Int("workers", 1, "membership-query concurrency per relearn")
-	witnesses := fs.Int("witnesses", 3, "distinguishing traces to collect per drifted cell")
-	interval := fs.Duration("interval", 0, "keep cycling at this interval (0 = one cycle, exit nonzero on alarm)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() > 0 {
-		return fmt.Errorf("monitor takes no positional arguments (got %v)", fs.Args())
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	opt := server.MonitorOptions{
-		Manifest: *manifest, Targets: *targets, DataDir: *data,
-		Workers: *workers, Witnesses: *witnesses,
-	}
-	for {
-		sum, report, err := server.RunMonitorCycle(ctx, opt, nil)
-		if report != "" {
-			fmt.Print(report)
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Printf("monitor cycle: %d cells, %d live queries, %d alarm(s)\n",
-			sum.RegressTargets, sum.Queries, sum.Alarms)
-		if *interval <= 0 {
-			if sum.Alarms > 0 {
-				return fmt.Errorf("%d cell(s) drifted with live-confirmed witnesses: %s",
-					sum.Alarms, strings.Join(sum.Drifted, ", "))
-			}
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return nil
-		case <-time.After(*interval):
-		}
-	}
-}
+func main() { os.Exit(cli.Main(os.Args[1:], os.Stderr)) }

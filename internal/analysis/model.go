@@ -143,13 +143,6 @@ func (m *Model) FindOutput(pred func(output string) bool) *Witness {
 	return m.search(func(s Step) bool { return pred(s.Output) })
 }
 
-// ReachState returns a shortest input word driving the model into state s,
-// or nil (with ok=false) when s is unreachable.
-func (m *Model) ReachState(s automata.State) ([]string, bool) {
-	acc, ok := m.m.AccessSequences()[s]
-	return acc, ok
-}
-
 // Outputs returns the set of output symbols on transitions reachable from
 // the initial state, in first-reached (BFS) order.
 func (m *Model) Outputs() []string {

@@ -9,7 +9,7 @@ import (
 )
 
 // Property is a model-level requirement checked exhaustively against a
-// learned model: where internal/props checks one recorded packet trace, a
+// learned model: where a packet-trace check sees one recorded trace, a
 // Property explores every behaviour of the model and returns a shortest
 // concrete witness when the model can violate it. Absence of a violation is
 // a guarantee about the model (and, to the extent the model is faithful,

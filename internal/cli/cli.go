@@ -1,9 +1,13 @@
-// Package cli implements the prognosis subcommands — learn, diff, check,
-// export, regress — over the unified analysis plane. cmd/prognosis
-// dispatches to them. Every subcommand owns its flag set, installs
-// Ctrl-C cancellation, and speaks the same learning options (the shared
-// learncfg.Config, which prognosisd job bodies also resolve through), so
-// `learn`'s flags work unchanged on `diff`, `check`, and `export`.
+// Package cli owns the prognosis verbs — learn, diff, check, export,
+// regress, monitor — over the unified analysis plane. Each verb's work
+// lives in exactly one exported function that returns a structured
+// outcome (LearnTarget, RunDiff, RunCheck, RunRegress, RunMonitorCycle);
+// the subcommands here and prognosisd's jobs (internal/server) both call
+// those functions and differ only in how they render the outcome. Every
+// subcommand owns its flag set, installs Ctrl-C cancellation, and speaks
+// the same learning options (the shared learncfg.Config, which prognosisd
+// job bodies also resolve through), so `learn`'s flags work unchanged on
+// `diff`, `check`, and `export`.
 package cli
 
 import (
@@ -17,7 +21,6 @@ import (
 	"repro/internal/lab"
 	"repro/internal/learn"
 	"repro/internal/learncfg"
-	"repro/internal/netem"
 )
 
 // Main dispatches a prognosis invocation: the first argument selects the
@@ -41,6 +44,8 @@ func Main(args []string, stderr io.Writer) int {
 		err = Export(args[1:])
 	case "regress":
 		err = Regress(args[1:])
+	case "monitor":
+		err = Monitor(args[1:])
 	case "help", "-h", "-help", "--help":
 		Usage(stderr)
 		return 0
@@ -74,6 +79,7 @@ Usage:
   prognosis check  -target <name> | -model <file> check model-level properties
   prognosis export -target <name> | -model <file> write the model in the unified codecs
   prognosis regress [-manifest F] [-store dir]    relearn manifest targets (warm), gate on goldens
+  prognosis monitor [-manifest F] [-data dir]     relearn manifest cells, alarm on live-confirmed drift
 
 Run any subcommand with -h for its options. Invoking prognosis with
 learn-style flags and no subcommand (e.g. 'prognosis -target tcp')
@@ -108,18 +114,10 @@ func (f *learnFlags) register(fs *flag.FlagSet, d learncfg.Defaults) {
 	fs.StringVar(&f.eventsFile, "events", "", "append the typed event stream as JSON lines to this file")
 }
 
-// impairment assembles the netem config of the fault flags (zero when no
-// fault flag is set).
-func (f *learnFlags) impairment() netem.Config { return f.Config.Impairment() }
-
-// options assembles the lab functional options through the shared
-// learncfg builder and appends the CLI-only observers; the returned
-// cleanup closes the events file, if any.
-func (f *learnFlags) options() ([]lab.Option, func(), error) {
-	opts, err := f.Config.Options()
-	if err != nil {
-		return nil, nil, err
-	}
+// observer assembles the CLI-only observers (-v progress, -events JSON
+// lines) into one, nil when neither is set; the returned cleanup closes
+// the events file, if any.
+func (f *learnFlags) observer() (learn.Observer, func(), error) {
 	cleanup := func() {}
 	var observers []learn.Observer
 	if f.verbose {
@@ -133,22 +131,26 @@ func (f *learnFlags) options() ([]lab.Option, func(), error) {
 		cleanup = func() { file.Close() }
 		observers = append(observers, learn.NewJSONLObserver(file))
 	}
-	if len(observers) > 0 {
-		opts = append(opts, lab.WithObserver(learn.MultiObserver(observers...)))
+	if len(observers) == 0 {
+		return nil, cleanup, nil
 	}
-	return opts, cleanup, nil
+	return learn.MultiObserver(observers...), cleanup, nil
 }
 
-// learnModel builds and learns one experiment, keeping it open so callers
-// can replay witnesses against the live target. Callers must Close the
-// returned experiment. Nondeterminism halts are returned as errors here:
-// every subcommand that calls this needs a model to analyse.
-func learnModel(ctx context.Context, target string, f *learnFlags) (*lab.Experiment, *lab.Result, error) {
-	opts, cleanup, err := f.options()
+// LearnTarget is the one build-and-learn step behind every verb, on both
+// surfaces: it builds target's experiment from cfg through the shared
+// learncfg option path, installs obs (when non-nil), and learns. The
+// experiment stays open so callers can replay witnesses against the live
+// target; callers must Close it. A §5 nondeterminism halt is a result
+// (res.Nondet), not an error — see nondetErr for verbs that need a model.
+func LearnTarget(ctx context.Context, target string, cfg learncfg.Config, obs learn.Observer) (*lab.Experiment, *lab.Result, error) {
+	opts, err := cfg.Options()
 	if err != nil {
 		return nil, nil, err
 	}
-	defer cleanup()
+	if obs != nil {
+		opts = append(opts, lab.WithObserver(obs))
+	}
 	exp, err := lab.NewExperiment(target, opts...)
 	if err != nil {
 		return nil, nil, err
@@ -158,11 +160,16 @@ func learnModel(ctx context.Context, target string, f *learnFlags) (*lab.Experim
 		exp.Close()
 		return nil, nil, err
 	}
-	if res.Nondet != nil {
-		exp.Close()
-		return nil, nil, fmt.Errorf("target %s is nondeterministic: %v", target, res.Nondet)
-	}
 	return exp, res, nil
+}
+
+// nondetErr turns a nondeterminism halt into an error, for the verbs that
+// need a model to analyse.
+func nondetErr(target string, res *lab.Result) error {
+	if res.Nondet != nil {
+		return fmt.Errorf("target %s is nondeterministic: %v", target, res.Nondet)
+	}
+	return nil
 }
 
 // progressObserver renders the event stream as -v live progress.

@@ -346,8 +346,17 @@ func TestMainDispatch(t *testing.T) {
 	if code := Main([]string{"help"}, &errBuf); code != 0 {
 		t.Fatalf("help exit %d", code)
 	}
-	if !strings.Contains(errBuf.String(), "prognosis learn") {
-		t.Fatalf("usage missing subcommands: %s", errBuf.String())
+	for _, verb := range []string{"prognosis learn", "prognosis monitor"} {
+		if !strings.Contains(errBuf.String(), verb) {
+			t.Fatalf("usage missing %q: %s", verb, errBuf.String())
+		}
+	}
+	errBuf.Reset()
+	if code := Main([]string{"monitor", "-h"}, &errBuf); code != 0 {
+		t.Fatalf("monitor -h exit %d: %s", code, errBuf.String())
+	}
+	if strings.Contains(errBuf.String(), "unknown subcommand") {
+		t.Fatalf("monitor not dispatched: %s", errBuf.String())
 	}
 	if code := Main(nil, &errBuf); code != 2 {
 		t.Fatal("empty invocation must fail with usage")

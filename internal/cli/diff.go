@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/lab"
+	"repro/internal/learn"
 	"repro/internal/learncfg"
 )
 
@@ -43,58 +44,32 @@ func Diff(args []string) error {
 
 	ctx, stop := signalContext()
 	defer stop()
-
-	// Learn both sides concurrently; keep the experiments open so witness
-	// replay drives the same live replicas the models were learned from
-	// (the lossy-retransmit degradation, for example, lives in the replica
-	// state the learning run built up).
-	type side struct {
-		exp *lab.Experiment
-		res *lab.Result
-		err error
-	}
-	sides := make([]side, 2)
-	var wg sync.WaitGroup
+	var obs [2]learn.Observer
 	for i, target := range []string{targetA, targetB} {
-		wg.Add(1)
-		go func(i int, target string) {
-			defer wg.Done()
-			flags := lf // per-goroutine copy; options build per-run observers
-			if flags.eventsFile != "" {
-				// The two learns run concurrently: give each its own event
-				// stream instead of interleaving unattributable JSON lines
-				// in one file.
-				flags.eventsFile = perTargetPath(flags.eventsFile, target)
-			}
-			exp, res, err := learnModel(ctx, target, &flags)
-			if err != nil {
-				err = fmt.Errorf("target %s: %w", target, err)
-			}
-			sides[i] = side{exp: exp, res: res, err: err}
-		}(i, target)
-	}
-	wg.Wait()
-	for _, s := range sides {
-		if s.exp != nil {
-			defer s.exp.Close()
+		flags := lf // per-side copy; each side gets its own observers
+		if flags.eventsFile != "" {
+			// The two learns run concurrently: give each its own event
+			// stream instead of interleaving unattributable JSON lines
+			// in one file.
+			flags.eventsFile = perTargetPath(flags.eventsFile, target)
 		}
-	}
-	for _, s := range sides {
-		if s.err != nil {
-			return s.err
+		o, cleanup, err := flags.observer()
+		if err != nil {
+			return err
 		}
+		defer cleanup()
+		obs[i] = o
 	}
-
-	modelA, modelB := sides[0].res.Model(), sides[1].res.Model()
-	if targetA == targetB {
-		// Same target twice: disambiguate the report names.
-		modelA.Name, modelB.Name = targetA+"#1", targetB+"#2"
+	out, err := RunDiff(ctx, targetA, targetB, lf.Config, obs,
+		DiffOptions{Witnesses: *witnesses, Replay: *replay, Votes: *votes})
+	if err != nil {
+		return err
 	}
-	report := analysis.Diff(modelA, modelB, *witnesses)
+	report := out.Report
 	fmt.Print(report.String())
 
 	if *exportDir != "" {
-		for _, m := range []*analysis.Model{modelA, modelB} {
+		for _, m := range []*analysis.Model{out.ModelA, out.ModelB} {
 			for _, ext := range []string{".json", ".dot"} {
 				path := filepath.Join(*exportDir, m.Name+ext)
 				if err := m.Save(path); err != nil {
@@ -110,37 +85,101 @@ func Diff(args []string) error {
 	}
 	fmt.Println("\nnote: a difference is not necessarily a bug — QUIC's specification")
 	fmt.Println("permits divergent design choices; inspect the witnesses (cf. §6.2.3).")
-	if !*replay || len(report.Witnesses) == 0 {
-		return nil
+	if r := out.Replayed; r != nil {
+		w := r.Witness
+		fmt.Printf("\nreplaying witness %v against both live targets (%d votes each):\n", w.Word, *votes)
+		for i := range w.Word {
+			fmt.Printf("  step %d: %s\n    %s live: %s\n    %s live: %s\n",
+				i+1, w.Word[i], report.NameA, r.LiveA[i], report.NameB, r.LiveB[i])
+		}
+		switch {
+		case r.Diverged && r.MatchesModels:
+			fmt.Printf("  CONFIRMED: live outputs diverge at step %d, exactly as the models predict\n", r.At+1)
+		case r.Diverged:
+			fmt.Printf("  CONFIRMED: live outputs diverge at step %d (outputs differ from the models' predictions — flaky link?)\n", r.At+1)
+		default:
+			fmt.Println("  NOT REPRODUCED: live outputs agree — the model-level divergence did not show on the wire")
+		}
 	}
-	return replayWitness(ctx, report, sides[0].exp, sides[1].exp, *votes)
+	return nil
+}
+
+// DiffOptions are the diff verb's analysis knobs.
+type DiffOptions struct {
+	// Witnesses bounds the distinguishing traces collected.
+	Witnesses int
+	// Replay confirms the first witness against both live targets, with
+	// Votes executions per target (majority per step).
+	Replay bool
+	Votes  int
+}
+
+// DiffOutcome is the diff verb's result.
+type DiffOutcome struct {
+	// Results are both sides' learning runs in argument order; a side's
+	// entry is nil when its learn failed.
+	Results        [2]*lab.Result
+	ModelA, ModelB *analysis.Model
+	Report         *analysis.DiffReport
+	// Replayed is the first witness replayed live; nil unless the models
+	// differ and DiffOptions.Replay was set.
+	Replayed *analysis.ReplayedWitness
+}
+
+// RunDiff is the diff verb: learn both targets concurrently (obs[i]
+// receives side i's event stream), diff the models, and — when they
+// differ — replay the first witness against both still-live targets to
+// confirm the divergence on the wire. Both experiments stay open until
+// the replay is done, so it drives the same live replicas the models were
+// learned from (the lossy-retransmit degradation, for example, lives in
+// the replica state the learning run built up). The outcome is never nil;
+// its Results are set for every side whose learn finished.
+func RunDiff(ctx context.Context, targetA, targetB string, cfg learncfg.Config,
+	obs [2]learn.Observer, opt DiffOptions) (*DiffOutcome, error) {
+	targets := [2]string{targetA, targetB}
+	var exps [2]*lab.Experiment
+	var errs [2]error
+	out := &DiffOutcome{}
+	var wg sync.WaitGroup
+	for i, target := range targets {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			exps[i], out.Results[i], errs[i] = LearnTarget(ctx, target, cfg, obs[i])
+		}()
+	}
+	wg.Wait()
+	for _, exp := range exps {
+		if exp != nil {
+			defer exp.Close()
+		}
+	}
+	for i, err := range errs {
+		if err == nil {
+			err = nondetErr(targets[i], out.Results[i])
+		}
+		if err != nil {
+			return out, fmt.Errorf("target %s: %w", targets[i], err)
+		}
+	}
+
+	out.ModelA, out.ModelB = out.Results[0].Model(), out.Results[1].Model()
+	if targetA == targetB {
+		// Same target twice: disambiguate the report names.
+		out.ModelA.Name, out.ModelB.Name = targetA+"#1", targetB+"#2"
+	}
+	out.Report = analysis.Diff(out.ModelA, out.ModelB, opt.Witnesses)
+	if out.Report.Equivalent || !opt.Replay || len(out.Report.Witnesses) == 0 {
+		return out, nil
+	}
+	var err error
+	out.Replayed, err = analysis.ConfirmWitness(ctx, out.Report.Witnesses[0],
+		exps[0].Oracle(), exps[1].Oracle(), opt.Votes)
+	return out, err
 }
 
 // perTargetPath derives "events.google.jsonl" from "events.jsonl".
 func perTargetPath(path, target string) string {
 	ext := filepath.Ext(path)
 	return strings.TrimSuffix(path, ext) + "." + target + ext
-}
-
-// replayWitness confirms the first (shortest) witness on the wire.
-func replayWitness(ctx context.Context, report *analysis.DiffReport, expA, expB *lab.Experiment, votes int) error {
-	w := report.Witnesses[0]
-	fmt.Printf("\nreplaying witness %v against both live targets (%d votes each):\n", w.Word, votes)
-	confirmed, err := analysis.ConfirmWitness(ctx, w, expA.Oracle(), expB.Oracle(), votes)
-	if err != nil {
-		return err
-	}
-	for i := range w.Word {
-		fmt.Printf("  step %d: %s\n    %s live: %s\n    %s live: %s\n",
-			i+1, w.Word[i], report.NameA, confirmed.LiveA[i], report.NameB, confirmed.LiveB[i])
-	}
-	switch {
-	case confirmed.Diverged && confirmed.MatchesModels:
-		fmt.Printf("  CONFIRMED: live outputs diverge at step %d, exactly as the models predict\n", confirmed.At+1)
-	case confirmed.Diverged:
-		fmt.Printf("  CONFIRMED: live outputs diverge at step %d (outputs differ from the models' predictions — flaky link?)\n", confirmed.At+1)
-	default:
-		fmt.Println("  NOT REPRODUCED: live outputs agree — the model-level divergence did not show on the wire")
-	}
-	return nil
 }

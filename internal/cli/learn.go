@@ -36,23 +36,18 @@ func Learn(args []string) error {
 		return fmt.Errorf("learn takes no positional arguments (got %v)", fs.Args())
 	}
 
-	opts, cleanup, err := lf.options()
+	obs, cleanup, err := lf.observer()
 	if err != nil {
 		return err
 	}
 	defer cleanup()
-	exp, err := lab.NewExperiment(*target, opts...)
+	ctx, stop := signalContext()
+	defer stop()
+	exp, res, err := LearnTarget(ctx, *target, lf.Config, obs)
 	if err != nil {
 		return err
 	}
 	defer exp.Close()
-
-	ctx, stop := signalContext()
-	defer stop()
-	res, err := exp.Learn(ctx)
-	if err != nil {
-		return err
-	}
 	if *metricsFile != "" {
 		var buf bytes.Buffer
 		if err := metrics.Default().WriteText(&buf); err != nil {
@@ -82,7 +77,7 @@ func Learn(args []string) error {
 		fmt.Printf("  window: %d in flight at finish (bounds %d..%d), %d acquisitions, %d cuts over %d losses, srtt %v\n",
 			w.Size, w.Min, w.Max, w.Acquired, w.Decreases, w.Losses, w.SRTT)
 	}
-	if impair := lf.impairment(); impair.Enabled() {
+	if impair := lf.Config.Impairment(); impair.Enabled() {
 		fmt.Printf("  impaired link (%s): dropped %d->/%d<- datagrams, %d duplicated, %d reordered\n",
 			impair.Label(), rm.Faults.DroppedClient, rm.Faults.DroppedServer,
 			rm.Faults.Duplicated, rm.Faults.Reordered)

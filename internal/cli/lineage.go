@@ -1,4 +1,4 @@
-package server
+package cli
 
 import (
 	"encoding/json"
@@ -71,7 +71,7 @@ func OpenLineage(path string) (*Lineage, error) {
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("server: open lineage: %w", err)
+		return nil, fmt.Errorf("monitor: open lineage: %w", err)
 	}
 	l := &Lineage{f: f}
 	ok, err := jsonlog.Recover(f, lineageFormat, lineageVersion, func(line []byte) bool {
@@ -84,7 +84,7 @@ func OpenLineage(path string) (*Lineage, error) {
 	})
 	if err != nil {
 		f.Close()
-		return nil, fmt.Errorf("server: recover lineage: %w", err)
+		return nil, fmt.Errorf("monitor: recover lineage: %w", err)
 	}
 	if !ok {
 		l.recs = nil
@@ -105,7 +105,7 @@ func (l *Lineage) Append(rec LineageRecord) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if _, err := l.f.Write(line); err != nil {
-		return fmt.Errorf("server: append lineage: %w", err)
+		return fmt.Errorf("monitor: append lineage: %w", err)
 	}
 	l.recs = append(l.recs, rec)
 	return nil

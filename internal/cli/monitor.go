@@ -1,18 +1,19 @@
-package server
+package cli
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
 	"repro/internal/analysis"
-	"repro/internal/cli"
-	"repro/internal/lab"
 	"repro/internal/learn"
-	"repro/internal/learncfg"
+	"repro/internal/metrics"
+	"repro/pkg/client"
 )
 
 // This file is the continuous drift monitor: a scheduled (or one-shot)
@@ -23,14 +24,73 @@ import (
 // shortest distinguishing witness. An alarm only fires after the witness
 // is replayed against the live target and the divergence reproduces;
 // unconfirmed drift (a transient flaky learn) is journaled but does not
-// advance the baseline or alarm. Alarms reach subscribers as
-// "drift_alarm" SSE events and the prognosisd_monitor_* metric
-// families. See docs/MONITORING.md.
+// advance the baseline or alarm. Each cell goes through the same
+// relearn-and-compare step as regress (relearnCell); only the baseline
+// differs — the cell's previous snapshot instead of its golden. Alarms
+// reach observers as client.DriftAlarm events (prognosisd's "drift_alarm"
+// SSE events) and the prognosisd_monitor_* metric families. See
+// docs/MONITORING.md.
+
+var (
+	metricMonitorCycles = metrics.Default().Counter("prognosisd_monitor_cycles_total",
+		"Completed monitor cycles (every manifest cell warm-relearned once).")
+	metricMonitorDrift = metrics.Default().Counter("prognosisd_monitor_drift_alarms_total",
+		"Drift alarms raised with a live-confirmed witness.")
+)
+
+// Monitor implements `prognosis monitor`: run monitor cycles over a
+// manifest. With -interval it keeps cycling; without, one cycle runs and
+// the command fails if any alarm fired.
+func Monitor(args []string) error {
+	fs := flag.NewFlagSet("prognosis monitor", flag.ContinueOnError)
+	manifest := fs.String("manifest", DefaultManifest,
+		"regression manifest naming the monitored (target × config) cells")
+	data := fs.String("data", "prognosis-monitor",
+		"monitor state root: lineage journal, model snapshots, and the shared query store")
+	targets := fs.String("targets", "", "comma-separated subset of manifest cells to monitor (default: all)")
+	workers := fs.Int("workers", 1, "membership-query concurrency per relearn")
+	witnesses := fs.Int("witnesses", 3, "distinguishing traces to collect per drifted cell")
+	interval := fs.Duration("interval", 0, "keep cycling at this interval (0 = one cycle, exit nonzero on alarm)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("monitor takes no positional arguments (got %v)", fs.Args())
+	}
+
+	ctx, stop := signalContext()
+	defer stop()
+	opt := MonitorOptions{
+		Manifest: *manifest, Targets: *targets, DataDir: *data,
+		Workers: *workers, Witnesses: *witnesses,
+	}
+	for {
+		sum, report, err := RunMonitorCycle(ctx, opt, nil)
+		fmt.Print(report)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("monitor cycle: %d cells, %d live queries, %d alarm(s)\n",
+			sum.RegressTargets, sum.Queries, sum.Alarms)
+		if *interval <= 0 {
+			if sum.Alarms > 0 {
+				return fmt.Errorf("%d cell(s) drifted with live-confirmed witnesses: %s",
+					sum.Alarms, strings.Join(sum.Drifted, ", "))
+			}
+			return nil
+		}
+		select {
+		case <-ctx.Done():
+			return nil
+		case <-time.After(*interval):
+		}
+	}
+}
 
 // MonitorOptions configures one monitor cycle.
 type MonitorOptions struct {
 	// Manifest is the regression manifest naming the monitored cells
-	// ("" = the daemon default). Targets optionally restricts it to a
+	// ("" = DefaultManifest). Targets optionally restricts it to a
 	// comma-separated subset.
 	Manifest string
 	Targets  string
@@ -52,7 +112,7 @@ type MonitorOptions struct {
 
 func (o *MonitorOptions) defaults() {
 	if o.Manifest == "" {
-		o.Manifest = defaultManifest
+		o.Manifest = DefaultManifest
 	}
 	if o.Workers < 1 {
 		o.Workers = 1
@@ -68,19 +128,21 @@ func (o *MonitorOptions) defaults() {
 // cellOutcome is what one cell's cycle concluded, for the report.
 type cellOutcome struct {
 	rec   LineageRecord
-	alarm *DriftAlarm
+	alarm *client.DriftAlarm
 	note  string
 }
 
-// RunMonitorCycle executes one monitor cycle: every selected manifest
+// RunMonitorCycle is the monitor verb, one cycle: every selected manifest
 // cell is warm-relearned, snapshotted into the lineage journal, and
-// compared against its previous snapshot. It returns the job summary
-// and the human-readable cycle report (the witness artifact). obs, when
-// non-nil, receives the relearns' typed event streams plus a DriftAlarm
+// compared against its previous snapshot. It returns the cycle's job
+// summary (cells, live queries, alarms, drifted cells) and the
+// human-readable cycle report, which `prognosis monitor` prints and
+// prognosisd serves as the job's witness.txt. obs, when non-nil,
+// receives the relearns' typed event streams plus a client.DriftAlarm
 // event per confirmed drift.
-func RunMonitorCycle(ctx context.Context, opt MonitorOptions, obs learn.Observer) (*Summary, string, error) {
+func RunMonitorCycle(ctx context.Context, opt MonitorOptions, obs learn.Observer) (*client.Summary, string, error) {
 	opt.defaults()
-	m, err := cli.LoadRegressManifest(opt.Manifest)
+	m, err := LoadRegressManifest(opt.Manifest)
 	if err != nil {
 		return nil, "", err
 	}
@@ -100,13 +162,11 @@ func RunMonitorCycle(ctx context.Context, opt MonitorOptions, obs learn.Observer
 	defer lin.Close()
 	storeDir := filepath.Join(opt.DataDir, "store")
 
-	sum := &Summary{RegressTargets: len(selected)}
+	sum := &client.Summary{RegressTargets: len(selected)}
 	var buf strings.Builder
 	for _, rt := range selected {
 		out, err := monitorCell(ctx, rt, lin, snapDir, storeDir, opt, obs)
-		if out.rec.Cell != "" {
-			sum.Queries += out.rec.LiveQueries
-		}
+		sum.Queries += out.rec.LiveQueries
 		if err != nil {
 			return sum, buf.String(), fmt.Errorf("cell %s: %w", rt.Name, err)
 		}
@@ -129,45 +189,41 @@ func RunMonitorCycle(ctx context.Context, opt MonitorOptions, obs learn.Observer
 	return sum, buf.String(), nil
 }
 
-// monitorCell runs one cell's cycle: warm relearn, lineage snapshot,
-// drift comparison, and — when the models diverge — live witness
-// confirmation.
-func monitorCell(ctx context.Context, rt cli.RegressTarget, lin *Lineage,
+// monitorCell runs one cell's cycle: warm relearn and drift comparison
+// against the previous snapshot (the shared relearnCell step), lineage
+// snapshot, and — when the models diverge — live witness confirmation.
+func monitorCell(ctx context.Context, rt RegressTarget, lin *Lineage,
 	snapDir, storeDir string, opt MonitorOptions, obs learn.Observer) (cellOutcome, error) {
-	cfg := learncfg.Config{
-		Learner: "ttt", Seed: rt.Seed, Conformance: rt.Conformance,
-		Loss: rt.Loss, Duplicate: rt.Duplicate, Reorder: rt.Reorder,
-		Warmup: rt.Warmup, Workers: opt.Workers, Store: storeDir,
-	}
-	opts, err := cfg.Options()
-	if err != nil {
+	prev, havePrev := lin.Latest(rt.Name)
+	run, err := relearnCell(ctx, rt, storeDir, opt.Workers, opt.Witnesses, obs, func() (*analysis.Model, error) {
+		if !havePrev || prev.Model == "" {
+			return nil, nil
+		}
+		baseline, err := analysis.LoadModel(filepath.Join(snapDir, prev.Model))
+		if err != nil {
+			return nil, fmt.Errorf("load baseline snapshot: %w", err)
+		}
+		baseline.Name = fmt.Sprintf("%s@v%d", rt.Name, prev.ModelVersion)
+		return baseline, nil
+	})
+	if run == nil {
 		return cellOutcome{}, err
 	}
-	if obs != nil {
-		opts = append(opts, lab.WithObserver(obs))
-	}
-	exp, err := lab.NewExperiment(rt.Name, opts...)
-	if err != nil {
-		return cellOutcome{}, err
-	}
-	defer exp.Close()
-	res, err := exp.Learn(ctx)
-	if err != nil {
-		return cellOutcome{}, err
-	}
-
+	defer run.exp.Close()
 	rec := LineageRecord{
 		Cell:        rt.Name,
-		LogVersion:  int64(exp.StoreEntries()),
-		LiveQueries: res.Metrics().Learner.Queries,
+		LogVersion:  int64(run.exp.StoreEntries()),
+		LiveQueries: run.res.Stats.Queries,
 		At:          time.Now(),
 	}
-	prev, havePrev := lin.Latest(rt.Name)
+	if err != nil {
+		return cellOutcome{rec: rec}, err
+	}
 
 	// Nondeterministic outcome: the §5 halt is itself a live observation,
 	// so a model→nondet (or nondet→model) transition is confirmed drift
 	// by construction — no replay needed.
-	if res.Nondet != nil {
+	if nd := run.res.Nondet; nd != nil {
 		rec.Nondet = true
 		switch {
 		case !havePrev:
@@ -179,53 +235,41 @@ func monitorCell(ctx context.Context, rt cli.RegressTarget, lin *Lineage,
 		default:
 			rec.ModelVersion = prev.ModelVersion + 1
 			rec.Drift, rec.Confirmed = true, true
-			rec.Witness = res.Nondet.Word
-			alarm := &DriftAlarm{
+			rec.Witness = nd.Word
+			alarm := &client.DriftAlarm{
 				Cell: rt.Name, Witness: rec.Witness, Confirmed: true,
-				Diff:         fmt.Sprintf("target became nondeterministic: %v", res.Nondet),
+				Diff:         fmt.Sprintf("target became nondeterministic: %v", nd),
 				ModelVersion: rec.ModelVersion, LogVersion: rec.LogVersion,
 			}
 			return cellOutcome{rec: rec, alarm: alarm, note: "DRIFT (became nondet)"}, lin.Append(rec)
 		}
 	}
 
-	learned := res.Model()
-	learned.Name = rt.Name
-
 	// First sight of a model for this cell: either a fresh baseline or a
 	// nondet→model transition.
 	if !havePrev || prev.Model == "" {
 		version := 1
 		note := "baseline recorded"
-		var alarm *DriftAlarm
+		var alarm *client.DriftAlarm
 		if havePrev {
 			version = prev.ModelVersion + 1
 			rec.Drift, rec.Confirmed = true, true
 			note = "DRIFT (was nondet, learned a model)"
-			alarm = &DriftAlarm{
+			alarm = &client.DriftAlarm{
 				Cell: rt.Name, Confirmed: true,
-				Diff:         fmt.Sprintf("previously nondeterministic; now a deterministic %d-state model", learned.States()),
+				Diff:         fmt.Sprintf("previously nondeterministic; now a deterministic %d-state model", run.learned.States()),
 				ModelVersion: version, LogVersion: rec.LogVersion,
 			}
 		}
 		rec.ModelVersion = version
-		rec.Model, err = saveSnapshot(learned, snapDir, rt.Name, version)
+		rec.Model, err = saveSnapshot(run.learned, snapDir, rt.Name, version)
 		if err != nil {
 			return cellOutcome{}, err
 		}
 		return cellOutcome{rec: rec, alarm: alarm, note: note}, lin.Append(rec)
 	}
 
-	baseline, err := analysis.LoadModel(filepath.Join(snapDir, prev.Model))
-	if err != nil {
-		return cellOutcome{}, fmt.Errorf("load baseline snapshot: %w", err)
-	}
-	baseline.Name = fmt.Sprintf("%s@v%d", rt.Name, prev.ModelVersion)
-	drift, err := analysis.CompareGolden(learned, baseline, opt.Witnesses)
-	if err != nil {
-		return cellOutcome{}, err
-	}
-	if drift == nil {
+	if run.drift == nil {
 		rec.ModelVersion = prev.ModelVersion
 		rec.Model = prev.Model
 		return cellOutcome{rec: rec, note: "OK (unchanged)"}, lin.Append(rec)
@@ -235,14 +279,14 @@ func monitorCell(ctx context.Context, rt cli.RegressTarget, lin *Lineage,
 	// against the live target (per-position majority over opt.Votes
 	// runs): only a reproduced divergence is real drift — a flaky learn
 	// that cannot be reproduced keeps the baseline and alarms nobody.
-	w := drift.Witness
+	w := run.drift.Witness
 	rec.Drift = true
 	rec.Witness = w.Word
-	live, err := exp.Replay(ctx, w.Word, opt.Votes)
+	live, err := run.exp.Replay(ctx, w.Word, opt.Votes)
 	if err != nil {
 		return cellOutcome{}, fmt.Errorf("replay witness: %w", err)
 	}
-	if sameOutputs(live, w.OutputsB) {
+	if slices.Equal(live, w.OutputsB) {
 		// The live target still answers like the baseline: transient.
 		rec.ModelVersion = prev.ModelVersion
 		rec.Model = prev.Model
@@ -250,14 +294,14 @@ func monitorCell(ctx context.Context, rt cli.RegressTarget, lin *Lineage,
 	}
 	rec.Confirmed = true
 	rec.ModelVersion = prev.ModelVersion + 1
-	rec.Model, err = saveSnapshot(learned, snapDir, rt.Name, rec.ModelVersion)
+	rec.Model, err = saveSnapshot(run.learned, snapDir, rt.Name, rec.ModelVersion)
 	if err != nil {
 		return cellOutcome{}, err
 	}
-	alarm := &DriftAlarm{
+	alarm := &client.DriftAlarm{
 		Cell: rt.Name, Witness: w.Word,
 		Expected: w.OutputsB, Got: live, Confirmed: true,
-		Diff:         drift.String(),
+		Diff:         run.drift.String(),
 		ModelVersion: rec.ModelVersion, LogVersion: rec.LogVersion,
 	}
 	return cellOutcome{rec: rec, alarm: alarm, note: "DRIFT confirmed"}, lin.Append(rec)
@@ -271,16 +315,4 @@ func saveSnapshot(m *analysis.Model, snapDir, cell string, version int) (string,
 		return "", err
 	}
 	return name, nil
-}
-
-func sameOutputs(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

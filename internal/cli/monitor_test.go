@@ -1,32 +1,20 @@
-package server
+package cli
 
 import (
 	"context"
-	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/learn"
+	"repro/pkg/client"
 )
 
-// writeManifest writes a one-off regression manifest for the monitor to
-// cycle over. The golden field is required by manifest validation but
-// never read by the monitor (its baselines are its own lineage
-// snapshots), so it may name a file that does not exist.
-func writeManifest(t *testing.T, dir string, targets ...map[string]any) string {
-	t.Helper()
-	raw, err := json.Marshal(map[string]any{"version": 1, "targets": targets})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "manifest.json")
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
+// The monitor's manifests name a golden because manifest validation
+// requires one, but the monitor never reads it (its baselines are its own
+// lineage snapshots), so it may name a file that does not exist.
 
 // TestMonitorUnchangedTargetZeroLiveQueries is one acceptance criterion:
 // a monitor cycle over an unchanged target warm-relearns entirely from
@@ -40,7 +28,7 @@ func TestMonitorUnchangedTargetZeroLiveQueries(t *testing.T) {
 	ctx := context.Background()
 	dataDir := t.TempDir()
 	manifest := writeManifest(t, t.TempDir(),
-		map[string]any{"name": "tcp", "golden": "unused.json", "seed": 13, "conformance": 2})
+		`{"version":1,"targets":[{"name":"tcp","golden":"unused.json","seed":13,"conformance":2}]}`)
 	opt := MonitorOptions{Manifest: manifest, DataDir: dataDir}
 
 	sum, report, err := RunMonitorCycle(ctx, opt, nil)
@@ -104,10 +92,10 @@ func TestMonitorDriftAlarmOnMutatedTarget(t *testing.T) {
 	ctx := context.Background()
 	dataDir := t.TempDir()
 	clean := writeManifest(t, t.TempDir(),
-		map[string]any{"name": "lossy-retransmit", "golden": "unused.json", "seed": 13, "conformance": 2})
+		`{"version":1,"targets":[{"name":"lossy-retransmit","golden":"unused.json","seed":13,"conformance":2}]}`)
 	mutated := writeManifest(t, t.TempDir(),
-		map[string]any{"name": "lossy-retransmit", "golden": "unused.json", "seed": 13, "conformance": 2,
-			"loss": 0.02, "warmup": 100})
+		`{"version":1,"targets":[{"name":"lossy-retransmit","golden":"unused.json","seed":13,"conformance":2,`+
+			`"loss":0.02,"warmup":100}]}`)
 
 	sum, report, err := RunMonitorCycle(ctx, MonitorOptions{Manifest: clean, DataDir: dataDir}, nil)
 	if err != nil {
@@ -119,9 +107,9 @@ func TestMonitorDriftAlarmOnMutatedTarget(t *testing.T) {
 
 	// The mutated cycle must alarm, and the alarm must reach the observer
 	// as a typed drift_alarm event (the daemon's SSE path).
-	var alarms []DriftAlarm
+	var alarms []client.DriftAlarm
 	obs := learn.ObserverFunc(func(e learn.Event) {
-		if a, ok := e.(DriftAlarm); ok {
+		if a, ok := e.(client.DriftAlarm); ok {
 			alarms = append(alarms, a)
 		}
 	})
@@ -148,7 +136,7 @@ func TestMonitorDriftAlarmOnMutatedTarget(t *testing.T) {
 	if len(a.Got) != len(a.Witness) || len(a.Expected) != len(a.Witness) {
 		t.Fatalf("witness outputs not aligned: %+v", a)
 	}
-	if sameOutputs(a.Got, a.Expected) {
+	if slices.Equal(a.Got, a.Expected) {
 		t.Fatalf("live outputs match the baseline — nothing drifted: %+v", a)
 	}
 	if a.ModelVersion != 2 {
@@ -186,7 +174,7 @@ func TestMonitorNondetCell(t *testing.T) {
 	ctx := context.Background()
 	dataDir := t.TempDir()
 	manifest := writeManifest(t, t.TempDir(),
-		map[string]any{"name": "mvfst", "expect": "nondet", "seed": 13})
+		`{"version":1,"targets":[{"name":"mvfst","expect":"nondet","seed":13}]}`)
 	opt := MonitorOptions{Manifest: manifest, DataDir: dataDir}
 
 	for cycle := 1; cycle <= 2; cycle++ {

@@ -25,7 +25,7 @@ import (
 // instead.
 func Regress(args []string) error {
 	fs := flag.NewFlagSet("prognosis regress", flag.ContinueOnError)
-	manifest := fs.String("manifest", "internal/analysis/testdata/regress.json",
+	manifest := fs.String("manifest", DefaultManifest,
 		"regression manifest: targets, goldens, and per-target learning configuration")
 	storeDir := fs.String("store", "",
 		"persistent query-store directory: warm-start every relearn from it and keep it fresh (empty = cold)")
@@ -55,10 +55,6 @@ func Regress(args []string) error {
 			fmt.Printf("regress: manifest entries naming no registry target: %s\n", strings.Join(unknown, ", "))
 		}
 	}
-	selected, err := m.Filter(*targetsCSV)
-	if err != nil {
-		return err
-	}
 	if *witnessDir != "" {
 		if err := os.MkdirAll(*witnessDir, 0o755); err != nil {
 			return err
@@ -71,39 +67,36 @@ func Regress(args []string) error {
 
 	ctx, stop := signalContext()
 	defer stop()
-	var drifted []string
-	var totalLive int64
-	for _, rt := range selected {
-		out, err := RegressOne(ctx, rt, m.Dir, *storeDir, *workers, *witnesses, obs)
-		totalLive += out.LiveQueries
-		if err != nil {
-			return fmt.Errorf("target %s: %w", rt.Name, err)
-		}
-		if out.Drift == "" {
-			fmt.Printf("regress %s: OK — %d live queries\n", rt.Name, out.LiveQueries)
+	run, err := RunRegress(ctx, m, *targetsCSV, *storeDir, *workers, *witnesses, obs)
+	for _, c := range run.Cells {
+		fmt.Print(c.headline())
+		if c.Drift == "" {
 			continue
 		}
-		drifted = append(drifted, rt.Name)
-		fmt.Printf("regress %s: DRIFT — %d live queries\n%s", rt.Name, out.LiveQueries, indent(out.Drift))
-		if *witnessDir != "" {
-			path := filepath.Join(*witnessDir, rt.Name+".witness.txt")
-			if err := os.WriteFile(path, []byte(out.Drift), 0o644); err != nil {
+		fmt.Print(indent(c.Drift))
+		if *witnessDir == "" {
+			continue
+		}
+		path := filepath.Join(*witnessDir, c.Name+".witness.txt")
+		if err := os.WriteFile(path, []byte(c.Drift), 0o644); err != nil {
+			return err
+		}
+		fmt.Printf("  witness written to %s\n", path)
+		if c.Learned != nil {
+			// The drifted model itself, for offline diffing against the
+			// golden without relearning.
+			if err := c.Learned.Save(filepath.Join(*witnessDir, c.Name+".learned.json")); err != nil {
 				return err
-			}
-			fmt.Printf("  witness written to %s\n", path)
-			if out.Learned != nil {
-				// The drifted model itself, for offline diffing against the
-				// golden without relearning.
-				if err := out.Learned.Save(filepath.Join(*witnessDir, rt.Name+".learned.json")); err != nil {
-					return err
-				}
 			}
 		}
 	}
+	if err != nil {
+		return err
+	}
 	fmt.Printf("regress total: %d live queries across %d targets, %d drifted\n",
-		totalLive, len(selected), len(drifted))
-	if len(drifted) > 0 {
-		return fmt.Errorf("%d target(s) drifted from golden: %s", len(drifted), strings.Join(drifted, ", "))
+		run.LiveQueries, len(run.Cells), len(run.Drifted))
+	if len(run.Drifted) > 0 {
+		return fmt.Errorf("%d target(s) drifted from golden: %s", len(run.Drifted), strings.Join(run.Drifted, ", "))
 	}
 	return nil
 }
@@ -111,8 +104,7 @@ func Regress(args []string) error {
 // RegressOutcome is the structured result of one manifest-target
 // regression: how much live traffic the relearn cost, a non-empty drift
 // rendering when the gate must fail, and the freshly learned model (nil
-// when the run halted on nondeterminism). The prognosisd regress jobs
-// consume it directly; the CLI renders it.
+// when the run halted on nondeterminism).
 type RegressOutcome struct {
 	LiveQueries int64
 	Drift       string
@@ -125,57 +117,136 @@ type RegressOutcome struct {
 // typed event stream.
 func RegressOne(ctx context.Context, rt RegressTarget, manifestDir, storeDir string,
 	workers, witnesses int, obs learn.Observer) (RegressOutcome, error) {
+	run, err := relearnCell(ctx, rt, storeDir, workers, witnesses, obs, func() (*analysis.Model, error) {
+		if rt.Expect == expectNondet {
+			return nil, nil
+		}
+		return analysis.LoadModel(filepath.Join(manifestDir, rt.Golden))
+	})
+	if run == nil {
+		return RegressOutcome{}, err
+	}
+	defer run.exp.Close()
+	out := RegressOutcome{LiveQueries: run.res.Stats.Queries, Learned: run.learned}
+	switch {
+	case err != nil:
+		return out, err
+	case rt.Expect == expectNondet && run.res.Nondet == nil:
+		out.Drift = fmt.Sprintf(
+			"expected the §5 nondeterminism halt, but a deterministic %d-state model was learned\n",
+			run.learned.States())
+	case rt.Expect != expectNondet && run.res.Nondet != nil:
+		out.Drift = fmt.Sprintf("target became nondeterministic: %v\n", run.res.Nondet)
+	case run.drift != nil:
+		out.Drift = run.drift.String()
+	}
+	return out, nil
+}
+
+// cellRun is one relearned manifest cell: the still-open experiment (for
+// witness replay; the caller closes it), its result, the learned model
+// (nil on a nondeterminism halt), and its drift from the baseline (nil
+// when they agree or nothing was compared).
+type cellRun struct {
+	exp     *lab.Experiment
+	res     *lab.Result
+	learned *analysis.Model
+	drift   *analysis.GoldenDrift
+}
+
+// relearnCell is the relearn-and-compare step regress and monitor share:
+// it relearns the manifest cell rt from its own learning configuration —
+// warm-started from storeDir when non-empty — and, when a model was
+// learned and baseline yields one (nil for none), compares the two. A
+// non-nil run is returned whenever learning finished, even alongside a
+// baseline or comparison error.
+func relearnCell(ctx context.Context, rt RegressTarget, storeDir string, workers, witnesses int,
+	obs learn.Observer, baseline func() (*analysis.Model, error)) (*cellRun, error) {
 	cfg := learncfg.Config{
 		Learner: "ttt", Seed: rt.Seed, Conformance: rt.Conformance,
 		Loss: rt.Loss, Duplicate: rt.Duplicate, Reorder: rt.Reorder,
 		Warmup: rt.Warmup, Workers: workers, Store: storeDir,
 	}
-	opts, err := cfg.Options()
+	exp, res, err := LearnTarget(ctx, rt.Name, cfg, obs)
 	if err != nil {
-		return RegressOutcome{}, err
+		return nil, err
 	}
-	if obs != nil {
-		opts = append(opts, lab.WithObserver(obs))
+	run := &cellRun{exp: exp, res: res, learned: res.Model()}
+	if run.learned == nil {
+		return run, nil
 	}
-	exp, err := lab.NewExperiment(rt.Name, opts...)
-	if err != nil {
-		return RegressOutcome{}, err
+	base, err := baseline()
+	if err != nil || base == nil {
+		return run, err
 	}
-	defer exp.Close()
-	res, err := exp.Learn(ctx)
-	if err != nil {
-		return RegressOutcome{}, err
-	}
-	out := RegressOutcome{LiveQueries: res.Stats.Queries}
-
-	if rt.Expect == expectNondet {
-		if res.Nondet != nil {
-			return out, nil // the golden outcome: §5 still detects it
-		}
-		out.Drift = fmt.Sprintf(
-			"expected the §5 nondeterminism halt, but a deterministic %d-state model was learned\n",
-			res.Machine.NumStates())
-		out.Learned = res.Model()
-		return out, nil
-	}
-	if res.Nondet != nil {
-		out.Drift = fmt.Sprintf("target became nondeterministic: %v\n", res.Nondet)
-		return out, nil
-	}
-	golden, err := analysis.LoadModel(filepath.Join(manifestDir, rt.Golden))
-	if err != nil {
-		return out, err
-	}
-	out.Learned = res.Model()
-	drift, err := analysis.CompareGolden(out.Learned, golden, witnesses)
-	if err != nil {
-		return out, err
-	}
-	if drift != nil {
-		out.Drift = drift.String()
-	}
-	return out, nil
+	run.drift, err = analysis.CompareGolden(run.learned, base, witnesses)
+	return run, err
 }
+
+// RegressCell is one regressed manifest target's outcome.
+type RegressCell struct {
+	Name string
+	RegressOutcome
+}
+
+// headline is the cell's one-line verdict, shared by both renderings.
+func (c RegressCell) headline() string {
+	verdict := "OK"
+	if c.Drift != "" {
+		verdict = "DRIFT"
+	}
+	return fmt.Sprintf("regress %s: %s — %d live queries\n", c.Name, verdict, c.LiveQueries)
+}
+
+// RegressRun is the regress verb's result: every regressed cell in
+// manifest order, the live queries they cost, and the drifted targets.
+type RegressRun struct {
+	Cells       []RegressCell
+	LiveQueries int64
+	Drifted     []string
+}
+
+// Report renders the run as prognosisd serves it (a regress job's
+// witness.txt): each cell's verdict line, followed by its drift witness
+// when it drifted. `prognosis regress` prints the same lines with the
+// witnesses indented.
+func (r *RegressRun) Report() string {
+	var b strings.Builder
+	for _, c := range r.Cells {
+		b.WriteString(c.headline())
+		b.WriteString(c.Drift)
+	}
+	return b.String()
+}
+
+// RunRegress is the regress verb: relearn the cells of manifest m that
+// the comma-separated targets select (all for ""), in order, through
+// RegressOne. The run is never nil; on error it holds the cells finished
+// so far, and LiveQueries also counts a failed cell's relearn.
+func RunRegress(ctx context.Context, m *RegressManifest, targets, storeDir string,
+	workers, witnesses int, obs learn.Observer) (*RegressRun, error) {
+	run := &RegressRun{}
+	selected, err := m.Filter(targets)
+	if err != nil {
+		return run, err
+	}
+	for _, rt := range selected {
+		out, err := RegressOne(ctx, rt, m.Dir, storeDir, workers, witnesses, obs)
+		run.LiveQueries += out.LiveQueries
+		if err != nil {
+			return run, fmt.Errorf("target %s: %w", rt.Name, err)
+		}
+		run.Cells = append(run.Cells, RegressCell{Name: rt.Name, RegressOutcome: out})
+		if out.Drift != "" {
+			run.Drifted = append(run.Drifted, rt.Name)
+		}
+	}
+	return run, nil
+}
+
+// DefaultManifest is the checked-in regression manifest regress and
+// monitor cycle over by default, relative to the repository root.
+const DefaultManifest = "internal/analysis/testdata/regress.json"
 
 // expectNondet is the manifest outcome for targets whose golden behaviour
 // is the §5 nondeterminism halt rather than a model.

@@ -656,18 +656,19 @@ func (co *Coordinator) mergeCampaign(c *campaign) {
 		rr := lab.RunResult{Name: cr.cell.Key, Target: cr.cell.Target}
 		switch cr.state {
 		case "done":
-			res := &lab.Result{
-				Target:      cr.cell.Target,
-				LearnerKind: core.LearnerKind(cr.cell.Config.Learner),
-			}
+			var metrics lab.Metrics
+			var nondet *core.NondeterminismError
 			if sum := cr.summary; sum != nil {
-				res.Stats = learn.Stats{Queries: sum.Queries, Symbols: sum.Symbols, Hits: sum.Hits}
-				res.Guard = core.GuardStats{Escalations: sum.GuardEscalations}
-				res.Duration = sum.Duration
+				metrics = lab.Metrics{
+					Learner:  learn.Stats{Queries: sum.Queries, Symbols: sum.Symbols, Hits: sum.Hits},
+					Guard:    core.GuardStats{Escalations: sum.GuardEscalations},
+					Duration: sum.Duration,
+				}
 				if sum.Nondet {
-					res.Nondet = &core.NondeterminismError{Word: sum.NondetWord}
+					nondet = &core.NondeterminismError{Word: sum.NondetWord}
 				}
 			}
+			var machine *automata.Mealy
 			if len(cr.model) > 0 {
 				m, err := automata.Decode(cr.model)
 				if err != nil {
@@ -675,9 +676,10 @@ func (co *Coordinator) mergeCampaign(c *campaign) {
 					fail(fmt.Errorf("decode model of cell %s: %w", cr.cell.Key, err))
 					return
 				}
-				res.Machine = m
+				machine = m
 			}
-			rr.Result = res
+			rr.Result = lab.RestoreResult(cr.cell.Target, core.LearnerKind(cr.cell.Config.Learner),
+				machine, nondet, metrics)
 			mCellsMerged.Inc()
 		case "failed":
 			rr.Err = errors.New(cr.errMsg)

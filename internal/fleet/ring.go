@@ -122,18 +122,6 @@ func (r *Ring) Owner(key string) string {
 	return r.points[idx].node
 }
 
-// Nodes lists the members, sorted.
-func (r *Ring) Nodes() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.weights))
-	for n := range r.weights {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Len returns the member count.
 func (r *Ring) Len() int {
 	r.mu.RLock()

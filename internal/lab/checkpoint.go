@@ -39,16 +39,8 @@ type checkpointRecord struct {
 
 // result converts the record back into the Result the run produced.
 func (r *checkpointRecord) result() *Result {
-	return &Result{
-		Target:      r.Target,
-		Machine:     r.Machine,
-		Stats:       r.Stats,
-		Nondet:      r.Nondet,
-		Duration:    r.Duration,
-		LearnerKind: r.Learner,
-		Guard:       r.Guard,
-		Faults:      r.Faults,
-	}
+	return RestoreResult(r.Target, r.Learner, r.Machine, r.Nondet,
+		Metrics{Learner: r.Stats, Guard: r.Guard, Faults: r.Faults, Duration: r.Duration})
 }
 
 // checkpointFile appends completed runs to a campaign checkpoint. Append
@@ -97,6 +89,7 @@ func openCheckpoint(path string) (map[string]*Result, *checkpointFile, error) {
 // campaign treats them as non-fatal: a checkpoint that cannot grow costs
 // resumability, not results.
 func (c *checkpointFile) append(name string, res *Result) error {
+	rm := res.Metrics()
 	line, err := jsonlog.Marshal(checkpointRecord{
 		Name:     name,
 		Target:   res.Target,
@@ -104,8 +97,8 @@ func (c *checkpointFile) append(name string, res *Result) error {
 		Machine:  res.Machine,
 		Nondet:   res.Nondet,
 		Stats:    res.Stats,
-		Guard:    res.Guard,
-		Faults:   res.Faults,
+		Guard:    rm.Guard,
+		Faults:   rm.Faults,
 		Duration: res.Duration,
 	})
 	if err != nil {

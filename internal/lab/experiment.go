@@ -28,22 +28,10 @@ type Result struct {
 	Nondet      *core.NondeterminismError
 	Duration    time.Duration
 	LearnerKind core.LearnerKind
-	// Guard reports the voting guard's cost counters for this run.
-	//
-	// Deprecated: read Metrics().Guard — the per-field stats accessors
-	// are shims kept for one release; the unified Metrics snapshot is
-	// the supported view.
-	Guard core.GuardStats
-	// Faults aggregates the netem fault counters across all worker links
-	// for this run (zero without WithImpairment).
-	//
-	// Deprecated: read Metrics().Faults.
-	Faults netem.Stats
-	// Window reports the adaptive in-flight window's counters when
-	// WithWindow was configured (nil otherwise).
-	//
-	// Deprecated: read Metrics().Window.
-	Window *learn.WindowStats
+	// The guard, fault, and window counters are read through Metrics().
+	guard  core.GuardStats
+	faults netem.Stats
+	window *learn.WindowStats
 }
 
 // Metrics is the unified observability snapshot of one learning run: the
@@ -69,15 +57,6 @@ type Metrics struct {
 	Duration time.Duration `json:"duration"`
 }
 
-// CacheHitRate returns the fraction of membership queries answered from
-// cache, 0 when nothing was asked.
-func (m Metrics) CacheHitRate() float64 {
-	if denom := m.Learner.Queries + m.Learner.Hits; denom > 0 {
-		return float64(m.Learner.Hits) / float64(denom)
-	}
-	return 0
-}
-
 // QueriesPerSec returns the live-query rate over the run's wall time.
 func (m Metrics) QueriesPerSec() float64 {
 	if m.Duration > 0 {
@@ -90,10 +69,22 @@ func (m Metrics) QueriesPerSec() float64 {
 func (r *Result) Metrics() Metrics {
 	return Metrics{
 		Learner:  r.Stats,
-		Guard:    r.Guard,
-		Faults:   r.Faults,
-		Window:   r.Window,
+		Guard:    r.guard,
+		Faults:   r.faults,
+		Window:   r.window,
 		Duration: r.Duration,
+	}
+}
+
+// RestoreResult rebuilds the Result of a run that finished elsewhere from
+// its recorded outcome and unified metrics — how campaign checkpoints and
+// the fleet coordinator's merged cells restore runs without relearning.
+func RestoreResult(target string, kind core.LearnerKind, machine *automata.Mealy,
+	nondet *core.NondeterminismError, m Metrics) *Result {
+	return &Result{
+		Target: target, LearnerKind: kind, Machine: machine, Nondet: nondet,
+		Stats: m.Learner, Duration: m.Duration,
+		guard: m.Guard, faults: m.Faults, window: m.Window,
 	}
 }
 
@@ -315,10 +306,6 @@ func (e *Experiment) Target() string { return e.target }
 // Alphabet returns the target's input alphabet.
 func (e *Experiment) Alphabet() []string { return e.sys.Alphabet }
 
-// GroundTruth returns the target's specification model, nil when the
-// target has none.
-func (e *Experiment) GroundTruth() *automata.Mealy { return e.sys.Truth }
-
 // Stats returns a snapshot of the live-traffic counters (valid after — or,
 // from an observer, during — Learn). The counters are read atomically, so
 // snapshots taken while pool workers are updating them are safe.
@@ -384,11 +371,11 @@ func (e *Experiment) Learn(ctx context.Context) (*Result, error) {
 	model, err := e.exp.Learn(ctx)
 	res.Duration = time.Since(start)
 	res.Stats = statsSnapshot(&e.exp.Stats)
-	res.Guard = e.exp.GuardStats.Snapshot()
-	res.Faults = faultsDelta(faultsBefore, e.Faults())
+	res.guard = e.exp.GuardStats.Snapshot()
+	res.faults = faultsDelta(faultsBefore, e.Faults())
 	if e.cfg.window != nil && e.cfg.workers > 1 {
 		ws := e.exp.WindowStats
-		res.Window = &ws
+		res.window = &ws
 	}
 	if err != nil {
 		if nd, ok := core.IsNondeterminism(err); ok {
@@ -443,7 +430,7 @@ func (e *Experiment) Close() error {
 
 // Run is the one-shot convenience: build the experiment, learn it, and
 // release its resources. Use NewExperiment directly to learn repeatedly
-// or to interrogate the experiment (alphabet, ground truth) around a run.
+// or to interrogate the experiment (alphabet, live oracle) around a run.
 func Run(ctx context.Context, target string, opts ...Option) (*Result, error) {
 	exp, err := NewExperiment(target, opts...)
 	if err != nil {

@@ -38,11 +38,11 @@ func TestCampaignLearnsGoogleUnderLoss(t *testing.T) {
 	if eq, ce := truth.Equivalent(res.Result.Machine); !eq {
 		t.Fatalf("lossy learn diverged from clean ground truth, witness %v", ce)
 	}
-	if res.Result.Faults.DroppedClient+res.Result.Faults.DroppedServer == 0 {
+	if res.Result.Metrics().Faults.DroppedClient+res.Result.Metrics().Faults.DroppedServer == 0 {
 		t.Fatal("no datagrams dropped: the link was not impaired")
 	}
-	if res.Result.Guard.RetriedQueries == 0 || res.Result.Guard.WastedVotes == 0 {
-		t.Fatalf("no guard effort recorded over a 5%%-loss link: %+v", res.Result.Guard)
+	if res.Result.Metrics().Guard.RetriedQueries == 0 || res.Result.Metrics().Guard.WastedVotes == 0 {
+		t.Fatalf("no guard effort recorded over a 5%%-loss link: %+v", res.Result.Metrics().Guard)
 	}
 }
 
@@ -71,11 +71,12 @@ func TestImpairedLearnIsReproducible(t *testing.T) {
 	if eq, _ := a.Machine.Equivalent(b.Machine); !eq {
 		t.Fatal("same seeds learned different models")
 	}
-	if a.Faults != b.Faults {
-		t.Fatalf("same seeds, different fault patterns: %+v vs %+v", a.Faults, b.Faults)
+	am, bm := a.Metrics(), b.Metrics()
+	if am.Faults != bm.Faults {
+		t.Fatalf("same seeds, different fault patterns: %+v vs %+v", am.Faults, bm.Faults)
 	}
-	if a.Stats.Queries != b.Stats.Queries || a.Guard != b.Guard {
-		t.Fatalf("same seeds, different costs: %+v/%+v vs %+v/%+v", a.Stats, a.Guard, b.Stats, b.Guard)
+	if a.Stats.Queries != b.Stats.Queries || am.Guard != bm.Guard {
+		t.Fatalf("same seeds, different costs: %+v/%+v vs %+v/%+v", a.Stats, am.Guard, b.Stats, bm.Guard)
 	}
 	p, q := run(4), run(4)
 	if eq, _ := p.Machine.Equivalent(q.Machine); !eq {
@@ -127,7 +128,7 @@ func TestImpairmentAppliesToTCP(t *testing.T) {
 	if res.Machine.NumStates() != 6 {
 		t.Fatalf("lossy TCP learn: %d states, want 6", res.Machine.NumStates())
 	}
-	if res.Faults.SentClient == 0 {
+	if res.Metrics().Faults.SentClient == 0 {
 		t.Fatal("no segments flowed through the link")
 	}
 }

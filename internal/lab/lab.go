@@ -137,11 +137,6 @@ func (s *TCPSetup) Step(in string) (string, error) { return s.Client.Step(in) }
 // segments.
 func NewTCP(seed int64) *TCPSetup { return newTCP(seed, nil) }
 
-// NewTCPSACK builds the SACK-enabled TCP system under learning: the
-// same stack with tcpsim.Config.SACK on, driven over the extended
-// alphabet carrying a SACK-permitted SYN and an out-of-order push.
-func NewTCPSACK(seed int64) *TCPSetup { return newTCPVariant(seed, nil, true) }
-
 // newTCP builds the TCP setup, optionally threading the segment path
 // through a datagram-transport wrapper (how WithImpairment reaches the
 // TCP target: segments ride the same fault-injection interface as QUIC

@@ -168,7 +168,7 @@ func WithStore(dir string) Option {
 // cap — cfg.Max is clamped to it (zero means "the worker count"). Only
 // meaningful with WithWorkers > 1; resize events surface as
 // learn.WindowResized through WithObserver, and the final counters in
-// Result.Window.
+// Result.Metrics().Window.
 func WithWindow(cfg learn.WindowConfig) Option {
 	return func(c *config) { c.window = &cfg }
 }

@@ -7,6 +7,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/netem"
 )
 
 // TestWithStoreWarmRelearn is the end-to-end incremental-learning
@@ -199,6 +202,35 @@ func TestCampaignCheckpointResume(t *testing.T) {
 		if eq, ce := first[i].Result.Machine.Equivalent(r.Result.Machine); !eq {
 			t.Fatalf("restored model for %s diverged on %v", r.Name, ce)
 		}
+	}
+
+	// A record exactly as earlier releases wrote it (guard and fault
+	// counters as the top-level "guard"/"faults" objects) still restores,
+	// its counters read through Metrics().
+	legacy := filepath.Join(t.TempDir(), "legacy.ckpt")
+	if err := os.WriteFile(legacy, []byte(`{"format":"prognosis-campaign-checkpoint","version":1}
+{"name":"lossy","target":"tcp","learner":"ttt","stats":{"Queries":7,"Symbols":9,"Hits":1},"guard":{"Votes":5,"Escalations":2,"RetriedQueries":1,"WastedVotes":3},"faults":{"SentClient":4,"DroppedClient":1,"SentServer":4,"DroppedServer":0,"Duplicated":2,"Reordered":1},"duration":1500}
+`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	done, f, err := openCheckpoint(legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.close()
+	res, ok := done["lossy"]
+	if !ok {
+		t.Fatalf("legacy record not restored: %v", done)
+	}
+	m := res.Metrics()
+	if want := (core.GuardStats{Votes: 5, Escalations: 2, RetriedQueries: 1, WastedVotes: 3}); m.Guard != want {
+		t.Fatalf("legacy guard = %+v, want %+v", m.Guard, want)
+	}
+	if want := (netem.Stats{SentClient: 4, DroppedClient: 1, SentServer: 4, Duplicated: 2, Reordered: 1}); m.Faults != want {
+		t.Fatalf("legacy faults = %+v, want %+v", m.Faults, want)
+	}
+	if m.Learner.Queries != 7 || m.Duration != 1500 || res.LearnerKind != core.LearnerTTT {
+		t.Fatalf("legacy record = %+v / %+v", res, m)
 	}
 }
 

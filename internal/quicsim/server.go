@@ -167,13 +167,6 @@ func (s *Server) resetLocked() {
 	}
 }
 
-// BehaviorState returns the current abstract state (for tests).
-func (s *Server) BehaviorState() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.state
-}
-
 // HandleDatagram processes one incoming UDP datagram from the given source
 // address (opaque string, e.g. "10.0.0.2:4433") and returns the datagrams
 // the server sends in response, one packet per datagram.
@@ -523,12 +516,4 @@ func (s *Server) buildStatelessReset() []byte {
 	buf[0] = 0x40 | (buf[0] & 0x3F)
 	token := quiccrypto.ResetToken(s.static, s.scid)
 	return append(buf, token[:]...)
-}
-
-// ResetTokenForTests exposes the server's stateless reset token so clients
-// and tests can recognize reset datagrams.
-func (s *Server) ResetTokenForTests() [16]byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return quiccrypto.ResetToken(s.static, s.scid)
 }

@@ -5,26 +5,19 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
-	"sync"
 
-	"repro/internal/analysis"
 	"repro/internal/cli"
 	"repro/internal/lab"
 	"repro/internal/learn"
 )
 
-// defaultManifest mirrors `prognosis regress -manifest`'s default,
-// resolved against the daemon's working directory.
-const defaultManifest = "internal/analysis/testdata/regress.json"
-
-// NewRunner builds the production Runner: jobs execute through the same
-// learncfg option path as the CLI, write artifacts into the job's
-// directory, and — unless the spec names its own store — share a
-// persistent query store under dataDir, which is what lets a re-queued
-// job resume: the interrupted attempt's answered queries are already
-// journaled there, so the retry replays them from disk instead of the
-// wire.
+// NewRunner builds the production Runner: every job runs its verb's one
+// implementation in internal/cli — the same function the prognosis
+// subcommand calls — and writes the outcome's artifacts into the job's
+// directory. Unless the spec names its own store, jobs share a persistent
+// query store under dataDir, which is what lets a re-queued job resume:
+// the interrupted attempt's answered queries are already journaled
+// there, so the retry replays them from disk instead of the wire.
 func NewRunner(dataDir string) Runner {
 	sharedStore := filepath.Join(dataDir, "store")
 	return func(ctx context.Context, job *Job, obs learn.Observer) (*Summary, error) {
@@ -49,240 +42,135 @@ func NewRunner(dataDir string) Runner {
 	}
 }
 
-// learnOne is the shared learn step: experiment from the spec's config,
-// observer installed, summary counters filled from the result.
-func learnOne(ctx context.Context, spec *Spec, target string, obs learn.Observer) (*lab.Experiment, *lab.Result, error) {
-	opts, err := spec.Config.Options()
-	if err != nil {
-		return nil, nil, err
+// summarize folds learning runs' unified metrics snapshots into a job
+// summary, marking the first nondeterminism halt among them. Nil results
+// (a side whose learn failed) are skipped. (Summary is an alias of
+// client.Summary, so this cannot be a method.)
+func summarize(results ...*lab.Result) *Summary {
+	s := &Summary{}
+	for _, res := range results {
+		if res == nil {
+			continue
+		}
+		rm := res.Metrics()
+		s.Queries += rm.Learner.Queries
+		s.Symbols += rm.Learner.Symbols
+		s.Hits += rm.Learner.Hits
+		s.GuardEscalations += rm.Guard.Escalations
+		s.Duration += rm.Duration
+		if res.Nondet != nil && !s.Nondet {
+			s.Nondet = true
+			s.NondetWord = res.Nondet.Word
+		}
 	}
-	if obs != nil {
-		opts = append(opts, lab.WithObserver(obs))
-	}
-	exp, err := lab.NewExperiment(target, opts...)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := exp.Learn(ctx)
-	if err != nil {
-		exp.Close()
-		return nil, nil, err
-	}
-	return exp, res, nil
+	return s
 }
 
-// addResult folds one run's unified metrics snapshot into the summary.
-// (Summary is an alias of client.Summary, so this cannot be a method.)
-func addResult(s *Summary, res *lab.Result) {
-	rm := res.Metrics()
-	s.Queries += rm.Learner.Queries
-	s.Symbols += rm.Learner.Symbols
-	s.Hits += rm.Learner.Hits
-	s.GuardEscalations += rm.Guard.Escalations
-	s.Duration += rm.Duration
+// orDefault resolves an omitted (zero) spec field.
+func orDefault[T comparable](v, def T) T {
+	var zero T
+	if v == zero {
+		return def
+	}
+	return v
+}
+
+func writeWitness(dir, report string) error {
+	return os.WriteFile(filepath.Join(dir, "witness.txt"), []byte(report), 0o644)
 }
 
 func runLearn(ctx context.Context, spec *Spec, dir string, obs learn.Observer) (*Summary, error) {
-	exp, res, err := learnOne(ctx, spec, spec.Target, obs)
+	exp, res, err := cli.LearnTarget(ctx, spec.Target, spec.Config, obs)
 	if err != nil {
 		return nil, err
 	}
-	defer exp.Close()
-	sum := &Summary{}
-	addResult(sum, res)
+	exp.Close()
+	sum := summarize(res)
 	if res.Nondet != nil {
-		// The §5 halt is a reported outcome, exactly as in the CLI.
-		sum.Nondet = true
-		sum.NondetWord = res.Nondet.Word
-		return sum, nil
+		return sum, nil // the §5 halt is a reported outcome, exactly as in the CLI
 	}
 	sum.States = res.Machine.NumStates()
 	sum.Transitions = res.Machine.NumTransitions()
-	if err := res.Model().Save(filepath.Join(dir, "model.json")); err != nil {
-		return sum, err
-	}
-	return sum, nil
+	return sum, res.Model().Save(filepath.Join(dir, "model.json"))
 }
 
 func runDiff(ctx context.Context, spec *Spec, dir string, obs learn.Observer) (*Summary, error) {
-	// Learn both sides concurrently into one event stream (events carry
-	// no target attribution at the stream level, like `prognosis diff`'s
-	// interleaved progress), keeping both experiments open so witness
-	// replay drives the live replicas the models were learned from.
-	type side struct {
-		exp *lab.Experiment
-		res *lab.Result
-		err error
+	// Both sides learn into the job's one event stream (events carry no
+	// target attribution at the stream level, like `prognosis diff -v`).
+	out, err := cli.RunDiff(ctx, spec.TargetA, spec.TargetB, spec.Config, [2]learn.Observer{obs, obs},
+		cli.DiffOptions{Witnesses: orDefault(spec.Witnesses, 5), Replay: spec.ReplayWitness(), Votes: 5})
+	sum := summarize(out.Results[:]...)
+	if out.Report == nil {
+		return sum, err
 	}
-	targets := []string{spec.TargetA, spec.TargetB}
-	sides := make([]side, 2)
-	var wg sync.WaitGroup
-	for i, target := range targets {
-		wg.Add(1)
-		go func(i int, target string) {
-			defer wg.Done()
-			exp, res, err := learnOne(ctx, spec, target, obs)
-			if err != nil {
-				err = fmt.Errorf("target %s: %w", target, err)
-			}
-			sides[i] = side{exp: exp, res: res, err: err}
-		}(i, target)
-	}
-	wg.Wait()
-	for _, s := range sides {
-		if s.exp != nil {
-			defer s.exp.Close()
-		}
-	}
-	sum := &Summary{}
-	for _, s := range sides {
-		if s.err != nil {
-			return sum, s.err
-		}
-		addResult(sum, s.res)
-	}
-	for i, s := range sides {
-		if s.res.Nondet != nil {
-			sum.Nondet = true
-			sum.NondetWord = s.res.Nondet.Word
-			return sum, fmt.Errorf("target %s: nondeterministic — nothing to diff", targets[i])
-		}
-	}
-
-	modelA, modelB := sides[0].res.Model(), sides[1].res.Model()
-	if spec.TargetA == spec.TargetB {
-		modelA.Name, modelB.Name = spec.TargetA+"#1", spec.TargetB+"#2"
-	}
-	witnesses := spec.Witnesses
-	if witnesses == 0 {
-		witnesses = 5
-	}
-	report := analysis.Diff(modelA, modelB, witnesses)
-	eq := report.Equivalent
+	eq := out.Report.Equivalent
 	sum.Equivalent = &eq
-	sum.Witnesses = len(report.Witnesses)
-	sum.States = modelA.States()
-	sum.Transitions = modelA.Transitions()
-	if err := modelA.Save(filepath.Join(dir, "model_a.json")); err != nil {
+	sum.Witnesses = len(out.Report.Witnesses)
+	sum.States = out.ModelA.States()
+	sum.Transitions = out.ModelA.Transitions()
+	if err != nil {
 		return sum, err
 	}
-	if err := modelB.Save(filepath.Join(dir, "model_b.json")); err != nil {
+	if err := out.ModelA.Save(filepath.Join(dir, "model_a.json")); err != nil {
 		return sum, err
 	}
-
-	var buf strings.Builder
-	buf.WriteString(report.String())
-	if !report.Equivalent && spec.ReplayWitness() && len(report.Witnesses) > 0 {
-		confirmed, err := analysis.ConfirmWitness(ctx, report.Witnesses[0],
-			sides[0].exp.Oracle(), sides[1].exp.Oracle(), 5)
-		if err != nil {
-			return sum, err
-		}
-		diverged := confirmed.Diverged
+	if err := out.ModelB.Save(filepath.Join(dir, "model_b.json")); err != nil {
+		return sum, err
+	}
+	report := out.Report.String()
+	if r := out.Replayed; r != nil {
+		diverged := r.Diverged
 		sum.Confirmed = &diverged
-		fmt.Fprintf(&buf, "\nwitness %v replayed live: diverged=%v (models predicted=%v)\n",
-			report.Witnesses[0].Word, confirmed.Diverged, confirmed.MatchesModels)
+		report += fmt.Sprintf("\nwitness %v replayed live: diverged=%v (models predicted=%v)\n",
+			r.Witness.Word, r.Diverged, r.MatchesModels)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "witness.txt"), []byte(buf.String()), 0o644); err != nil {
-		return sum, err
-	}
-	return sum, nil
+	return sum, writeWitness(dir, report)
 }
 
 func runCheck(ctx context.Context, spec *Spec, dir string, obs learn.Observer) (*Summary, error) {
-	exp, res, err := learnOne(ctx, spec, spec.Target, obs)
-	if err != nil {
+	out, err := cli.RunCheck(ctx, spec.Target, spec.Config, obs, spec.Property, orDefault(spec.Depth, 4))
+	if out.Result == nil {
 		return nil, err
 	}
-	defer exp.Close()
-	sum := &Summary{}
-	addResult(sum, res)
-	if res.Nondet != nil {
-		sum.Nondet = true
-		sum.NondetWord = res.Nondet.Word
-		return sum, fmt.Errorf("target %s: nondeterministic — nothing to check", spec.Target)
-	}
-	model := res.Model()
-	sum.States = model.States()
-	sum.Transitions = model.Transitions()
-	if err := model.Save(filepath.Join(dir, "model.json")); err != nil {
+	sum := summarize(out.Result)
+	if out.Model == nil {
 		return sum, err
 	}
-
-	var buf strings.Builder
-	for _, r := range analysis.CheckAll(model) {
-		if r.OK() {
-			fmt.Fprintf(&buf, "PASS %s — %s\n", r.Property.Name(), r.Property.Describe())
-			continue
-		}
-		sum.Violations++
-		fmt.Fprintf(&buf, "FAIL %s — %s\n%s", r.Property.Name(), r.Violation.Detail, r.Violation.Witness.String())
+	sum.States = out.Model.States()
+	sum.Transitions = out.Model.Transitions()
+	if err != nil {
+		return sum, err
 	}
-	if spec.Property != "" {
-		f, err := analysis.ParseFormula(spec.Property)
-		if err != nil {
-			return sum, err
-		}
-		depth := spec.Depth
-		if depth == 0 {
-			depth = 4
-		}
-		if bad := analysis.CheckLTL(model.Mealy(), f, depth); bad != nil {
-			sum.Violations++
-			w := analysis.Witness{Word: bad.Inputs, Outputs: bad.Outputs}
-			fmt.Fprintf(&buf, "FAIL %s\n%s", spec.Property, w.String())
-		} else {
-			fmt.Fprintf(&buf, "PASS %s (all traces of length %d)\n", spec.Property, depth)
-		}
+	sum.Violations = out.Violations
+	if err := out.Model.Save(filepath.Join(dir, "model.json")); err != nil {
+		return sum, err
 	}
 	// Violations are the job's *result*, not a job failure: the job is
 	// done, the report is the artifact, and the summary carries the count.
-	return sum, os.WriteFile(filepath.Join(dir, "witness.txt"), []byte(buf.String()), 0o644)
+	return sum, writeWitness(dir, out.Report)
 }
 
 func runRegress(ctx context.Context, spec *Spec, dir, storeDir string, obs learn.Observer) (*Summary, error) {
-	path := spec.Manifest
-	if path == "" {
-		path = defaultManifest
-	}
-	m, err := cli.LoadRegressManifest(path)
+	m, err := cli.LoadRegressManifest(orDefault(spec.Manifest, cli.DefaultManifest))
 	if err != nil {
 		return nil, err
 	}
-	selected, err := m.Filter(spec.Targets)
+	run, err := cli.RunRegress(ctx, m, spec.Targets, orDefault(spec.Config.Store, storeDir),
+		spec.Config.Workers, orDefault(spec.Witnesses, 3), obs)
+	sum := &Summary{RegressTargets: len(run.Cells), Queries: run.LiveQueries, Drifted: run.Drifted}
 	if err != nil {
-		return nil, err
+		return sum, err
 	}
-	if spec.Config.Store != "" {
-		storeDir = spec.Config.Store
-	}
-	witnesses := spec.Witnesses
-	if witnesses == 0 {
-		witnesses = 3
-	}
-	sum := &Summary{RegressTargets: len(selected)}
-	var buf strings.Builder
-	for _, rt := range selected {
-		out, err := cli.RegressOne(ctx, rt, m.Dir, storeDir, spec.Config.Workers, witnesses, obs)
-		sum.Queries += out.LiveQueries
-		if err != nil {
-			return sum, fmt.Errorf("target %s: %w", rt.Name, err)
-		}
-		if out.Drift == "" {
-			fmt.Fprintf(&buf, "regress %s: OK — %d live queries\n", rt.Name, out.LiveQueries)
-			continue
-		}
-		sum.Drifted = append(sum.Drifted, rt.Name)
-		fmt.Fprintf(&buf, "regress %s: DRIFT — %d live queries\n%s", rt.Name, out.LiveQueries, out.Drift)
-		if out.Learned != nil {
-			if err := out.Learned.Save(filepath.Join(dir, rt.Name+".learned.json")); err != nil {
+	for _, c := range run.Cells {
+		if c.Drift != "" && c.Learned != nil {
+			if err := c.Learned.Save(filepath.Join(dir, c.Name+".learned.json")); err != nil {
 				return sum, err
 			}
 		}
 	}
 	// Like check: drift is the reported result, served as the witness
 	// artifact; the job itself completed.
-	return sum, os.WriteFile(filepath.Join(dir, "witness.txt"), []byte(buf.String()), 0o644)
+	return sum, writeWitness(dir, run.Report())
 }
 
 // runMonitor executes one monitor cycle as a job. Monitor state —
@@ -290,7 +178,7 @@ func runRegress(ctx context.Context, spec *Spec, dir, storeDir string, obs learn
 // directory (not the job's artifact directory), so consecutive monitor
 // jobs share baselines; the cycle report is the job's witness artifact.
 func runMonitor(ctx context.Context, spec *Spec, dir, dataDir string, obs learn.Observer) (*Summary, error) {
-	sum, report, err := RunMonitorCycle(ctx, MonitorOptions{
+	sum, report, err := cli.RunMonitorCycle(ctx, cli.MonitorOptions{
 		Manifest:  spec.Manifest,
 		Targets:   spec.Targets,
 		DataDir:   dataDir,
@@ -298,7 +186,7 @@ func runMonitor(ctx context.Context, spec *Spec, dir, dataDir string, obs learn.
 		Witnesses: spec.Witnesses,
 	}, obs)
 	if report != "" {
-		if werr := os.WriteFile(filepath.Join(dir, "witness.txt"), []byte(report), 0o644); werr != nil && err == nil {
+		if werr := writeWitness(dir, report); werr != nil && err == nil {
 			err = werr
 		}
 	}

@@ -1,16 +1,16 @@
 // Package server implements prognosisd, the learning-as-a-service
 // daemon: an HTTP/JSON API over an async job manager with a persistent
-// FS-backed queue. Learn/diff/check/regress jobs are submitted as JSON
-// bodies carrying the same learncfg.Config the CLI flags resolve
+// FS-backed queue. Learn/diff/check/regress/monitor jobs are submitted as
+// JSON bodies carrying the same learncfg.Config the CLI flags resolve
 // through, run with bounded parallelism under per-job cancellable
 // contexts, journal every lifecycle transition (so a killed daemon
 // re-queues in-flight jobs on restart), stream the typed learning event
 // stream over SSE through a fan-out hub with slow-subscriber drop
 // accounting, and serve learned-model and witness artifacts from the
-// job's artifact directory. The monitor subsystem (monitor.go)
-// additionally warm-relearns every manifest cell on a schedule and
-// raises drift alarms with live-confirmed witnesses. See
-// docs/SERVICE.md and docs/MONITORING.md.
+// job's artifact directory. The verbs themselves live in internal/cli:
+// a job converts its spec, calls the verb's one implementation there
+// (exec.go), and writes the outcome as artifacts. See docs/SERVICE.md and
+// docs/MONITORING.md.
 //
 // The wire types — Spec, State, Status, Summary, Stats, and the SSE
 // meta events — are defined once in pkg/client and aliased here, so the

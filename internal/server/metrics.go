@@ -3,7 +3,9 @@ package server
 import "repro/internal/metrics"
 
 // Process-wide daemon metric families, served by GET /metrics alongside
-// the learn/guard/transport/netem families the lower layers publish.
+// the learn/guard/transport/netem families the lower layers publish (and
+// the prognosisd_monitor_* families, which internal/cli's monitor cycle
+// publishes).
 var (
 	metricJobsSubmitted = metrics.Default().Counter("prognosisd_jobs_submitted_total",
 		"Jobs accepted by POST /v1/jobs.")
@@ -13,10 +15,6 @@ var (
 		"Events lost to slow SSE subscribers.")
 	metricSSESubscribers = metrics.Default().Gauge("prognosisd_sse_subscribers",
 		"Currently attached SSE subscribers.")
-	metricMonitorCycles = metrics.Default().Counter("prognosisd_monitor_cycles_total",
-		"Completed monitor cycles (every manifest cell warm-relearned once).")
-	metricMonitorDrift = metrics.Default().Counter("prognosisd_monitor_drift_alarms_total",
-		"Drift alarms raised with a live-confirmed witness.")
 )
 
 // metricJobsFinished resolves the per-terminal-state finished counter.

@@ -171,15 +171,10 @@ func TestServerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exp, err := lab.NewExperiment("google", opts...)
+	res, err := lab.Run(ctx, "google", opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := exp.Learn(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exp.Close()
 	direct := filepath.Join(t.TempDir(), "model.json")
 	if err := res.Model().Save(direct); err != nil {
 		t.Fatal(err)

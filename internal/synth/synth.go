@@ -141,12 +141,6 @@ type ExtendedMealy struct {
 	problem  *Problem
 }
 
-// UpdatesFor returns the update terms of transition (s, input), nil if the
-// transition carries none.
-func (e *ExtendedMealy) UpdatesFor(s automata.State, input string) []Term {
-	return e.Updates[transKey{s, input}]
-}
-
 // OutputsFor returns the output terms of transition (s, input).
 func (e *ExtendedMealy) OutputsFor(s automata.State, input string) []Term {
 	return e.Outputs[transKey{s, input}]

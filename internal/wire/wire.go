@@ -9,11 +9,8 @@ import (
 	"fmt"
 )
 
-// Varint encoding errors.
-var (
-	ErrVarintRange = errors.New("wire: value out of varint range")
-	ErrShortBuffer = errors.New("wire: short buffer")
-)
+// ErrShortBuffer reports a read past the end of the input.
+var ErrShortBuffer = errors.New("wire: short buffer")
 
 // MaxVarint is the largest value representable as a QUIC varint (2^62 - 1).
 const MaxVarint = (1 << 62) - 1
