@@ -98,6 +98,8 @@ func TestParseDOTRejectsMalformed(t *testing.T) {
 		"digraph \"x\" {\n  s0 -> s1 [label=\"a / b\"];\n}\n",          // no __start
 		"digraph \"x\" {\n  __start -> s0;\n  s0 -> s1 [label=\"oops]", // unterminated label
 		"digraph \"x\" {\n  /* alphabet: notjson */\n  __start -> s0;\n}\n",
+		"digraph \"x\" {\n  __start -> s0;\n  s5000000 [label=\"x\"]\n}\n",                               // id beyond the ids named
+		"digraph \"x\" {\n  __start -> s0;\n  s0 [label=\"s0\"];\n  s0 -> s0 [label=\"a / \xff\"];\n}\n", // not UTF-8
 	}
 	for _, c := range cases {
 		if _, err := ParseDOT([]byte(c)); err == nil {

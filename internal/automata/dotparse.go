@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // ParseDOT reads a Mealy machine from the Graphviz dot dialect DOT/DOTStyled
@@ -20,7 +21,13 @@ import (
 // alphabet. Without the comment the alphabet is recovered from the edges in
 // first-appearance order, which still round-trips every machine whose
 // inputs all appear on some edge.
+//
+// Input that is not valid UTF-8 is rejected: the JSON codec cannot carry
+// such symbols, so accepting them would break the JSON round trip.
 func ParseDOT(data []byte) (*Mealy, error) {
+	if !utf8.Valid(data) {
+		return nil, fmt.Errorf("automata: dot input is not valid UTF-8")
+	}
 	type rawEdge struct {
 		from, to int
 		lines    []string
@@ -31,6 +38,7 @@ func ParseDOT(data []byte) (*Mealy, error) {
 		initial  = -1
 		maxState = -1
 		edges    []rawEdge
+		ids      = map[int]bool{} // state ids on node lines and edge endpoints
 	)
 	seen := map[string]bool{}
 	note := func(in string) {
@@ -76,21 +84,24 @@ func ParseDOT(data []byte) (*Mealy, error) {
 			if err != nil {
 				return nil, fmt.Errorf("automata: line %d: %w", ln+1, err)
 			}
-			if from > maxState {
-				maxState = from
-			}
-			if to > maxState {
-				maxState = to
-			}
+			ids[from], ids[to] = true, true
+			maxState = max(maxState, from, to)
 			edges = append(edges, rawEdge{from: from, to: to, lines: strings.Split(label, "\n")})
 		case strings.HasPrefix(line, "s") && strings.Contains(line, "["):
-			if s, err := parseStateID(line[:strings.IndexByte(line, '[')]); err == nil && s > maxState {
-				maxState = s
+			if s, err := parseStateID(line[:strings.IndexByte(line, '[')]); err == nil {
+				ids[s] = true
+				maxState = max(maxState, s)
 			}
 		}
 	}
 	if initial < 0 {
 		return nil, fmt.Errorf("automata: dot input has no __start marker")
+	}
+	// The exporter writes a node line for every state, so a well-formed
+	// input names at least as many distinct ids as the machine has states.
+	// The bound keeps a tiny input from sizing a huge machine.
+	if maxState >= len(ids) {
+		return nil, fmt.Errorf("automata: state s%d exceeds the %d distinct state ids the input names", maxState, len(ids))
 	}
 	// First pass collects the alphabet when no comment declared it.
 	for _, e := range edges {

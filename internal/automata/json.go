@@ -51,6 +51,16 @@ func (m *Mealy) UnmarshalJSON(data []byte) error {
 	if in.States < 1 {
 		return fmt.Errorf("automata: machine needs at least one state, got %d", in.States)
 	}
+	// A well-formed export mentions every state it declares, as the
+	// initial state or a transition endpoint. Bounding the count by the
+	// ids the input names keeps a tiny input from sizing a huge machine.
+	ids := map[State]bool{in.Initial: true}
+	for _, t := range in.Transitions {
+		ids[t.From], ids[t.To] = true, true
+	}
+	if in.States > len(ids) {
+		return fmt.Errorf("automata: %d states declared but only %d state ids mentioned", in.States, len(ids))
+	}
 	if int(in.Initial) < 0 || int(in.Initial) >= in.States {
 		return fmt.Errorf("automata: initial state %d out of range", in.Initial)
 	}

@@ -32,6 +32,7 @@ func TestJSONRejectsMalformed(t *testing.T) {
 		`{"inputs":["a"],"states":2,"initial":0,"transitions":[{"from":0,"input":"zz","to":1,"output":"x"}]}`,
 		`{"inputs":["a"],"states":2,"initial":0,"transitions":[{"from":0,"input":"a","to":9,"output":"x"}]}`,
 		`not json`,
+		`{"inputs":["a"],"states":5000000,"initial":0,"transitions":[]}`, // count beyond the ids named
 	}
 	for _, c := range cases {
 		var m Mealy

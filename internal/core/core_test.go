@@ -139,7 +139,7 @@ func tcpSUL() SUL {
 	srv := tcpsim.NewServer(tcpsim.Config{Port: 44344, Seed: 5, StrictAckCheck: true})
 	src := [4]byte{10, 0, 0, 2}
 	dst := [4]byte{10, 0, 0, 1}
-	tr := reference.TCPTransportFunc(func(raw []byte) [][]byte {
+	tr := reference.TransportFunc(func(_ string, raw []byte) [][]byte {
 		seg, err := tcpwire.Decode(raw, src, dst)
 		if err != nil {
 			return nil

@@ -1,0 +1,156 @@
+package jsonlog
+
+import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"slices"
+	"testing"
+)
+
+const (
+	testFormat  = "jsonlog-test"
+	testVersion = 2
+)
+
+type record struct {
+	N int    `json:"n"`
+	S string `json:"s"`
+}
+
+// recoverRecords runs Recover on f, decoding every accepted line.
+func recoverRecords(t *testing.T, f *os.File) (bool, []record) {
+	t.Helper()
+	var got []record
+	ok, err := Recover(f, testFormat, testVersion, func(line []byte) bool {
+		var r record
+		if json.Unmarshal(line, &r) != nil {
+			return false
+		}
+		got = append(got, r)
+		return true
+	})
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	return ok, got
+}
+
+func appendRecord(t *testing.T, f *os.File, r record) {
+	t.Helper()
+	line, err := Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(line); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRecoverTornWriteAtEveryOffset writes a header and three records,
+// then cuts a copy of the file at every byte offset: Recover must accept
+// exactly the complete lines before the cut, truncate the file to them,
+// and leave it ready for an append that a second Recover reads back.
+func TestRecoverTornWriteAtEveryOffset(t *testing.T) {
+	dir := t.TempDir()
+	full := filepath.Join(dir, "full.log")
+	f, err := os.Create(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Reset(f, testFormat, testVersion); err != nil {
+		t.Fatal(err)
+	}
+	records := []record{{1, "a"}, {22, "line with spaces"}, {333, `quote " and \ backslash`}}
+	for _, r := range records {
+		appendRecord(t, f, r)
+	}
+	f.Close()
+	data, err := os.ReadFile(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// ends[i] is the offset just past line i (0 is the header).
+	var ends []int
+	for i, b := range data {
+		if b == '\n' {
+			ends = append(ends, i+1)
+		}
+	}
+	if len(ends) != 1+len(records) {
+		t.Fatalf("log has %d lines, want %d", len(ends), 1+len(records))
+	}
+	extra := record{4444, "appended"}
+
+	for cut := 0; cut <= len(data); cut++ {
+		path := filepath.Join(dir, "cut.log")
+		if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.OpenFile(path, os.O_RDWR, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		complete := 0 // whole lines, header included, before the cut
+		for complete < len(ends) && ends[complete] <= cut {
+			complete++
+		}
+		ok, got := recoverRecords(t, f)
+		if ok != (complete >= 1) {
+			t.Fatalf("cut %d: headerOK = %v, want %v", cut, ok, complete >= 1)
+		}
+		var want []record
+		if ok {
+			want = records[:complete-1]
+			if !slices.Equal(got, want) {
+				t.Fatalf("cut %d: accepted %v, want %v", cut, got, want)
+			}
+			if st, _ := f.Stat(); st.Size() != int64(ends[complete-1]) {
+				t.Fatalf("cut %d: file size %d after Recover, want %d", cut, st.Size(), ends[complete-1])
+			}
+		} else if err := Reset(f, testFormat, testVersion); err != nil {
+			t.Fatalf("cut %d: Reset: %v", cut, err)
+		}
+
+		appendRecord(t, f, extra)
+		ok, got = recoverRecords(t, f)
+		if want = append(slices.Clone(want), extra); !ok || !slices.Equal(got, want) {
+			t.Fatalf("cut %d: after append, Recover = %v, %v; want true, %v", cut, ok, got, want)
+		}
+		f.Close()
+	}
+}
+
+// TestRecoverRejectsForeignHeaders checks that a foreign format and a
+// future version both report headerOK=false and leave the file alone.
+func TestRecoverRejectsForeignHeaders(t *testing.T) {
+	cases := []struct {
+		name    string
+		format  string
+		version int
+	}{
+		{"foreign format", "some-other-log", testVersion},
+		{"future version", testFormat, testVersion + 1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			f, err := os.Create(filepath.Join(t.TempDir(), "log"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			if err := Reset(f, c.format, c.version); err != nil {
+				t.Fatal(err)
+			}
+			appendRecord(t, f, record{1, "a"})
+			before, _ := f.Stat()
+			ok, got := recoverRecords(t, f)
+			if ok || len(got) != 0 {
+				t.Fatalf("Recover = %v, %v; want false and no records", ok, got)
+			}
+			if after, _ := f.Stat(); after.Size() != before.Size() {
+				t.Fatalf("Recover changed the file size from %d to %d", before.Size(), after.Size())
+			}
+		})
+	}
+}

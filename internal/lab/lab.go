@@ -135,16 +135,12 @@ func (s *TCPSetup) Step(in string) (string, error) { return s.Client.Step(in) }
 // NewTCP builds the TCP system under learning: the userspace stack behind
 // the instrumented Scapy-style client, exchanging checksummed binary
 // segments.
-func NewTCP(seed int64) *TCPSetup { return newTCP(seed, nil) }
+func NewTCP(seed int64) *TCPSetup { return newTCPVariant(seed, nil, false) }
 
-// newTCP builds the TCP setup, optionally threading the segment path
-// through a datagram-transport wrapper (how WithImpairment reaches the
-// TCP target: segments ride the same fault-injection interface as QUIC
-// datagrams).
-func newTCP(seed int64, wrap func(reference.Transport) reference.Transport) *TCPSetup {
-	return newTCPVariant(seed, wrap, false)
-}
-
+// newTCPVariant builds a TCP setup, optionally threading the segment path
+// through a transport wrapper (how WithImpairment and WithLinkMiddleware
+// reach the TCP targets: segments ride the same reference.Transport as
+// QUIC datagrams).
 func newTCPVariant(seed int64, wrap func(reference.Transport) reference.Transport, sack bool) *TCPSetup {
 	if seed == 0 {
 		seed = 5
@@ -152,7 +148,7 @@ func newTCPVariant(seed int64, wrap func(reference.Transport) reference.Transpor
 	srv := tcpsim.NewServer(tcpsim.Config{Port: 44344, Seed: seed, StrictAckCheck: true, SACK: sack})
 	src := [4]byte{10, 0, 0, 2}
 	dst := [4]byte{10, 0, 0, 1}
-	var tr reference.TCPTransport = reference.TCPTransportFunc(func(raw []byte) [][]byte {
+	var tr reference.Transport = reference.TransportFunc(func(_ string, raw []byte) [][]byte {
 		seg, err := tcpwire.Decode(raw, src, dst)
 		if err != nil {
 			return nil
@@ -164,13 +160,7 @@ func newTCPVariant(seed int64, wrap func(reference.Transport) reference.Transpor
 		return out
 	})
 	if wrap != nil {
-		inner := tr
-		wrapped := wrap(reference.TransportFunc(func(_ string, raw []byte) [][]byte {
-			return inner.Send(raw)
-		}))
-		tr = reference.TCPTransportFunc(func(raw []byte) [][]byte {
-			return wrapped.Send("10.0.0.2:0", raw)
-		})
+		tr = wrap(tr)
 	}
 	cli := reference.NewTCPClient(reference.TCPClientConfig{
 		Seed: seed + 2, DstPort: 44344, SrcAddr: src, DstAddr: dst,

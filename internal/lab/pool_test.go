@@ -16,6 +16,9 @@ func TestPooledLearnMatchesSequential(t *testing.T) {
 			}
 			seq := learnT(t, target, opts...)
 			pooled := learnT(t, target, append(opts, WithWorkers(4))...)
+			if seq.Nondet != nil || pooled.Nondet != nil {
+				t.Fatalf("learn halted on nondeterminism: sequential %v, pooled %v", seq.Nondet, pooled.Nondet)
+			}
 			if eq, ce := seq.Machine.Equivalent(pooled.Machine); !eq {
 				t.Fatalf("pooled model differs from sequential on %v", ce)
 			}
@@ -91,6 +94,9 @@ func TestUDPLearnMatchesInMemory(t *testing.T) {
 	// scheduling window doesn't fail the deterministic-batching guarantee.
 	for attempt := 1; ; attempt++ {
 		udp := learnT(t, TargetGoogle, append(opts, WithTransport(TransportUDP))...)
+		if mem.Nondet != nil || udp.Nondet != nil {
+			t.Fatalf("learn halted on nondeterminism: in-memory %v, udp %v", mem.Nondet, udp.Nondet)
+		}
 		if eq, ce := mem.Machine.Equivalent(udp.Machine); !eq {
 			t.Fatalf("UDP model differs from in-memory on %v", ce)
 		}

@@ -214,11 +214,7 @@ func buildTCPVariant(spec BuildSpec, sack bool) (*System, error) {
 	}
 	sys := &System{Alphabet: alphabet}
 	for i := 0; i < spec.Replicas; i++ {
-		var wrap func(reference.Transport) reference.Transport
-		if spec.WrapTransport != nil {
-			wrap = spec.wrapFor(i)
-		}
-		sys.SULs = append(sys.SULs, newTCPVariant(spec.Seed, wrap, sack))
+		sys.SULs = append(sys.SULs, newTCPVariant(spec.Seed, spec.wrapFor(i), sack))
 	}
 	return sys, nil
 }
@@ -264,18 +260,16 @@ func registerQUIC(name string, profile quicsim.Profile) {
 		if seed == 0 {
 			seed = 7
 		}
+		if spec.Transport != TransportInMemory && spec.Transport != TransportUDP {
+			return nil, fmt.Errorf("lab: target %q does not support transport %q", name, spec.Transport)
+		}
 		for i := 0; i < spec.Replicas; i++ {
-			switch spec.Transport {
-			case TransportInMemory:
-				srv := quicsim.NewServer(quicsim.Config{Profile: profile, Seed: seed})
-				tr := spec.wrapFor(i)(reference.ServerTransport(srv))
-				cli := reference.NewQUICClient(reference.QUICClientConfig{Seed: seed + 4}, tr)
-				sys.SULs = append(sys.SULs, &QUICSetup{Server: srv, Client: cli})
-			case TransportUDP:
-				// One real socket pair per replica: a loopback-hosted server
-				// and a dedicated client socket, so pooled workers drive
-				// genuinely independent network endpoints.
-				srv := quicsim.NewServer(quicsim.Config{Profile: profile, Seed: seed})
+			srv := quicsim.NewServer(quicsim.Config{Profile: profile, Seed: seed})
+			tr := reference.ServerTransport(srv)
+			if spec.Transport == TransportUDP {
+				// One real socket pair per replica: a loopback-hosted
+				// server and a dedicated client socket, so pooled workers
+				// drive genuinely independent network endpoints.
 				hosted, err := transport.ListenQUIC(transport.Loopback(), srv)
 				if err != nil {
 					sys.Close()
@@ -284,13 +278,10 @@ func registerQUIC(name string, profile quicsim.Profile) {
 				sys.AddCloser(hosted.Close)
 				sock := transport.NewQUICClientTransport(hosted.Addr())
 				sys.AddCloser(sock.Close)
-				tr := spec.wrapFor(i)(sock)
-				cli := reference.NewQUICClient(reference.QUICClientConfig{Seed: seed + 4}, tr)
-				sys.SULs = append(sys.SULs, &QUICSetup{Server: srv, Client: cli})
-			default:
-				sys.Close()
-				return nil, fmt.Errorf("lab: target %q does not support transport %q", name, spec.Transport)
+				tr = sock
 			}
+			cli := reference.NewQUICClient(reference.QUICClientConfig{Seed: seed + 4}, spec.wrapFor(i)(tr))
+			sys.SULs = append(sys.SULs, &QUICSetup{Server: srv, Client: cli})
 		}
 		return sys, nil
 	})

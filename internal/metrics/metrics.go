@@ -136,9 +136,6 @@ type family struct {
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 	bounds   []float64
-	// fn, when non-nil, is sampled at exposition time instead of reading
-	// a stored child (gauge-func families only, no labels).
-	fn func() float64
 }
 
 // Registry holds metric families and renders them in the Prometheus
@@ -263,17 +260,6 @@ func (r *Registry) GaugeWith(name, help string, labels, values []string) *Gauge 
 	return g
 }
 
-// GaugeFunc registers a gauge family whose value is sampled by fn at
-// exposition time — the bridge for subsystems that already maintain
-// their own atomic counters. Re-registering replaces fn (the newest
-// sampler wins, so a restarted subsystem re-binds cleanly).
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	f := r.lookup(name, help, KindGauge, nil)
-	f.mu.Lock()
-	f.fn = fn
-	f.mu.Unlock()
-}
-
 // Histogram returns the unlabelled histogram of the named family with
 // the given bucket upper bounds (+Inf implicit; bounds are fixed at
 // first registration).
@@ -352,9 +338,6 @@ func (r *Registry) WriteText(w io.Writer) error {
 				lines = append(lines, fmt.Sprintf("%s%s %d", f.name, key, c.Value()))
 			}
 		case KindGauge:
-			if f.fn != nil {
-				lines = append(lines, fmt.Sprintf("%s %s", f.name, formatFloat(f.fn())))
-			}
 			for key, g := range f.gauges {
 				lines = append(lines, fmt.Sprintf("%s%s %s", f.name, key, formatFloat(g.Value())))
 			}

@@ -22,7 +22,6 @@ func TestCounterGaugeExposition(t *testing.T) {
 	g.Set(3)
 	g.Inc()
 	g.Dec()
-	r.GaugeFunc("test_sampled", "sampled at scrape", func() float64 { return 42.5 })
 
 	var b strings.Builder
 	if err := r.WriteText(&b); err != nil {
@@ -37,7 +36,6 @@ func TestCounterGaugeExposition(t *testing.T) {
 		`test_jobs_total{state="failed"} 1`,
 		"# TYPE test_depth gauge",
 		"test_depth 3",
-		"test_sampled 42.5",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)

@@ -232,7 +232,7 @@ func newTCPPair(t *testing.T) (*reference.TCPClient, *tcpsim.Server) {
 	srv := tcpsim.NewServer(tcpsim.Config{Port: 44344, Seed: 5, StrictAckCheck: true})
 	src := [4]byte{10, 0, 0, 2}
 	dst := [4]byte{10, 0, 0, 1}
-	tr := reference.TCPTransportFunc(func(raw []byte) [][]byte {
+	tr := reference.TransportFunc(func(_ string, raw []byte) [][]byte {
 		seg, err := tcpwire.Decode(raw, src, dst)
 		if err != nil {
 			t.Fatalf("server received corrupt segment: %v", err)

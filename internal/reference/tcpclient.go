@@ -3,22 +3,11 @@ package reference
 import (
 	"fmt"
 	"math/rand"
+	"net/netip"
 	"strings"
 
 	"repro/internal/tcpwire"
 )
-
-// TCPTransport delivers one encoded TCP segment to the target and returns
-// the encoded response segments.
-type TCPTransport interface {
-	Send(segment []byte) [][]byte
-}
-
-// TCPTransportFunc adapts a function to TCPTransport.
-type TCPTransportFunc func(segment []byte) [][]byte
-
-// Send implements TCPTransport.
-func (f TCPTransportFunc) Send(segment []byte) [][]byte { return f(segment) }
 
 // TCPExchange is one abstract TCP I/O step with its concrete segments, as
 // recorded for the Oracle Table.
@@ -45,7 +34,8 @@ type TCPClientConfig struct {
 // "fill in the current numbers".
 type TCPClient struct {
 	cfg   TCPClientConfig
-	tr    TCPTransport
+	tr    Transport
+	src   string // SrcAddr as the transport's source, port 0
 	rng   *rand.Rand
 	iss   uint32 // this attempt's initial sequence number
 	seq   uint32 // send point: lowest sequence number the peer has not acked
@@ -53,8 +43,10 @@ type TCPClient struct {
 	trace []TCPExchange
 }
 
-// NewTCPClient returns a client speaking to the given transport.
-func NewTCPClient(cfg TCPClientConfig, tr TCPTransport) *TCPClient {
+// NewTCPClient returns a client speaking to the given transport. Each
+// encoded segment travels as one datagram whose source is cfg.SrcAddr
+// with port 0 (e.g. "10.0.0.2:0").
+func NewTCPClient(cfg TCPClientConfig, tr Transport) *TCPClient {
 	if cfg.SrcPort == 0 {
 		cfg.SrcPort = 40965
 	}
@@ -70,7 +62,7 @@ func NewTCPClient(cfg TCPClientConfig, tr TCPTransport) *TCPClient {
 	if cfg.DstAddr == ([4]byte{}) {
 		cfg.DstAddr = [4]byte{10, 0, 0, 1}
 	}
-	c := &TCPClient{cfg: cfg, tr: tr}
+	c := &TCPClient{cfg: cfg, tr: tr, src: netip.AddrPortFrom(netip.AddrFrom4(cfg.SrcAddr), 0).String()}
 	c.Reset()
 	return c
 }
@@ -130,7 +122,7 @@ func (c *TCPClient) Step(abstract string) (string, error) {
 		seg.SeqNumber = c.seq + tcpOOOGap
 	}
 
-	responses := c.tr.Send(seg.Encode(c.cfg.SrcAddr, c.cfg.DstAddr))
+	responses := c.tr.Send(c.src, seg.Encode(c.cfg.SrcAddr, c.cfg.DstAddr))
 	absOut := "NIL"
 	var concOut []tcpwire.Segment
 	for _, raw := range responses {

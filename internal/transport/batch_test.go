@@ -5,10 +5,6 @@ import (
 	"net"
 	"testing"
 	"time"
-
-	"repro/internal/quicsim"
-	"repro/internal/reference"
-	"repro/internal/tcpsim"
 )
 
 func udpPair(t *testing.T) (srv *net.UDPConn, cli *net.UDPConn) {
@@ -24,14 +20,6 @@ func udpPair(t *testing.T) (srv *net.UDPConn, cli *net.UDPConn) {
 	}
 	t.Cleanup(func() { srvConn.Close(); cliConn.Close() })
 	return srvConn, cliConn
-}
-
-func ring(n int) []Message {
-	ms := make([]Message, n)
-	for i := range ms {
-		ms[i].Buf = make([]byte, maxDatagram)
-	}
-	return ms
 }
 
 // TestBatchConnRoundTrip pushes a burst client→server and echoes it back,
@@ -124,69 +112,8 @@ func TestBatchConnDeadline(t *testing.T) {
 	}
 }
 
-// TestQUICOverUDPLegacyPath runs the handshake over the preserved
-// per-packet path, which serves as the benchmark baseline.
-func TestQUICOverUDPLegacyPath(t *testing.T) {
-	srv := quicsim.NewServer(quicsim.Config{Profile: quicsim.ProfileGoogle, Seed: 7})
-	hosted, err := ListenQUICMode(Loopback(), srv, PathLegacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hosted.Close()
-	tr := NewQUICClientTransportMode(hosted.Addr(), PathLegacy)
-	defer tr.Close()
-	cli := reference.NewQUICClient(reference.QUICClientConfig{Seed: 11}, tr)
-
-	srv.Reset()
-	if err := cli.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	out1, err := cli.Step(quicsim.SymInitialCrypto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out2, err := cli.Step(quicsim.SymHandshakeC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	truth := quicsim.GroundTruth(quicsim.ProfileGoogle)
-	want, _ := truth.Run([]string{quicsim.SymInitialCrypto, quicsim.SymHandshakeC})
-	if out1 != want[0] || out2 != want[1] {
-		t.Fatalf("legacy UDP path diverges:\n got %q / %q\nwant %q / %q", out1, out2, want[0], want[1])
-	}
-}
-
-// TestTCPOverUDPLegacyPath exchanges segments over the per-packet path.
-func TestTCPOverUDPLegacyPath(t *testing.T) {
-	src := [4]byte{10, 0, 0, 2}
-	dst := [4]byte{10, 0, 0, 1}
-	srv := tcpsim.NewServer(tcpsim.Config{Port: 44344, Seed: 5})
-	hosted, err := ListenTCPMode(Loopback(), srv, src, dst, PathLegacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hosted.Close()
-	tr, closer, err := NewTCPClientTransportMode(hosted.Addr(), PathLegacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closer()
-	cli := reference.NewTCPClient(reference.TCPClientConfig{
-		Seed: 3, DstPort: 44344, SrcAddr: src, DstAddr: dst,
-	}, tr)
-
-	srv.Reset()
-	if err := cli.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	out, err := cli.Step("SYN(?,?,0)")
-	if err != nil || out != "SYN+ACK(?,?,0)" {
-		t.Fatalf("SYN over legacy UDP got %q, %v", out, err)
-	}
-}
-
 // TestSrttTrackerWaits pins the adaptive-wait clamps: cold start falls back
-// to the legacy quiet window, fast loopback samples hit the floors, and the
+// to the fixed quiet window, fast loopback samples hit the floors, and the
 // ceiling never exceeds quiet.
 func TestSrttTrackerWaits(t *testing.T) {
 	var s srttTracker

@@ -1,14 +1,12 @@
-// Package transport hosts the simulated protocol endpoints on real UDP
-// sockets and provides matching client transports, so Prognosis can learn
-// over an actual network path (loopback or otherwise) instead of in-process
-// function calls. TCP segments are carried in UDP datagrams — the userspace
-// stack plays the role the kernel plays in the paper's testbed.
+// Package transport hosts the QUIC simulator on a real UDP socket and
+// provides the matching client transport, so Prognosis can learn over an
+// actual network path (loopback or otherwise) instead of in-process
+// function calls.
 //
-// Two path modes exist. PathBatched (the default) moves datagrams through a
-// BatchConn — recvmmsg/sendmmsg where available — with preallocated message
-// rings and RTT-adaptive response deadlines. PathLegacy preserves the
-// original one-syscall-per-datagram loops with the fixed 30ms quiet window,
-// and serves as the baseline arm for BenchmarkUDPQueriesPerSec.
+// There is one datagram path. The server loop and the client exchange both
+// move datagrams through a BatchConn — recvmmsg/sendmmsg where available —
+// with preallocated message rings, and the client ends each exchange on
+// RTT-adaptive response deadlines.
 package transport
 
 import (
@@ -17,39 +15,34 @@ import (
 	"time"
 
 	"repro/internal/quicsim"
-	"repro/internal/reference"
-	"repro/internal/tcpsim"
-	"repro/internal/tcpwire"
 )
 
 // maxDatagram is the receive buffer size, comfortably above any packet the
 // simulators emit.
 const maxDatagram = 4096
 
-// quiet is how long legacy client transports wait for further response
-// datagrams after the last one (the simulators answer synchronously, so
-// loopback responses arrive promptly or not at all). The batched path uses
-// it as the ceiling — and the cold-start value — for its adaptive waits.
+// quiet is the ceiling — and the cold-start value — of the client's
+// adaptive response waits (the simulators answer synchronously, so
+// loopback responses arrive promptly or not at all).
 const quiet = 30 * time.Millisecond
 
 // batchSize is the message-ring depth for batched reads and writes.
 const batchSize = 32
 
-// PathMode selects between the batched and the legacy UDP hot path.
-type PathMode int
-
-const (
-	// PathBatched moves datagrams in batches with adaptive deadlines.
-	PathBatched PathMode = iota
-	// PathLegacy is the original per-packet path with fixed waits.
-	PathLegacy
-)
+// ring allocates an n-slot message ring with maxDatagram buffers.
+func ring(n int) []Message {
+	ms := make([]Message, n)
+	for i := range ms {
+		ms[i].Buf = make([]byte, maxDatagram)
+	}
+	return ms
+}
 
 // srttTracker keeps a smoothed estimate of the time from sending a request
 // datagram to the first response datagram, and derives the two waits the
 // client path needs: how long to believe a response is still coming, and
 // how long a silence means the burst is over. Both are clamped so a cold
-// or noisy estimate degrades to the legacy 30ms behaviour, never below
+// or noisy estimate degrades to the fixed 30ms quiet window, never below
 // floors that absorb scheduler jitter.
 type srttTracker struct {
 	srtt time.Duration
@@ -88,18 +81,12 @@ func clampWait(d, floor time.Duration) time.Duration {
 type QUICServer struct {
 	conn *net.UDPConn
 	srv  *quicsim.Server
-	mode PathMode
 	wg   sync.WaitGroup
 }
 
 // ListenQUIC binds addr (e.g. "127.0.0.1:0") and serves the QUIC simulator
-// on it over the batched path. Close stops the server.
+// on it. Close stops the server.
 func ListenQUIC(addr string, srv *quicsim.Server) (*QUICServer, error) {
-	return ListenQUICMode(addr, srv, PathBatched)
-}
-
-// ListenQUICMode is ListenQUIC with an explicit path mode.
-func ListenQUICMode(addr string, srv *quicsim.Server, mode PathMode) (*QUICServer, error) {
 	ua, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
 		return nil, err
@@ -108,13 +95,9 @@ func ListenQUICMode(addr string, srv *quicsim.Server, mode PathMode) (*QUICServe
 	if err != nil {
 		return nil, err
 	}
-	s := &QUICServer{conn: conn, srv: srv, mode: mode}
+	s := &QUICServer{conn: conn, srv: srv}
 	s.wg.Add(1)
-	if mode == PathLegacy {
-		go s.loopLegacy()
-	} else {
-		go s.loopBatched()
-	}
+	go s.loop()
 	return s, nil
 }
 
@@ -128,30 +111,10 @@ func (s *QUICServer) Close() error {
 	return err
 }
 
-func (s *QUICServer) loopLegacy() {
-	defer s.wg.Done()
-	buf := make([]byte, maxDatagram)
-	for {
-		n, src, err := s.conn.ReadFromUDP(buf)
-		if err != nil {
-			return
-		}
-		dgram := append([]byte(nil), buf[:n]...)
-		for _, out := range s.srv.HandleDatagram(src.String(), dgram) {
-			if _, err := s.conn.WriteToUDP(out, src); err != nil {
-				return
-			}
-		}
-	}
-}
-
-func (s *QUICServer) loopBatched() {
+func (s *QUICServer) loop() {
 	defer s.wg.Done()
 	bconn := NewBatchConn(s.conn)
-	rms := make([]Message, batchSize)
-	for i := range rms {
-		rms[i].Buf = make([]byte, maxDatagram)
-	}
+	rms := ring(batchSize)
 	wms := make([]Message, 0, batchSize)
 	for {
 		n, err := bconn.ReadBatch(rms)
@@ -180,7 +143,6 @@ func (s *QUICServer) loopBatched() {
 // socket whenever the src string changes.
 type QUICClientTransport struct {
 	server  string
-	mode    PathMode
 	mu      sync.Mutex
 	conn    *net.UDPConn
 	bconn   BatchConn
@@ -189,16 +151,10 @@ type QUICClientTransport struct {
 	rms     []Message
 }
 
-// NewQUICClientTransport returns a batched-path transport that dials the
-// given server address per datagram exchange.
+// NewQUICClientTransport returns a transport that dials the given server
+// address, from a fresh local socket whenever the claimed source changes.
 func NewQUICClientTransport(server string) *QUICClientTransport {
-	return NewQUICClientTransportMode(server, PathBatched)
-}
-
-// NewQUICClientTransportMode is NewQUICClientTransport with an explicit
-// path mode.
-func NewQUICClientTransportMode(server string, mode PathMode) *QUICClientTransport {
-	return &QUICClientTransport{server: server, mode: mode}
+	return &QUICClientTransport{server: server}
 }
 
 // rebind ensures a socket bound for src, dialling a fresh ephemeral port
@@ -219,51 +175,24 @@ func (t *QUICClientTransport) rebind(src string) bool {
 	if err != nil {
 		return false
 	}
-	t.conn = conn
-	if t.mode == PathBatched {
-		t.bconn = NewBatchConn(conn)
-		if t.rms == nil {
-			t.rms = make([]Message, batchSize)
-			for i := range t.rms {
-				t.rms[i].Buf = make([]byte, maxDatagram)
-			}
-		}
+	t.conn, t.bconn = conn, NewBatchConn(conn)
+	if t.rms == nil {
+		// Allocated on first use, not in the constructor, so building a
+		// transport (part of every experiment set-up) stays cheap.
+		t.rms = ring(batchSize)
 	}
 	t.lastSrc = src
 	return true
 }
 
-// Send implements reference.Transport.
+// Send implements reference.Transport: it drops stale datagrams from a
+// prior exchange, sends datagram and collects the response burst.
 func (t *QUICClientTransport) Send(src string, datagram []byte) [][]byte {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if !t.rebind(src) {
 		return nil
 	}
-	if t.mode == PathLegacy {
-		return t.sendLegacy(datagram)
-	}
-	return t.sendBatched(datagram)
-}
-
-func (t *QUICClientTransport) sendLegacy(datagram []byte) [][]byte {
-	if _, err := t.conn.Write(datagram); err != nil {
-		return nil
-	}
-	var out [][]byte
-	buf := make([]byte, maxDatagram)
-	for {
-		t.conn.SetReadDeadline(time.Now().Add(quiet))
-		n, err := t.conn.Read(buf)
-		if err != nil {
-			break
-		}
-		out = append(out, append([]byte(nil), buf[:n]...))
-	}
-	return out
-}
-
-func (t *QUICClientTransport) sendBatched(datagram []byte) [][]byte {
 	t.bconn.TryReadBatch(t.rms) // drop stale datagrams from a prior exchange
 	start := time.Now()
 	if _, err := t.conn.Write(datagram); err != nil {
@@ -296,191 +225,6 @@ func (t *QUICClientTransport) Close() error {
 		return t.conn.Close()
 	}
 	return nil
-}
-
-// TCPServer hosts a tcpsim server on a UDP socket, carrying binary TCP
-// segments in datagrams.
-type TCPServer struct {
-	conn     *net.UDPConn
-	srv      *tcpsim.Server
-	src, dst [4]byte
-	mode     PathMode
-	wg       sync.WaitGroup
-}
-
-// ListenTCP binds addr and serves the TCP simulator over the batched path.
-// src and dst are the pseudo-header addresses used for checksums (client's
-// and server's).
-func ListenTCP(addr string, srv *tcpsim.Server, src, dst [4]byte) (*TCPServer, error) {
-	return ListenTCPMode(addr, srv, src, dst, PathBatched)
-}
-
-// ListenTCPMode is ListenTCP with an explicit path mode.
-func ListenTCPMode(addr string, srv *tcpsim.Server, src, dst [4]byte, mode PathMode) (*TCPServer, error) {
-	ua, err := net.ResolveUDPAddr("udp", addr)
-	if err != nil {
-		return nil, err
-	}
-	conn, err := net.ListenUDP("udp", ua)
-	if err != nil {
-		return nil, err
-	}
-	s := &TCPServer{conn: conn, srv: srv, src: src, dst: dst, mode: mode}
-	s.wg.Add(1)
-	if mode == PathLegacy {
-		go s.loopLegacy()
-	} else {
-		go s.loopBatched()
-	}
-	return s, nil
-}
-
-// Addr returns the bound address.
-func (s *TCPServer) Addr() string { return s.conn.LocalAddr().String() }
-
-// Close stops serving.
-func (s *TCPServer) Close() error {
-	err := s.conn.Close()
-	s.wg.Wait()
-	return err
-}
-
-func (s *TCPServer) loopLegacy() {
-	defer s.wg.Done()
-	buf := make([]byte, maxDatagram)
-	for {
-		n, from, err := s.conn.ReadFromUDP(buf)
-		if err != nil {
-			return
-		}
-		seg, err := tcpwire.Decode(buf[:n], s.src, s.dst)
-		if err != nil {
-			continue // corrupt segment: drop, like a NIC would
-		}
-		for _, resp := range s.srv.Handle(seg) {
-			if _, err := s.conn.WriteToUDP(resp.Encode(s.dst, s.src), from); err != nil {
-				return
-			}
-		}
-	}
-}
-
-func (s *TCPServer) loopBatched() {
-	defer s.wg.Done()
-	bconn := NewBatchConn(s.conn)
-	rms := make([]Message, batchSize)
-	for i := range rms {
-		rms[i].Buf = make([]byte, maxDatagram)
-	}
-	// Responses are encoded into stable per-slot buffers: each slot is
-	// appended into at its own fixed backing, so earlier messages never
-	// move when later ones encode (a shared arena would invalidate them
-	// on growth).
-	var wslots [][]byte
-	wms := make([]Message, 0, batchSize)
-	var seg tcpwire.Segment
-	for {
-		n, err := bconn.ReadBatch(rms)
-		if err != nil {
-			return
-		}
-		wms = wms[:0]
-		used := 0
-		for i := 0; i < n; i++ {
-			// The aliasing decode is safe here: tcpsim.Handle receives
-			// the segment by value and never retains the payload slice.
-			if err := tcpwire.DecodeInto(&seg, rms[i].Buf[:rms[i].N], s.src, s.dst); err != nil {
-				continue // corrupt segment: drop, like a NIC would
-			}
-			for _, resp := range s.srv.Handle(seg) {
-				if used == len(wslots) {
-					wslots = append(wslots, make([]byte, 0, maxDatagram))
-				}
-				wslots[used] = resp.AppendEncode(wslots[used][:0], s.dst, s.src)
-				wms = append(wms, Message{Buf: wslots[used], N: len(wslots[used]), Addr: rms[i].Addr})
-				used++
-			}
-		}
-		if len(wms) > 0 {
-			if _, err := bconn.WriteBatch(wms); err != nil {
-				return
-			}
-		}
-	}
-}
-
-// NewTCPClientTransport returns a batched-path reference.TCPTransport over
-// UDP.
-func NewTCPClientTransport(server string) (reference.TCPTransport, func() error, error) {
-	return NewTCPClientTransportMode(server, PathBatched)
-}
-
-// NewTCPClientTransportMode is NewTCPClientTransport with an explicit path
-// mode.
-func NewTCPClientTransportMode(server string, mode PathMode) (reference.TCPTransport, func() error, error) {
-	ra, err := net.ResolveUDPAddr("udp", server)
-	if err != nil {
-		return nil, nil, err
-	}
-	conn, err := net.DialUDP("udp", nil, ra)
-	if err != nil {
-		return nil, nil, err
-	}
-	if mode == PathLegacy {
-		tr := reference.TCPTransportFunc(func(segment []byte) [][]byte {
-			if _, err := conn.Write(segment); err != nil {
-				return nil
-			}
-			var out [][]byte
-			buf := make([]byte, maxDatagram)
-			for {
-				conn.SetReadDeadline(time.Now().Add(quiet))
-				n, err := conn.Read(buf)
-				if err != nil {
-					break
-				}
-				out = append(out, append([]byte(nil), buf[:n]...))
-			}
-			return out
-		})
-		return tr, conn.Close, nil
-	}
-	var (
-		mu    sync.Mutex
-		rtt   srttTracker
-		bconn = NewBatchConn(conn)
-		rms   = make([]Message, batchSize)
-	)
-	for i := range rms {
-		rms[i].Buf = make([]byte, maxDatagram)
-	}
-	tr := reference.TCPTransportFunc(func(segment []byte) [][]byte {
-		mu.Lock()
-		defer mu.Unlock()
-		bconn.TryReadBatch(rms) // drop stale datagrams from a prior exchange
-		start := time.Now()
-		if _, err := conn.Write(segment); err != nil {
-			return nil
-		}
-		var out [][]byte
-		wait := rtt.firstWait()
-		for {
-			conn.SetReadDeadline(time.Now().Add(wait))
-			n, err := bconn.ReadBatch(rms)
-			if err != nil {
-				break
-			}
-			if out == nil {
-				rtt.observe(time.Since(start))
-			}
-			for i := 0; i < n; i++ {
-				out = append(out, append([]byte(nil), rms[i].Buf[:rms[i].N]...))
-			}
-			wait = rtt.quietWait()
-		}
-		return out
-	})
-	return tr, conn.Close, nil
 }
 
 // Loopback returns a loopback listen address with an ephemeral port.

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/quicsim"
 	"repro/internal/reference"
-	"repro/internal/tcpsim"
 )
 
 // TestQUICOverUDPLoopback drives the QUIC handshake over a real UDP socket
@@ -100,43 +99,6 @@ func runWord(s interface {
 		out = append(out, o)
 	}
 	return out, nil
-}
-
-// TestTCPOverUDPLoopback exchanges checksummed TCP segments over UDP.
-func TestTCPOverUDPLoopback(t *testing.T) {
-	src := [4]byte{10, 0, 0, 2}
-	dst := [4]byte{10, 0, 0, 1}
-	srv := tcpsim.NewServer(tcpsim.Config{Port: 44344, Seed: 5})
-	hosted, err := ListenTCP(Loopback(), srv, src, dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hosted.Close()
-
-	tr, closer, err := NewTCPClientTransport(hosted.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closer()
-	cli := reference.NewTCPClient(reference.TCPClientConfig{
-		Seed: 3, DstPort: 44344, SrcAddr: src, DstAddr: dst,
-	}, tr)
-
-	srv.Reset()
-	if err := cli.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	out, err := cli.Step("SYN(?,?,0)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out != "SYN+ACK(?,?,0)" {
-		t.Fatalf("SYN over UDP got %q", out)
-	}
-	out, err = cli.Step("ACK(?,?,0)")
-	if err != nil || out != "NIL" {
-		t.Fatalf("ACK over UDP got %q, %v", out, err)
-	}
 }
 
 // TestQUICClientTransportRebindsOnSourceChange covers the Issue 3
