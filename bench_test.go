@@ -549,19 +549,19 @@ func TestReproduceAllExperiments(t *testing.T) {
 	}
 }
 
-// BenchmarkConformance — ablation: W-method vs Wp-method equivalence
-// search over a correct hypothesis (the full-suite cost; Wp's savings come
-// from the per-state identification sets).
+// BenchmarkConformance — ablation: the W-method suite vs the Wp-method
+// equivalence search over a correct hypothesis (the full-suite cost; Wp's
+// savings come from the per-state identification sets).
 func BenchmarkConformance(b *testing.B) {
 	truth := quicsim.GroundTruth(quicsim.ProfileQuiche)
 	b.Run("w-method", func(b *testing.B) {
 		var st learn.Stats
 		oracle := learn.Counting(learn.MealyOracle(truth), &st)
-		eqo := &learn.WMethodOracle{Oracle: oracle, Inputs: truth.Inputs(), Depth: 1}
 		for i := 0; i < b.N; i++ {
 			st = learn.Stats{}
-			if ce, err := eqo.FindCounterexample(context.Background(), truth); err != nil || ce != nil {
-				b.Fatalf("ce=%v err=%v", ce, err)
+			suite := analysis.WMethodSuite(truth, 1)
+			if fails, err := analysis.RunSuite(context.Background(), suite, oracle, 1); err != nil || len(fails) != 0 {
+				b.Fatalf("fails=%v err=%v", fails, err)
 			}
 		}
 		b.ReportMetric(float64(st.Queries), "queries")
@@ -752,41 +752,5 @@ func BenchmarkUDPQueriesPerSec(b *testing.B) {
 	}
 	if a, f := wall["window=adaptive"], wall["window=fixed-min"]; a > 0 && f > 0 && a >= f {
 		b.Fatalf("adaptive window (%v) must beat the in-flight limit fixed at its floor (%v) on wall time under 5%% loss", a, f)
-	}
-}
-
-// BenchmarkHybridPreload — §8 future work implemented: active learning
-// with a log-preloaded cache vs a cold cache (live queries reported).
-func BenchmarkHybridPreload(b *testing.B) {
-	truth := quicsim.GroundTruth(quicsim.ProfileQuiche)
-	logs, err := learn.TracesFromWalks(context.Background(), learn.MealyOracle(truth), truth.Inputs(), 300, 8, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, warm := range []bool{false, true} {
-		name := "cold"
-		if warm {
-			name = "warm"
-		}
-		b.Run(name, func(b *testing.B) {
-			var queries int64
-			for i := 0; i < b.N; i++ {
-				var st learn.Stats
-				cache := learn.NewCache(learn.Counting(learn.MealyOracle(truth), &st), &st)
-				if warm {
-					for _, lg := range logs {
-						if err := cache.Preload(lg); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-				if _, err := learn.NewDTLearner(cache, truth.Inputs()).
-					Learn(context.Background(), &learn.ModelOracle{Model: truth}); err != nil {
-					b.Fatal(err)
-				}
-				queries = st.Queries
-			}
-			b.ReportMetric(float64(queries), "live-queries")
-		})
 	}
 }

@@ -163,43 +163,3 @@ func (r *DiffReport) String() string {
 	}
 	return b.String()
 }
-
-// CheckSafety runs a safety monitor DFA over all reachable joint states of
-// the model and returns a shortest input word whose outputs drive the
-// monitor into a bad state, or nil if the model satisfies the property.
-// The monitor reads the model's output symbols. The Property API
-// (property.go) is the higher-level interface over the same exploration.
-func CheckSafety(m *automata.Mealy, monitor *automata.DFA) []string {
-	type pair struct {
-		ms automata.State
-		ds automata.State
-	}
-	type node struct {
-		p    pair
-		word []string
-	}
-	start := pair{m.Initial(), monitor.Initial()}
-	seen := map[pair]bool{start: true}
-	queue := []node{{p: start}}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, in := range m.Inputs() {
-			ms, out, ok := m.Step(cur.p.ms, in)
-			if !ok {
-				continue
-			}
-			word := append(append([]string(nil), cur.word...), in)
-			ds, ok := monitor.Step(cur.p.ds, out)
-			if !ok || monitor.Bad(ds) {
-				return word
-			}
-			np := pair{ms, ds}
-			if !seen[np] {
-				seen[np] = true
-				queue = append(queue, node{p: np, word: word})
-			}
-		}
-	}
-	return nil
-}

@@ -12,8 +12,8 @@ import (
 
 // Model is a learned behaviour model under analysis: a named Mealy machine
 // with the decision procedures of the analysis plane hanging off it —
-// minimization, language equivalence, diffing, reachability and invariant
-// queries, property checking, and the unified DOT/JSON codecs. It is the
+// minimization, language equivalence, diffing, property checking, and the
+// unified DOT/JSON codecs. It is the
 // one type the rest of the stack exchanges: lab.Result.Model() produces
 // one, every prognosis subcommand consumes one.
 type Model struct {
@@ -100,19 +100,9 @@ func LoadModel(path string) (*Model, error) {
 	return NewModel(name, m), nil
 }
 
-// Step is one transition of a model, as reachability and invariant queries
-// see it.
-type Step struct {
-	From   automata.State
-	Input  string
-	Output string
-	To     automata.State
-}
-
-// Witness is a concrete trace of the model produced by a query: the input
+// Witness is a concrete trace of the model produced by a check: the input
 // word from the initial state and the outputs along it. The final step is
-// the one the query selected (the violating transition, the matching
-// output, ...).
+// the one the check flagged (the violating transition).
 type Witness struct {
 	Word    []string
 	Outputs []string
@@ -125,74 +115,4 @@ func (w *Witness) String() string {
 		fmt.Fprintf(&b, "  step %d: %s / %s\n", i+1, w.Word[i], w.Outputs[i])
 	}
 	return b.String()
-}
-
-// CheckInvariant checks a transition invariant over every reachable
-// transition of the model and returns a shortest witness ending in a
-// violating transition, or nil when the invariant holds. This is the
-// model-level analogue of a packet-trace property: instead of one recorded
-// trace, every behaviour of the learned model is checked.
-func (m *Model) CheckInvariant(inv func(Step) bool) *Witness {
-	return m.search(func(s Step) bool { return !inv(s) })
-}
-
-// FindOutput returns a shortest witness whose final output satisfies pred —
-// the basic reachability query ("can the model ever emit X, and how?").
-// It returns nil when no reachable transition's output matches.
-func (m *Model) FindOutput(pred func(output string) bool) *Witness {
-	return m.search(func(s Step) bool { return pred(s.Output) })
-}
-
-// Outputs returns the set of output symbols on transitions reachable from
-// the initial state, in first-reached (BFS) order.
-func (m *Model) Outputs() []string {
-	var outs []string
-	seen := map[string]bool{}
-	for _, s := range m.m.Reachable() {
-		for _, in := range m.m.Inputs() {
-			if _, out, ok := m.m.Step(s, in); ok && !seen[out] {
-				seen[out] = true
-				outs = append(outs, out)
-			}
-		}
-	}
-	return outs
-}
-
-// search BFS-explores the model from the initial state and returns a
-// shortest witness whose final transition satisfies hit.
-func (m *Model) search(hit func(Step) bool) *Witness {
-	type node struct {
-		s    automata.State
-		word []string
-		outs []string
-	}
-	seen := map[automata.State]bool{m.m.Initial(): true}
-	queue := []node{{s: m.m.Initial()}}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, in := range m.m.Inputs() {
-			to, out, ok := m.m.Step(cur.s, in)
-			if !ok {
-				continue
-			}
-			step := Step{From: cur.s, Input: in, Output: out, To: to}
-			if hit(step) {
-				return &Witness{
-					Word:    append(append([]string(nil), cur.word...), in),
-					Outputs: append(append([]string(nil), cur.outs...), out),
-				}
-			}
-			if !seen[to] {
-				seen[to] = true
-				queue = append(queue, node{
-					s:    to,
-					word: append(append([]string(nil), cur.word...), in),
-					outs: append(append([]string(nil), cur.outs...), out),
-				})
-			}
-		}
-	}
-	return nil
 }

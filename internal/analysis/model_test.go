@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -190,41 +189,5 @@ func TestMinimizeGoldenGoogleAlreadyMinimal(t *testing.T) {
 	}
 	if eq, ce := min.Equivalent(google); !eq {
 		t.Fatalf("minimize changed behaviour on %v", ce)
-	}
-}
-
-func TestCheckInvariantAndFindOutput(t *testing.T) {
-	g := NewModel("google", quicsim.GroundTruth(quicsim.ProfileGoogle))
-	// Reachability: the Issue 4 frame is emittable, with a shortest witness.
-	w := g.FindOutput(func(out string) bool { return strings.Contains(out, "STREAM_DATA_BLOCKED") })
-	if w == nil {
-		t.Fatal("STREAM_DATA_BLOCKED unreachable in the google model")
-	}
-	if !strings.Contains(w.Outputs[len(w.Outputs)-1], "STREAM_DATA_BLOCKED") {
-		t.Fatalf("witness final output wrong: %v", w.Outputs)
-	}
-	if out, ok := g.Run(w.Word); !ok || strings.Join(out, ",") != strings.Join(w.Outputs, ",") {
-		t.Fatalf("witness does not replay on the model: %v", w)
-	}
-	// Quiche never announces blocking (its side of Issue 4).
-	q := NewModel("quiche", quicsim.GroundTruth(quicsim.ProfileQuiche))
-	if w := q.FindOutput(func(out string) bool { return strings.Contains(out, "STREAM_DATA_BLOCKED") }); w != nil {
-		t.Fatalf("quiche unexpectedly emits STREAM_DATA_BLOCKED: %v", w)
-	}
-	// Invariant: every google output flight has at most 4 packets — false,
-	// and the witness must end at a violating transition.
-	w = g.CheckInvariant(func(s Step) bool { return strings.Count(s.Output, "[") <= 3 })
-	if w == nil {
-		t.Fatal("expected the 4-packet server flight to violate")
-	}
-	if strings.Count(w.Outputs[len(w.Outputs)-1], "[") <= 3 {
-		t.Fatalf("witness final output does not violate: %v", w.Outputs)
-	}
-	// A true invariant returns nil.
-	if w := g.CheckInvariant(func(s Step) bool { return true }); w != nil {
-		t.Fatalf("trivial invariant violated: %v", w)
-	}
-	if len(g.Outputs()) == 0 || g.Outputs()[0] == "" {
-		t.Fatalf("Outputs() broken: %v", g.Outputs())
 	}
 }

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -136,5 +137,73 @@ func TestCheckAllDefaultsToBuiltins(t *testing.T) {
 	g := NewModel("google", quicsim.GroundTruth(quicsim.ProfileGoogle))
 	if got, want := len(CheckAll(g)), len(Builtins()); got != want {
 		t.Fatalf("CheckAll ran %d properties, want %d", got, want)
+	}
+}
+
+// TestMonitorPropertyWitnesses: reachability, transition invariants and
+// DFA-style safety monitors are all MonitorProperty instances, and each
+// check returns the shortest violating word of the product BFS.
+func TestMonitorPropertyWitnesses(t *testing.T) {
+	const (
+		open = iota
+		closed
+	)
+	google := NewModel("google", quicsim.GroundTruth(quicsim.ProfileGoogle))
+	quiche := NewModel("quiche", quicsim.GroundTruth(quicsim.ProfileQuiche))
+	never := func(frag string) func(int, string, string) (int, bool) {
+		return func(s int, _, out string) (int, bool) { return s, !strings.Contains(out, frag) }
+	}
+	crypto := quicsim.SymInitialCrypto
+	cases := []struct {
+		name  string
+		model *Model
+		start int
+		step  func(s int, in, out string) (int, bool)
+		want  []string // nil: the property holds
+	}{
+		// Deliberately strict: once closed, the server stays silent. Google
+		// retransmits CONNECTION_CLOSE on further probes (§6.2.3).
+		{"close-then-silent", google, open, func(s int, _, out string) (int, bool) {
+			if s == closed {
+				return s, out == Silent
+			}
+			if strings.Contains(out, "CONNECTION_CLOSE") {
+				return closed, true
+			}
+			return s, true
+		}, []string{crypto, crypto, crypto}},
+		{"quiche-never-resets", quiche, 0, func(s int, _, out string) (int, bool) {
+			return s, out != "{RESET(?,?)[]}"
+		}, nil},
+		// Reachability: can the model emit the Issue 4 frame, and how?
+		{"google-emits-blocked", google, 0, never("STREAM_DATA_BLOCKED"),
+			[]string{crypto, quicsim.SymHandshakeC, quicsim.SymShortStream, quicsim.SymShortStream}},
+		{"quiche-never-blocked", quiche, 0, never("STREAM_DATA_BLOCKED"), nil},
+		// Invariant: every flight has at most 3 packets; google's first
+		// server flight has 4.
+		{"flight-at-most-3-packets", google, 0, func(s int, _, out string) (int, bool) {
+			return s, packetCount(out) <= 3
+		}, []string{crypto}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			p := &MonitorProperty{PropName: c.name, Start: c.start, Step: c.step}
+			v := p.Check(c.model)
+			if c.want == nil {
+				if v != nil {
+					t.Fatalf("unexpected violation %v", v.Witness.Word)
+				}
+				return
+			}
+			if v == nil {
+				t.Fatalf("no violation, want witness %v", c.want)
+			}
+			if !slices.Equal(v.Witness.Word, c.want) {
+				t.Fatalf("witness %v, want the shortest %v", v.Witness.Word, c.want)
+			}
+			if out, ok := c.model.Run(v.Witness.Word); !ok || !slices.Equal(out, v.Witness.Outputs) {
+				t.Fatalf("witness outputs %v do not replay on the model", v.Witness.Outputs)
+			}
+		})
 	}
 }

@@ -21,29 +21,6 @@ type TestSuite struct {
 // Len returns the number of test cases.
 func (s *TestSuite) Len() int { return len(s.Words) }
 
-// TransitionCoverageSuite generates one test word per transition of the
-// model: the state's access sequence followed by the transition input. The
-// suite exercises every transition at least once.
-func TransitionCoverageSuite(m *automata.Mealy) *TestSuite {
-	s := &TestSuite{}
-	access := m.AccessSequences()
-	for state, acc := range access {
-		for _, in := range m.Inputs() {
-			if _, _, ok := m.Step(state, in); !ok {
-				continue
-			}
-			word := append(append([]string(nil), acc...), in)
-			exp, ok := m.Run(word)
-			if !ok {
-				continue
-			}
-			s.Words = append(s.Words, word)
-			s.Expected = append(s.Expected, exp)
-		}
-	}
-	return s
-}
-
 // WMethodSuite generates Chow's W-method test suite with the given extra
 // depth: access · middle · characterizing-word for all combinations. It
 // subsumes transition coverage and detects any fault that does not add

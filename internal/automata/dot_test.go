@@ -2,6 +2,9 @@ package automata
 
 import (
 	"math/rand"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -129,5 +132,40 @@ func TestDecodeSniffsFormats(t *testing.T) {
 	}
 	if _, err := Decode([]byte("???")); err == nil {
 		t.Fatal("garbage accepted")
+	}
+}
+
+// TestDecodeBoundsAllocation: an input that names many states and a long
+// alphabet is rejected before its transition table is allocated, while
+// every checked-in model still decodes.
+func TestDecodeBoundsAllocation(t *testing.T) {
+	jsonIn, dotIn := amplifying()
+	for _, in := range [][]byte{jsonIn, dotIn} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Decode(in)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("accepted a %d-byte input naming a 2,000 × 5,000 table", len(in))
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 16<<20 {
+			t.Fatalf("rejecting a %d-byte input allocated %d MB", len(in), alloc>>20)
+		}
+	}
+	files, err := filepath.Glob("../analysis/testdata/*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if filepath.Base(f) == "regress.json" { // a manifest, not a model
+			continue
+		}
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Decode(data); err != nil {
+			t.Errorf("%s: %v", f, err)
+		}
 	}
 }

@@ -111,6 +111,9 @@ func ParseDOT(data []byte) (*Mealy, error) {
 			}
 		}
 	}
+	if err := checkSize(maxState+1, len(inputs), len(data)); err != nil {
+		return nil, err
+	}
 	m := NewMealy(inputs)
 	for m.NumStates() <= maxState {
 		m.AddState()

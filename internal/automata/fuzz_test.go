@@ -1,7 +1,9 @@
 package automata
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"os"
 	"testing"
@@ -9,9 +11,11 @@ import (
 
 // FuzzDecode is the model-decoder fuzz gate registered in CI's fuzz-smoke:
 // no input may panic either codec, and any machine Decode accepts must
-// re-encode to JSON and decode back to an equivalent machine. The one
-// machine JSON cannot carry is one with a state it never names (neither
-// initial nor a transition endpoint); its re-encoding must be rejected.
+// re-encode to JSON and decode back to an equivalent machine. The machines
+// JSON cannot carry are one with a state it never names (neither initial
+// nor a transition endpoint) and one whose compact re-encoding is too
+// short for its states × inputs table; their re-encodings must be
+// rejected.
 func FuzzDecode(f *testing.F) {
 	small := []*Mealy{handshake(), randomMealy(rand.New(rand.NewSource(1)), 4, []string{"a", "b"}, []string{"0", "1"})}
 	for _, m := range small {
@@ -31,6 +35,9 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Add([]byte(`{"inputs":["a"],"states":5000000,"initial":0,"transitions":[]}`))
 	f.Add([]byte("digraph \"x\" {\n  __start -> s0;\n  s5000000 [label=\"x\"]\n}\n"))
+	jsonIn, dotIn := amplifying()
+	f.Add(jsonIn)
+	f.Add(dotIn)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Decode(data)
 		if err != nil {
@@ -41,9 +48,9 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("decoded machine does not re-encode: %v", err)
 		}
 		back, err := Decode(enc)
-		if !namesEveryState(m) {
+		if !namesEveryState(m) || checkSize(m.NumStates(), len(m.Inputs()), len(enc)) != nil {
 			if err == nil {
-				t.Fatalf("JSON naming fewer ids than its %d states was accepted: %s", m.NumStates(), enc)
+				t.Fatalf("JSON naming fewer ids than its %d states, or over the size budget, was accepted: %s", m.NumStates(), enc)
 			}
 			return
 		}
@@ -68,4 +75,29 @@ func namesEveryState(m *Mealy) bool {
 		}
 	}
 	return len(named) == m.NumStates()
+}
+
+// amplifying returns a JSON and a DOT model that name many state ids and
+// a long alphabet in few bytes: the JSON is under 90 KB and names 2,000
+// states over 5,000 inputs, a 10-million-slot transition table.
+func amplifying() (jsonIn, dotIn []byte) {
+	const states, inputs = 2000, 5000
+	alphabet := make([]string, inputs)
+	for i := range alphabet {
+		alphabet[i] = fmt.Sprint("i", i)
+	}
+	alph, _ := json.Marshal(alphabet)
+	var j, d bytes.Buffer
+	fmt.Fprintf(&j, `{"inputs":%s,"states":%d,"initial":0,"transitions":[`, alph, states)
+	fmt.Fprintf(&d, "digraph \"x\" {\n  /* alphabet: %s */\n  __start -> s0;\n", alph)
+	for s := 0; s < states; s += 2 {
+		if s > 0 {
+			j.WriteByte(',')
+		}
+		fmt.Fprintf(&j, `{"from":%d,"input":"i0","to":%d,"output":""}`, s, s+1)
+		fmt.Fprintf(&d, "  s%d [label=\"\"];\n  s%d [label=\"\"];\n", s, s+1)
+	}
+	j.WriteString("]}")
+	d.WriteString("}\n")
+	return j.Bytes(), d.Bytes()
 }

@@ -22,6 +22,23 @@ type transition struct {
 	Output string `json:"output"`
 }
 
+// maxSlotsPerByte bounds what a decoder may allocate for its input. A
+// machine holds states × |inputs| transition slots; a learned (total)
+// machine spends tens of encoded bytes on each slot, so four slots per
+// input byte leaves room for sparse machines while keeping a short input
+// that names many states and a long alphabet from sizing a huge table.
+const maxSlotsPerByte = 4
+
+// checkSize rejects a machine shape whose transition table exceeds the
+// allocation budget of an n-byte input.
+func checkSize(states, inputs, n int) error {
+	if states*inputs > maxSlotsPerByte*n {
+		return fmt.Errorf("automata: %d states × %d inputs exceed the %d slots a %d-byte input may size",
+			states, inputs, maxSlotsPerByte*n, n)
+	}
+	return nil
+}
+
 // MarshalJSON implements json.Marshaler.
 func (m *Mealy) MarshalJSON() ([]byte, error) {
 	out := mealyJSON{
@@ -60,6 +77,9 @@ func (m *Mealy) UnmarshalJSON(data []byte) error {
 	}
 	if in.States > len(ids) {
 		return fmt.Errorf("automata: %d states declared but only %d state ids mentioned", in.States, len(ids))
+	}
+	if err := checkSize(in.States, len(in.Inputs), len(data)); err != nil {
+		return err
 	}
 	if int(in.Initial) < 0 || int(in.Initial) >= in.States {
 		return fmt.Errorf("automata: initial state %d out of range", in.Initial)

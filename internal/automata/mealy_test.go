@@ -290,28 +290,3 @@ func TestPropertyEquivalenceIsReflexiveAndFindsMutations(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestDFASafetyMonitor(t *testing.T) {
-	// Property: output CONNECTION_CLOSE must never be followed by STREAM.
-	d := NewDFA()
-	closed := d.AddState(false)
-	bad := d.AddState(true)
-	d.SetTransition(0, "CONNECTION_CLOSE", closed)
-	d.SetTransition(0, Wildcard, 0)
-	d.SetTransition(closed, "STREAM", bad)
-	d.SetTransition(closed, Wildcard, closed)
-
-	if !d.Accepts([]string{"ACK", "CONNECTION_CLOSE", "ACK"}) {
-		t.Fatal("benign trace rejected")
-	}
-	if d.Accepts([]string{"CONNECTION_CLOSE", "STREAM"}) {
-		t.Fatal("violating trace accepted")
-	}
-}
-
-func TestDFAUndefinedIsViolation(t *testing.T) {
-	d := NewDFA()
-	if d.Accepts([]string{"anything"}) {
-		t.Fatal("monitor hole must count as violation")
-	}
-}

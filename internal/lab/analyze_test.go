@@ -77,36 +77,6 @@ func TestBuiltinPropertiesAcrossTargets(t *testing.T) {
 	}
 }
 
-// TestCampaignAnalyze: the cross-run diff matrix over a finished campaign.
-func TestCampaignAnalyze(t *testing.T) {
-	camp := &Campaign{Runs: []RunSpec{
-		{Name: "google", Target: TargetGoogle, Options: []Option{WithSeed(13), WithPerfectEquivalence()}},
-		{Name: "google-again", Target: TargetGoogle, Options: []Option{WithSeed(17), WithPerfectEquivalence()}},
-		{Name: "quiche", Target: TargetQuiche, Options: []Option{WithSeed(13), WithPerfectEquivalence()}},
-		{Name: "mvfst", Target: TargetMvfst, Options: []Option{WithSeed(13)}},
-	}}
-	a, err := camp.Analyze(bg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// mvfst halts on nondeterminism and therefore contributes no model.
-	if len(a.Models) != 3 {
-		t.Fatalf("%d models, want 3 (mvfst halts)", len(a.Models))
-	}
-	if a.Models[1].Name != "google-again" {
-		t.Fatalf("model names not taken from runs: %v", a.Models[1].Name)
-	}
-	if r := a.Matrix.Report(0, 1); r == nil || !r.Equivalent {
-		t.Fatalf("two google learns must agree: %+v", r)
-	}
-	if r := a.Matrix.Report(0, 2); r == nil || r.Equivalent {
-		t.Fatal("google vs quiche must differ")
-	}
-	if len(a.Results) != 4 {
-		t.Fatalf("results not carried through: %d", len(a.Results))
-	}
-}
-
 // TestResultModel: the lab-to-analysis bridge.
 func TestResultModel(t *testing.T) {
 	res := learnT(t, TargetQuiche, WithSeed(13), WithPerfectEquivalence())

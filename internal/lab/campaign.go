@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-
-	"repro/internal/analysis"
 )
 
 // RunSpec names one experiment of a campaign: a registered target plus its
@@ -141,53 +139,6 @@ func runSpec(ctx context.Context, spec RunSpec) (*Result, error) {
 	}
 	defer exp.Close()
 	return exp.Learn(ctx)
-}
-
-// CampaignAnalysis is a finished campaign pushed through the analysis
-// plane: the per-run results, one analysis model per run that learned, and
-// the cross-run diff matrix over those models.
-type CampaignAnalysis struct {
-	Results []RunResult
-	Models  []*analysis.Model
-	Matrix  *analysis.Matrix
-}
-
-// Models extracts the analysis models of the runs that learned one, named
-// after the run (runs that errored or halted on nondeterminism are
-// skipped).
-func Models(results []RunResult) []*analysis.Model {
-	var out []*analysis.Model
-	for _, r := range results {
-		if r.Err == nil && r.Result != nil && r.Result.Machine != nil {
-			m := r.Result.Model()
-			m.Name = r.Name
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
-// AnalyzeResults builds the cross-run diff matrix over a finished
-// campaign's models, with up to maxWitnesses distinguishing traces per
-// pair.
-func AnalyzeResults(results []RunResult, maxWitnesses int) *CampaignAnalysis {
-	models := Models(results)
-	return &CampaignAnalysis{
-		Results: results,
-		Models:  models,
-		Matrix:  analysis.NewMatrix(models, maxWitnesses),
-	}
-}
-
-// Analyze runs the campaign and cross-diffs every learned model — the
-// one-call form of Run + AnalyzeResults. Per-run failures stay isolated in
-// Results; the returned error is only the context's.
-func (c *Campaign) Analyze(ctx context.Context, maxWitnesses int) (*CampaignAnalysis, error) {
-	results, err := c.Run(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return AnalyzeResults(results, maxWitnesses), nil
 }
 
 // Summary aggregates a finished campaign: learned / nondeterministic /

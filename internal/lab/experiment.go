@@ -36,8 +36,7 @@ type Result struct {
 
 // Metrics is the unified observability snapshot of one learning run: the
 // live-traffic counters, the §5 guard's voting cost, the fault-injection
-// totals, the adaptive window's trajectory, and the wall time — one view
-// over what used to be five scattered per-field structs. The same
+// totals, the adaptive window's trajectory, and the wall time. The same
 // subsystems also publish process-wide scrapeable totals into
 // metrics.Default() (served by prognosisd's GET /metrics); this snapshot
 // is the per-run slice of that story.
@@ -439,7 +438,3 @@ func Run(ctx context.Context, target string, opts ...Option) (*Result, error) {
 	defer exp.Close()
 	return exp.Learn(ctx)
 }
-
-// The PR-1 compatibility shims (Learn/Options/NewSUL/NewSULPool) lived
-// here for one release after the context-first redesign; they are gone.
-// See the migration table in README.md.

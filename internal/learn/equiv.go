@@ -115,68 +115,6 @@ func (r *RandomWordsOracle) FindCounterexample(ctx context.Context, hyp *automat
 	return nil, nil
 }
 
-// WMethodOracle implements Chow's W-method: it tests every word of the form
-// access(q) · middle · w where middle ranges over all input words up to
-// Depth and w over the hypothesis' characterizing set. If the system has at
-// most NumStates(hyp)+Depth states, passing the suite proves equivalence —
-// the strongest guarantee available in a closed-box setting.
-type WMethodOracle struct {
-	Oracle Oracle
-	Inputs []string
-	Depth  int
-}
-
-// FindCounterexample implements EquivalenceOracle.
-func (w *WMethodOracle) FindCounterexample(ctx context.Context, hyp *automata.Mealy) ([]string, error) {
-	access := hyp.AccessSequences()
-	wset := hyp.CharacterizingSet()
-	if len(wset) == 0 {
-		wset = [][]string{{}}
-	}
-	middles := [][]string{{}}
-	for d := 0; d < w.Depth; d++ {
-		var next [][]string
-		for _, mdl := range middles {
-			if len(mdl) == d {
-				for _, in := range w.Inputs {
-					next = append(next, append(append([]string(nil), mdl...), in))
-				}
-			}
-		}
-		middles = append(middles, next...)
-	}
-	// Walk states in numeric order so the suite — and therefore the
-	// counterexample this search returns — is reproducible run to run
-	// (access is a map; ranging over it would randomise the order).
-	states := make([]automata.State, 0, len(access))
-	for s := range access {
-		states = append(states, s)
-	}
-	sort.Slice(states, func(i, j int) bool { return states[i] < states[j] })
-	for _, s := range states {
-		acc := access[s]
-		for _, mid := range middles {
-			for _, suf := range wset {
-				word := make([]string, 0, len(acc)+len(mid)+len(suf))
-				word = append(word, acc...)
-				word = append(word, mid...)
-				word = append(word, suf...)
-				if len(word) == 0 {
-					continue
-				}
-				ce, err := checkWord(ctx, w.Oracle, hyp, word)
-				if err != nil {
-					return nil, err
-				}
-				if ce != nil {
-					return ce, nil
-				}
-			}
-		}
-	}
-	return nil, nil
-}
-
 // ModelOracle is a perfect equivalence oracle backed by a known Mealy
 // machine — the "omniscient oracle" of §4.1 that exists only when the true
 // model is already known. It is used in tests and to validate that learners
@@ -200,7 +138,7 @@ func (m *ModelOracle) FindCounterexample(ctx context.Context, hyp *automata.Meal
 
 // ChainOracle tries several equivalence oracles in order, returning the
 // first counterexample found. Typical use: cheap random testing first, then
-// the exhaustive W-method.
+// the exhaustive Wp-method.
 type ChainOracle []EquivalenceOracle
 
 // FindCounterexample implements EquivalenceOracle.

@@ -83,10 +83,10 @@ func TestLearnersWithRandomEquivalence(t *testing.T) {
 	}
 }
 
-func TestLearnersWithWMethod(t *testing.T) {
+func TestLearnersWithWpMethod(t *testing.T) {
 	truth := tcpModel()
 	o := MealyOracle(truth)
-	eqo := &WMethodOracle{Oracle: o, Inputs: truth.Inputs(), Depth: 2}
+	eqo := &WpMethodOracle{Oracle: o, Inputs: truth.Inputs(), Depth: 2}
 	for name, l := range learners(o, truth.Inputs()) {
 		t.Run(name, func(t *testing.T) {
 			hyp, err := l.Learn(bg, eqo)
@@ -225,18 +225,6 @@ func TestRandomOracleFindsInjectedDifference(t *testing.T) {
 	hout, _ := hyp.Run(ce)
 	if reflect.DeepEqual(sys, hout) {
 		t.Fatalf("returned word %v is not a counterexample", ce)
-	}
-}
-
-func TestWMethodProvesEquivalence(t *testing.T) {
-	truth := tcpModel()
-	eqo := &WMethodOracle{Oracle: MealyOracle(truth), Inputs: truth.Inputs(), Depth: 1}
-	ce, err := eqo.FindCounterexample(bg, truth.Clone())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ce != nil {
-		t.Fatalf("W-method found a counterexample between identical machines: %v", ce)
 	}
 }
 

@@ -3,7 +3,7 @@
 // query cache, the classic L* observation-table learner, a discrimination-
 // tree learner with Rivest–Schapire counterexample analysis (the TTT-style
 // algorithm the paper uses via LearnLib), and heuristic equivalence oracles
-// (random words and the W-method).
+// (random words and the Wp-method).
 //
 // The whole query plane is context-first: every membership query and every
 // equivalence search takes a context.Context, and cancelling it aborts the

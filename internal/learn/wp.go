@@ -32,8 +32,8 @@ type WpMethodOracle struct {
 // big machine. Phase 1 is state cover × W; phase 2 is
 // transition cover × middle words × W_target. The transition cover itself
 // contributes one symbol of depth, so middles extend only to Depth-1:
-// WpMethodOracle{Depth: d} and WMethodOracle{Depth: d} detect the same
-// fault class (up to d extra states).
+// WpMethodOracle{Depth: d} detects the same fault class (up to d extra
+// states) as the W-method suite of depth d.
 func (w *WpMethodOracle) Suite(hyp *automata.Mealy) [][]string {
 	access := hyp.AccessSequences()
 	wset := hyp.CharacterizingSet()

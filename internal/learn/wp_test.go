@@ -1,9 +1,7 @@
 package learn
 
 import (
-	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/automata"
 )
@@ -51,32 +49,6 @@ func TestWpMethodUsableAsLearningOracle(t *testing.T) {
 	}
 	if eq, ce := truth.Equivalent(hyp); !eq {
 		t.Fatalf("learned model differs on %v", ce)
-	}
-}
-
-// Property: on random machines, the Wp-method agrees with the W-method on
-// whether a mutant is detectable (both complete at the same depth bound).
-func TestPropertyWpAgreesWithW(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		truth := randomTotalMealy(r, 4, []string{"a", "b"}, []string{"0", "1"}).Minimize()
-		mut := truth.Clone()
-		reach := mut.Reachable()
-		s := reach[r.Intn(len(reach))]
-		in := mut.Inputs()[r.Intn(2)]
-		to, _, _ := mut.Step(s, in)
-		mut.SetTransition(s, in, to, "MUT")
-		wp := &WpMethodOracle{Oracle: MealyOracle(mut), Inputs: truth.Inputs(), Depth: 1}
-		w := &WMethodOracle{Oracle: MealyOracle(mut), Inputs: truth.Inputs(), Depth: 1}
-		ceWp, err1 := wp.FindCounterexample(bg, truth)
-		ceW, err2 := w.FindCounterexample(bg, truth)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		return (ceWp == nil) == (ceW == nil)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/wire"
 )
 
 var (
@@ -150,6 +152,20 @@ func TestPropertyEncodeDecode(t *testing.T) {
 			bytes.Equal(got.Payload, s.Payload)
 	}
 	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestChecksumMatchesReference: the allocation-free checksum equals the
+// reference wire.Checksum over the materialised IPv4 pseudo-header
+// src ∥ dst ∥ {0, 6, len} ∥ segment, for segments of odd and even length.
+func TestChecksumMatchesReference(t *testing.T) {
+	f := func(segment []byte, src, dst [4]byte) bool {
+		n := len(segment)
+		pseudo := append(append(src[:], dst[:]...), 0, 6, byte(n>>8), byte(n))
+		return checksum(segment, src, dst) == wire.Checksum(append(pseudo, segment...))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 }

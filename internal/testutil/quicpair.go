@@ -11,8 +11,7 @@ type TransportWrap func(reference.Transport) reference.Transport
 
 // QUICPair wires a quicsim server to an instrumented reference client:
 // the standard fixture shared by the reference, netem, and lab test
-// suites (previously hand-rolled separately in each). It satisfies
-// core.SUL.
+// suites. It satisfies core.SUL.
 type QUICPair struct {
 	Server *quicsim.Server
 	Client *reference.QUICClient
