@@ -354,31 +354,12 @@ func BenchmarkSynthesizeTCPRegisters(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	setup := lab.NewTCP(31)
-	collect := func(word []string) synth.Trace {
-		if err := setup.Reset(); err != nil {
-			b.Fatal(err)
-		}
-		setup.Client.ClearTrace()
-		for _, sym := range word {
-			if _, err := setup.Client.Step(sym); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return lab.TCPSynthTraces(setup.Client.Trace())
-	}
-	traces := []synth.Trace{
-		collect([]string{"SYN(?,?,0)", "ACK(?,?,0)"}),
-		collect([]string{"SYN(?,?,0)", "ACK(?,?,0)", "ACK+PSH(?,?,1)"}),
-		collect([]string{"ACK(?,?,0)", "SYN(?,?,0)"}),
+	p, err := lab.TCPProblem(res.Machine, lab.NewTCP(31))
+	if err != nil {
+		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p := &synth.Problem{
-			Machine: res.Machine, NumRegisters: 1, NumInputParams: 2,
-			OutputParams: map[string]int{"SYN+ACK(?,?,0)": 1},
-			Consts:       []int64{0}, Positive: traces,
-		}
 		if _, err := synth.Synthesize(p); err != nil {
 			b.Fatal(err)
 		}

@@ -324,43 +324,15 @@ func sdbVerdict(target string, res *lab.Result, seed int64) (string, error) {
 // over the campaign's TCP model and validates it on a held-out trace.
 func tcpRegisterVerdict(res *lab.Result, seed int64) (bool, error) {
 	setup := lab.NewTCP(seed)
-	collect := func(word []string) (synth.Trace, error) {
-		if err := setup.Reset(); err != nil {
-			return nil, err
-		}
-		setup.Client.ClearTrace()
-		for _, sym := range word {
-			if _, err := setup.Client.Step(sym); err != nil {
-				return nil, err
-			}
-		}
-		return lab.TCPSynthTraces(setup.Client.Trace()), nil
-	}
-	var traces []synth.Trace
-	for _, w := range [][]string{
-		{"SYN(?,?,0)", "ACK(?,?,0)"},
-		{"SYN(?,?,0)", "ACK(?,?,0)", "ACK+PSH(?,?,1)"},
-		{"ACK(?,?,0)", "SYN(?,?,0)"},
-	} {
-		tr, err := collect(w)
-		if err != nil {
-			return false, err
-		}
-		traces = append(traces, tr)
-	}
-	p := &synth.Problem{
-		Machine:        res.Machine,
-		NumRegisters:   1,
-		NumInputParams: 2,
-		OutputParams:   map[string]int{"SYN+ACK(?,?,0)": 1},
-		Consts:         []int64{0},
-		Positive:       traces,
+	p, err := lab.TCPProblem(res.Machine, setup)
+	if err != nil {
+		return false, err
 	}
 	em, err := synth.Synthesize(p)
 	if err != nil {
 		return false, err
 	}
-	held, err := collect([]string{"SYN(?,?,0)"})
+	held, err := lab.CollectTCPTrace(setup, []string{"SYN(?,?,0)"})
 	if err != nil {
 		return false, err
 	}

@@ -112,37 +112,9 @@ func runTCP(ctx context.Context, seed int64) error {
 		return err
 	}
 	setup := lab.NewTCP(seed)
-	collect := func(word []string) (synth.Trace, error) {
-		if err := setup.Reset(); err != nil {
-			return nil, err
-		}
-		setup.Client.ClearTrace()
-		for _, sym := range word {
-			if _, err := setup.Client.Step(sym); err != nil {
-				return nil, err
-			}
-		}
-		return lab.TCPSynthTraces(setup.Client.Trace()), nil
-	}
-	var traces []synth.Trace
-	for _, w := range [][]string{
-		{"SYN(?,?,0)", "ACK(?,?,0)"},
-		{"SYN(?,?,0)", "ACK(?,?,0)", "ACK+PSH(?,?,1)"},
-		{"ACK(?,?,0)", "SYN(?,?,0)"},
-	} {
-		tr, err := collect(w)
-		if err != nil {
-			return err
-		}
-		traces = append(traces, tr)
-	}
-	p := &synth.Problem{
-		Machine:        res.Machine,
-		NumRegisters:   1,
-		NumInputParams: 2, // (seq, ack)
-		OutputParams:   map[string]int{"SYN+ACK(?,?,0)": 1},
-		Consts:         []int64{0},
-		Positive:       traces,
+	p, err := lab.TCPProblem(res.Machine, setup)
+	if err != nil {
+		return err
 	}
 	em, err := synth.Synthesize(p)
 	if err != nil {

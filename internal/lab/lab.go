@@ -190,14 +190,14 @@ func (r *remoteSUL) Step(in string) (string, error) {
 	return r.inner.Step(in)
 }
 
-// SDBTraces converts recorded QUIC exchanges into synthesis traces for the
-// Issue 4 experiment: the input parameter is the MAX_STREAM_DATA limit the
-// client granted (0 when the symbol carries none), the output parameter is
-// the Maximum Stream Data field of any STREAM_DATA_BLOCKED frame in the
+// CollectSDBTrace runs one concrete word against a fresh connection and
+// returns its synthesis trace for the Issue 4 experiment and the refinement
+// loop: the input parameter is the MAX_STREAM_DATA limit the client granted
+// (0 when the symbol carries none), the output parameter is the Maximum
+// Stream Data field of any STREAM_DATA_BLOCKED frame in a blockedLabel
 // response.
-func SDBTraces(exchanges []reference.Exchange, blockedLabel string) synth.Trace {
-	var tr synth.Trace
-	for _, ex := range exchanges {
+func CollectSDBTrace(setup *QUICSetup, word []string, blockedLabel string) (synth.Trace, error) {
+	return collect(setup.Reset, setup.Client.StepExchange, word, func(ex reference.Exchange) synth.Step {
 		step := synth.Step{Input: ex.AbstractIn, InVals: []int64{0}}
 		for _, cp := range ex.ConcreteIn {
 			for _, f := range cp.Frames {
@@ -215,25 +215,42 @@ func SDBTraces(exchanges []reference.Exchange, blockedLabel string) synth.Trace 
 				}
 			}
 		}
-		tr = append(tr, step)
-	}
-	return tr
+		return step
+	})
 }
 
-// CollectSDBTrace runs one concrete word against a fresh connection and
-// returns its synthesis trace (used by the Issue 4 experiment and the
-// refinement loop).
-func CollectSDBTrace(setup *QUICSetup, word []string, blockedLabel string) (synth.Trace, error) {
-	if err := setup.Reset(); err != nil {
+// CollectTCPTrace runs one concrete word against a fresh connection and
+// returns its synthesis trace over (sequence, acknowledgement) numbers. The
+// SYN-ACK's acknowledgement field is the output parameter — the register
+// relationship of Fig. 3(c).
+func CollectTCPTrace(setup *TCPSetup, word []string) (synth.Trace, error) {
+	return collect(setup.Reset, setup.Client.StepExchange, word, func(ex reference.TCPExchange) synth.Step {
+		step := synth.Step{
+			Input:  ex.AbstractIn,
+			InVals: []int64{int64(ex.ConcreteIn.SeqNumber), int64(ex.ConcreteIn.AckNumber)},
+		}
+		if len(ex.ConcreteOut) > 0 && ex.AbstractOut == "SYN+ACK(?,?,0)" {
+			step.OutVals = []int64{int64(ex.ConcreteOut[0].AckNumber)}
+		}
+		return step
+	})
+}
+
+// collect resets the endpoints, runs one word and converts each exchange
+// into a synthesis step.
+func collect[E any](reset func() error, step func(string) (E, error), word []string, conv func(E) synth.Step) (synth.Trace, error) {
+	if err := reset(); err != nil {
 		return nil, err
 	}
-	setup.Client.ClearTrace()
+	var tr synth.Trace
 	for _, sym := range word {
-		if _, err := setup.Client.Step(sym); err != nil {
+		ex, err := step(sym)
+		if err != nil {
 			return nil, err
 		}
+		tr = append(tr, conv(ex))
 	}
-	return SDBTraces(setup.Client.Trace(), blockedLabel), nil
+	return tr, nil
 }
 
 // BlockedOutputLabel is the abstract output symbol carrying the
@@ -255,20 +272,28 @@ func SDBProblem(model *automata.Mealy, traces []synth.Trace) *synth.Problem {
 	}
 }
 
-// TCPSynthTraces converts TCP exchanges into synthesis traces over
-// (sequence, acknowledgement) numbers. The SYN-ACK's acknowledgement field
-// is the output parameter — the register relationship of Fig. 3(c).
-func TCPSynthTraces(exchanges []reference.TCPExchange) synth.Trace {
-	var tr synth.Trace
-	for _, ex := range exchanges {
-		step := synth.Step{
-			Input:  ex.AbstractIn,
-			InVals: []int64{int64(ex.ConcreteIn.SeqNumber), int64(ex.ConcreteIn.AckNumber)},
+// TCPProblem collects the handshake traces of Fig. 3(c) on setup and
+// assembles the synthesis problem over a learned TCP model: one register
+// and the SYN-ACK's acknowledgement number as output parameter.
+func TCPProblem(model *automata.Mealy, setup *TCPSetup) (*synth.Problem, error) {
+	var traces []synth.Trace
+	for _, w := range [][]string{
+		{"SYN(?,?,0)", "ACK(?,?,0)"},
+		{"SYN(?,?,0)", "ACK(?,?,0)", "ACK+PSH(?,?,1)"},
+		{"ACK(?,?,0)", "SYN(?,?,0)"},
+	} {
+		tr, err := CollectTCPTrace(setup, w)
+		if err != nil {
+			return nil, err
 		}
-		if len(ex.ConcreteOut) > 0 && ex.AbstractOut == "SYN+ACK(?,?,0)" {
-			step.OutVals = []int64{int64(ex.ConcreteOut[0].AckNumber)}
-		}
-		tr = append(tr, step)
+		traces = append(traces, tr)
 	}
-	return tr
+	return &synth.Problem{
+		Machine:        model,
+		NumRegisters:   1,
+		NumInputParams: 2, // (seq, ack)
+		OutputParams:   map[string]int{"SYN+ACK(?,?,0)": 1},
+		Consts:         []int64{0},
+		Positive:       traces,
+	}, nil
 }

@@ -157,38 +157,20 @@ func TestIssue4SynthesisEndToEnd(t *testing.T) {
 // traces: the SYN-ACK acks the client's sequence number plus one.
 func TestTCPSynthEndToEnd(t *testing.T) {
 	setup := NewTCP(31)
-	collect := func(word []string) synth.Trace {
-		if err := setup.Reset(); err != nil {
-			t.Fatal(err)
-		}
-		setup.Client.ClearTrace()
-		for _, sym := range word {
-			if _, err := setup.Client.Step(sym); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return TCPSynthTraces(setup.Client.Trace())
-	}
 	res := learnT(t, TargetTCP, WithSeed(31))
-	traces := []synth.Trace{
-		collect([]string{"SYN(?,?,0)", "ACK(?,?,0)"}),
-		collect([]string{"SYN(?,?,0)", "ACK(?,?,0)", "ACK+PSH(?,?,1)"}),
-		collect([]string{"ACK(?,?,0)", "SYN(?,?,0)"}),
-	}
-	p := &synth.Problem{
-		Machine:        res.Machine,
-		NumRegisters:   1,
-		NumInputParams: 2,
-		OutputParams:   map[string]int{"SYN+ACK(?,?,0)": 1},
-		Consts:         []int64{0},
-		Positive:       traces,
+	p, err := TCPProblem(res.Machine, setup)
+	if err != nil {
+		t.Fatal(err)
 	}
 	em, err := synth.Synthesize(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Held-out check: SYN with seq 900 must be acked with 901.
-	probe := collect([]string{"SYN(?,?,0)"})
+	probe, err := CollectTCPTrace(setup, []string{"SYN(?,?,0)"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if mm := synth.Verify(em, []synth.Trace{probe}); mm != nil {
 		t.Fatalf("synthesized TCP machine wrong: %+v\n%s", mm, em)
 	}

@@ -1,7 +1,9 @@
 // Package quiccrypto implements QUIC packet protection: HKDF key derivation
 // (RFC 5869 via HMAC-SHA256), the QUIC v1 initial-secret schedule (RFC 9001
 // §5.2), AES-128-GCM payload protection with packet-number nonces, and
-// AES-based header protection (RFC 9001 §5.4).
+// AES-based header protection (RFC 9001 §5.4). InitialKeys and SessionKeys
+// keep each connection's key schedule in a bounded process-wide table, so
+// the two endpoints of a connection share one derivation.
 //
 // The TLS layer is simplified (see DESIGN.md): instead of a full TLS 1.3
 // handshake, CRYPTO frames carry toy hello messages whose random values
@@ -17,6 +19,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 )
 
 // initialSalt is the QUIC v1 initial salt (RFC 9001 §5.2).
@@ -32,54 +35,83 @@ func HKDFExtract(salt, ikm []byte) []byte {
 	return h.Sum(nil)
 }
 
-// HKDFExpand implements HKDF-Expand with SHA-256.
+// HKDFExpand implements HKDF-Expand with SHA-256. RFC 5869 §2.3 caps the
+// output at 255 hash blocks; a longer length panics.
 func HKDFExpand(prk, info []byte, length int) []byte {
-	var out []byte
-	var prev []byte
+	if length > 255*sha256.Size {
+		panic(fmt.Sprintf("quiccrypto: HKDF-Expand length %d exceeds %d", length, 255*sha256.Size))
+	}
+	h := hmac.New(sha256.New, prk)
+	out := make([]byte, 0, length+sha256.Size)
 	for counter := byte(1); len(out) < length; counter++ {
-		h := hmac.New(sha256.New, prk)
-		h.Write(prev)
+		h.Reset()
+		if len(out) > 0 {
+			h.Write(out[len(out)-sha256.Size:])
+		}
 		h.Write(info)
 		h.Write([]byte{counter})
-		prev = h.Sum(nil)
-		out = append(out, prev...)
+		out = h.Sum(out)
 	}
 	return out[:length]
 }
 
-// HKDFExpandLabel implements the TLS 1.3 HkdfLabel expansion used by QUIC.
-func HKDFExpandLabel(secret []byte, label string, length int) []byte {
+// hkdfLabel builds the TLS 1.3 HkdfLabel structure with an empty context.
+func hkdfLabel(label string, length int) []byte {
 	full := "tls13 " + label
-	info := make([]byte, 0, 4+len(full))
+	info := make([]byte, 0, 5+len(full))
 	info = binary.BigEndian.AppendUint16(info, uint16(length))
 	info = append(info, byte(len(full)))
 	info = append(info, full...)
-	info = append(info, 0) // empty context
-	return HKDFExpand(secret, info, length)
+	return append(info, 0) // empty context
 }
 
-// Keys holds one direction's packet protection material.
+// HKDFExpandLabel implements the TLS 1.3 HkdfLabel expansion used by QUIC.
+func HKDFExpandLabel(secret []byte, label string, length int) []byte {
+	return HKDFExpand(secret, hkdfLabel(label, length), length)
+}
+
+// quicLabels are the "quic key", "quic iv" and "quic hp" HkdfLabels of
+// RFC 9001 §5.1, each followed by HKDF-Expand's first block counter: every
+// output fits in one SHA-256 block, so T(1) is the whole expansion.
+var quicLabels = [3][]byte{
+	append(hkdfLabel("quic key", 16), 1),
+	append(hkdfLabel("quic iv", 12), 1),
+	append(hkdfLabel("quic hp", 16), 1),
+}
+
+// Keys holds one direction's packet protection material. It is immutable
+// once built and safe for concurrent use.
 type Keys struct {
 	aead cipher.AEAD
 	iv   []byte
-	hp   []byte // header protection key
+	hp   cipher.Block // header protection cipher
 }
 
 // NewKeys derives AEAD and header-protection keys from a traffic secret
-// (RFC 9001 §5.1: the "quic key", "quic iv", "quic hp" labels).
-func NewKeys(secret []byte) (*Keys, error) {
-	key := HKDFExpandLabel(secret, "quic key", 16)
-	iv := HKDFExpandLabel(secret, "quic iv", 12)
-	hp := HKDFExpandLabel(secret, "quic hp", 16)
-	block, err := aes.NewCipher(key)
-	if err != nil {
-		return nil, err
+// (RFC 9001 §5.1). One HMAC keyed with the secret serves all three labels.
+func NewKeys(secret []byte) *Keys {
+	mac := hmac.New(sha256.New, secret)
+	out := make([]byte, 0, len(quicLabels)*sha256.Size)
+	for _, info := range quicLabels {
+		mac.Reset()
+		mac.Write(info)
+		out = mac.Sum(out)
 	}
-	aead, err := cipher.NewGCM(block)
-	if err != nil {
-		return nil, err
+	const iv, hp = sha256.Size, 2 * sha256.Size
+	return &Keys{
+		aead: must(cipher.NewGCM(must(aes.NewCipher(out[:16])))),
+		iv:   out[iv : iv+12],
+		hp:   must(aes.NewCipher(out[hp : hp+16])),
 	}
-	return &Keys{aead: aead, iv: iv, hp: hp}, nil
+}
+
+// must unwraps the AES and GCM constructors, which cannot fail on the
+// 16-byte keys NewKeys derives.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(fmt.Sprintf("quiccrypto: %v", err))
+	}
+	return v
 }
 
 // InitialSecrets derives the client and server initial traffic secrets from
@@ -89,6 +121,67 @@ func InitialSecrets(dcid []byte) (client, server []byte) {
 	client = HKDFExpandLabel(initial, "client in", 32)
 	server = HKDFExpandLabel(initial, "server in", 32)
 	return client, server
+}
+
+// Pair holds both directions' keys for one packet number space.
+type Pair struct{ Client, Server *Keys }
+
+// keyTableSize bounds the process-wide key table. A connection's two
+// endpoints look its keys up moments apart, so the table only has to hold
+// the connections in flight; a full table is cleared.
+const keyTableSize = 256
+
+// The key table memoises InitialKeys and SessionKeys by their full input
+// bytes. Both are pure functions, so the reference client and the
+// simulated server of one connection share a single derivation.
+var (
+	tableMu  sync.Mutex
+	keyTable = make(map[string][2]Pair, keyTableSize)
+)
+
+// lookupKeys returns the table entry for key, deriving it on a miss. The
+// derivation runs outside the lock; racing misses store equal keys.
+func lookupKeys(key []byte, derive func() [2]Pair) [2]Pair {
+	tableMu.Lock()
+	v, ok := keyTable[string(key)]
+	tableMu.Unlock()
+	if ok {
+		return v
+	}
+	v = derive()
+	tableMu.Lock()
+	if len(keyTable) >= keyTableSize {
+		clear(keyTable)
+	}
+	keyTable[string(key)] = v
+	tableMu.Unlock()
+	return v
+}
+
+// InitialKeys returns both directions' Initial keys for the client's first
+// destination connection ID.
+func InitialKeys(dcid []byte) Pair {
+	var buf [64]byte // keeps the table key of a hit off the heap
+	key := append(append(buf[:0], 'i'), dcid...)
+	return lookupKeys(key, func() [2]Pair {
+		client, server := InitialSecrets(dcid)
+		return [2]Pair{{NewKeys(client), NewKeys(server)}}
+	})[0]
+}
+
+// SessionKeys returns both directions' handshake and 1-RTT keys for a
+// client hello and a server random. The table key length-prefixes the
+// hello, so two different input pairs never share an entry.
+func SessionKeys(clientHello, serverRandom []byte) (handshake, app Pair) {
+	var buf [128]byte // keeps the table key of a hit off the heap
+	key := binary.BigEndian.AppendUint32(append(buf[:0], 's'), uint32(len(clientHello)))
+	key = append(append(key, clientHello...), serverRandom...)
+	v := lookupKeys(key, func() [2]Pair {
+		hc, hs := HandshakeSecrets(clientHello, serverRandom)
+		ac, as := AppSecrets(clientHello, serverRandom)
+		return [2]Pair{{NewKeys(hc), NewKeys(hs)}, {NewKeys(ac), NewKeys(as)}}
+	})
+	return v[0], v[1]
 }
 
 // nonce computes the per-packet AEAD nonce: IV XOR packet number.
@@ -122,21 +215,6 @@ func (k *Keys) Open(sealed []byte, pn uint64, ad []byte) ([]byte, error) {
 	return out, nil
 }
 
-// headerProtectionMask computes the 5-byte header protection mask from a
-// 16-byte ciphertext sample (AES-ECB of the sample under the hp key).
-func (k *Keys) headerProtectionMask(sample []byte) ([]byte, error) {
-	if len(sample) < 16 {
-		return nil, fmt.Errorf("quiccrypto: header protection sample too short (%d)", len(sample))
-	}
-	block, err := aes.NewCipher(k.hp)
-	if err != nil {
-		return nil, err
-	}
-	mask := make([]byte, 16)
-	block.Encrypt(mask, sample[:16])
-	return mask[:5], nil
-}
-
 // pnLen is the fixed packet number length used on the wire (quicwire emits
 // the 4-byte maximum encoding).
 const pnLen = 4
@@ -150,10 +228,8 @@ func (k *Keys) ProtectHeader(packet []byte, pnOffset int) error {
 	if sampleStart+16 > len(packet) {
 		return fmt.Errorf("quiccrypto: packet too short for header protection sample")
 	}
-	mask, err := k.headerProtectionMask(packet[sampleStart:])
-	if err != nil {
-		return err
-	}
+	mask := make([]byte, aes.BlockSize)
+	k.hp.Encrypt(mask, packet[sampleStart:sampleStart+16])
 	if packet[0]&0x80 != 0 {
 		packet[0] ^= mask[0] & 0x0F
 	} else {

@@ -2,7 +2,13 @@ package quiccrypto
 
 import (
 	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
+	"crypto/hkdf"
+	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
+	"sync"
 	"testing"
 )
 
@@ -50,14 +56,8 @@ func TestClientInitialKeysRFC9001(t *testing.T) {
 
 func TestSealOpenRoundTrip(t *testing.T) {
 	client, server := InitialSecrets([]byte{1, 2, 3, 4, 5, 6, 7, 8})
-	ck, err := NewKeys(client)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sk, err := NewKeys(server)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ck := NewKeys(client)
+	sk := NewKeys(server)
 	payload := []byte("crypto frame bytes")
 	ad := []byte("header")
 	sealed := ck.Seal(payload, 7, ad)
@@ -82,7 +82,7 @@ func TestSealOpenRoundTrip(t *testing.T) {
 
 func TestNonceVariesWithPacketNumber(t *testing.T) {
 	client, _ := InitialSecrets([]byte{9})
-	k, _ := NewKeys(client)
+	k := NewKeys(client)
 	if bytes.Equal(k.nonce(1), k.nonce(2)) {
 		t.Fatal("nonces must differ per packet number")
 	}
@@ -93,7 +93,7 @@ func TestNonceVariesWithPacketNumber(t *testing.T) {
 
 func TestHeaderProtectionRoundTrip(t *testing.T) {
 	client, _ := InitialSecrets([]byte{0xAB, 0xCD})
-	k, _ := NewKeys(client)
+	k := NewKeys(client)
 	packet := make([]byte, 64)
 	for i := range packet {
 		packet[i] = byte(i)
@@ -126,7 +126,7 @@ func TestHeaderProtectionRoundTrip(t *testing.T) {
 
 func TestHeaderProtectionShortSample(t *testing.T) {
 	client, _ := InitialSecrets([]byte{1})
-	k, _ := NewKeys(client)
+	k := NewKeys(client)
 	if err := k.ProtectHeader(make([]byte, 10), 2); err == nil {
 		t.Fatal("short sample must error")
 	}
@@ -187,4 +187,184 @@ func TestHKDFExpandLength(t *testing.T) {
 			t.Fatalf("HKDFExpand length %d, want %d", got, n)
 		}
 	}
+}
+
+// TestHKDFExpandRFC5869 checks the multi-block expansion against RFC 5869
+// test case 1 (42 bytes: two SHA-256 blocks).
+func TestHKDFExpandRFC5869(t *testing.T) {
+	prk := HKDFExtract(unhex(t, "000102030405060708090a0b0c"), bytes.Repeat([]byte{0x0b}, 22))
+	if got := hex.EncodeToString(prk); got != "077709362c2e32df0ddc3f0dc47bba6390b6c73bb50f9c3122ec844ad7c2b3e5" {
+		t.Fatalf("PRK = %s", got)
+	}
+	okm := HKDFExpand(prk, unhex(t, "f0f1f2f3f4f5f6f7f8f9"), 42)
+	if got := hex.EncodeToString(okm); got != "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf34007208d5b887185865" {
+		t.Fatalf("OKM = %s", got)
+	}
+}
+
+// TestHKDFExpandLengthLimit checks RFC 5869 §2.3's cap: 255 blocks expand
+// like the standard library's HKDF, and one byte more panics instead of
+// wrapping the one-byte block counter.
+func TestHKDFExpandLengthLimit(t *testing.T) {
+	prk := HKDFExtract(nil, []byte("ikm"))
+	const limit = 255 * sha256.Size
+	want, err := hkdf.Expand(sha256.New, prk, "info", limit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := HKDFExpand(prk, []byte("info"), limit); !bytes.Equal(got, want) {
+		t.Fatal("255-block expansion differs from crypto/hkdf")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("HKDFExpand accepted a length beyond 255 blocks")
+		}
+	}()
+	HKDFExpand(prk, []byte("info"), limit+1)
+}
+
+// TestNewKeysRFC9001 checks the one-HMAC derivation in NewKeys against the
+// client Initial key, iv and hp of RFC 9001 Appendix A.1.
+func TestNewKeysRFC9001(t *testing.T) {
+	client, _ := InitialSecrets(unhex(t, "8394c8f03e515708"))
+	k := NewKeys(client)
+	if got := hex.EncodeToString(k.iv); got != "fa044b2f42a3fd3b46fb255c" {
+		t.Fatalf("quic iv = %s", got)
+	}
+	block, err := aes.NewCipher(unhex(t, "1f369613dd76d5467730efcbe3b1a22d"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	aead, err := cipher.NewGCM(block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, ad := []byte("crypto frame bytes"), []byte("header")
+	if got, want := k.Seal(payload, 2, ad), aead.Seal(nil, k.nonce(2), payload, ad); !bytes.Equal(got, want) {
+		t.Fatal("quic key differs from RFC 9001 A.1")
+	}
+	hp, err := aes.NewCipher(unhex(t, "9f50449e04a0e810283a1e9933adedd2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sample := unhex(t, "d1b1c98dd7689fb8ec11d242b123dc9b")
+	got, want := make([]byte, 16), make([]byte, 16)
+	k.hp.Encrypt(got, sample)
+	hp.Encrypt(want, sample)
+	if !bytes.Equal(got, want) {
+		t.Fatal("quic hp differs from RFC 9001 A.1")
+	}
+}
+
+// TestProtectHeaderRFC9001 protects the client Initial header of RFC 9001
+// Appendix A.2 (packet number 2 in four bytes) with its ciphertext sample.
+func TestProtectHeaderRFC9001(t *testing.T) {
+	client, _ := InitialSecrets(unhex(t, "8394c8f03e515708"))
+	k := NewKeys(client)
+	header := unhex(t, "c300000001088394c8f03e5157080000449e00000002")
+	packet := append(header, unhex(t, "d1b1c98dd7689fb8ec11d242b123dc9b")...)
+	if err := k.ProtectHeader(packet, len(header)-4); err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(packet[:len(header)]); got != "c000000001088394c8f03e5157080000449e7b9aec34" {
+		t.Fatalf("protected header = %s", got)
+	}
+}
+
+// TestKeyTable checks that InitialKeys and SessionKeys derive what NewKeys
+// derives, hand both endpoints the same *Keys, keep input pairs that
+// concatenate alike apart, and stay within their bound.
+func TestKeyTable(t *testing.T) {
+	dcid := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	initial := InitialKeys(dcid)
+	if again := InitialKeys(dcid); again != initial {
+		t.Fatal("second InitialKeys lookup derived new keys")
+	}
+	client, _ := InitialSecrets(dcid)
+	direct := NewKeys(client)
+	payload, ad := []byte("payload"), []byte("ad")
+	if !bytes.Equal(initial.Client.Seal(payload, 1, ad), direct.Seal(payload, 1, ad)) {
+		t.Fatal("InitialKeys client keys differ from NewKeys(InitialSecrets)")
+	}
+	hs, app := SessionKeys([]byte("ab"), []byte("c"))
+	if hs2, app2 := SessionKeys([]byte("ab"), []byte("c")); hs2 != hs || app2 != app {
+		t.Fatal("second SessionKeys lookup derived new keys")
+	}
+	if hs3, _ := SessionKeys([]byte("a"), []byte("bc")); bytes.Equal(hs3.Client.iv, hs.Client.iv) {
+		t.Fatal(`("a","bc") shares keys with ("ab","c")`)
+	}
+	for i := 0; i < 2*keyTableSize; i++ {
+		InitialKeys([]byte(fmt.Sprint(i)))
+	}
+	tableMu.Lock()
+	n := len(keyTable)
+	tableMu.Unlock()
+	if n > keyTableSize {
+		t.Fatalf("key table holds %d entries, bound %d", n, keyTableSize)
+	}
+}
+
+// TestKeyAllocs pins the packet-protection hot paths: header protection
+// allocates only its mask, a table hit allocates nothing, and NewKeys keys
+// one HMAC for its three labels.
+func TestKeyAllocs(t *testing.T) {
+	client, _ := InitialSecrets([]byte{9})
+	k := NewKeys(client)
+	packet := make([]byte, 64)
+	if avg := testing.AllocsPerRun(200, func() { _ = k.ProtectHeader(packet, 18) }); avg > 1 {
+		t.Fatalf("ProtectHeader allocates %.1f allocs/op, want <= 1", avg)
+	}
+	dcid, hello, random := []byte{7, 7, 7, 7}, []byte("CLIENT_HELLO:hello"), []byte("random")
+	InitialKeys(dcid)
+	SessionKeys(hello, random)
+	if avg := testing.AllocsPerRun(200, func() { InitialKeys(dcid) }); avg != 0 {
+		t.Fatalf("InitialKeys table hit allocates %.1f allocs/op, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(200, func() { SessionKeys(hello, random) }); avg != 0 {
+		t.Fatalf("SessionKeys table hit allocates %.1f allocs/op, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(200, func() { NewKeys(client) }); avg > 17 {
+		t.Fatalf("NewKeys allocates %.1f allocs/op, want <= 17", avg)
+	}
+}
+
+// TestSharedKeysConcurrentUse drives one table-shared Keys from several
+// goroutines at once, as a client and a server on different goroutines
+// do, while the same goroutines look up and insert table entries; run it
+// under -race.
+func TestSharedKeysConcurrentUse(t *testing.T) {
+	dcid := []byte("concurrent")
+	shared := InitialKeys(dcid).Client
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			payload := []byte(fmt.Sprintf("payload of goroutine %d", g))
+			for pn := uint64(0); pn < 200; pn++ {
+				InitialKeys([]byte{byte(g), byte(pn)}) // misses, and clears when full
+				sealed := shared.Seal(payload, pn, []byte{byte(g)})
+				if !bytes.Equal(sealed, InitialKeys(dcid).Client.Seal(payload, pn, []byte{byte(g)})) {
+					t.Errorf("goroutine %d pn %d: table keys differ from the shared keys", g, pn)
+					return
+				}
+				packet := append(make([]byte, 8), sealed...)
+				orig := append([]byte(nil), packet...)
+				if err := shared.ProtectHeader(packet, 4); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := shared.UnprotectHeader(packet, 4); err != nil || !bytes.Equal(packet, orig) {
+					t.Errorf("goroutine %d pn %d: header protection did not round-trip", g, pn)
+					return
+				}
+				opened, err := shared.Open(sealed, pn, []byte{byte(g)})
+				if err != nil || !bytes.Equal(opened, payload) {
+					t.Errorf("goroutine %d pn %d: open: %v", g, pn, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -66,7 +66,7 @@ type Server struct {
 	state        int
 	scid         []byte
 	clientCID    []byte // client's SCID: the DCID we send to
-	keys         [numSpaces]struct{ client, server *quiccrypto.Keys }
+	keys         [numSpaces]quiccrypto.Pair
 	sendPN       [numSpaces]uint64
 	largestRecv  [numSpaces]uint64
 	serverRandom []byte
@@ -149,7 +149,7 @@ func (s *Server) resetLocked() {
 	s.state = 0
 	s.scid = seedBytes(s.cfg.Seed, "scid", CIDLen)
 	s.clientCID = nil
-	s.keys = [numSpaces]struct{ client, server *quiccrypto.Keys }{}
+	s.keys = [numSpaces]quiccrypto.Pair{}
 	s.sendPN = [numSpaces]uint64{}
 	s.largestRecv = [numSpaces]uint64{}
 	s.serverRandom = seedBytes(s.cfg.Seed, "server-random", 32)
@@ -231,7 +231,7 @@ func (s *Server) processPacket(src string, pkt []byte, hdr quicwire.Header) [][]
 	if !ok {
 		return nil // Retry/VN from a client is meaningless; drop
 	}
-	keys := s.keys[space].client
+	keys := s.keys[space].Client
 	if keys == nil {
 		return nil // keys not derivable yet: drop (realistic behaviour)
 	}
@@ -312,9 +312,7 @@ func (s *Server) processPacket(src string, pkt []byte, hdr quicwire.Header) [][]
 func (s *Server) acceptConnection(hdr quicwire.Header) {
 	s.est = true
 	s.clientCID = append([]byte(nil), hdr.SCID...)
-	clientSecret, serverSecret := quiccrypto.InitialSecrets(hdr.DCID)
-	s.keys[spaceInitial].client = mustKeys(clientSecret)
-	s.keys[spaceInitial].server = mustKeys(serverSecret)
+	s.keys[spaceInitial] = quiccrypto.InitialKeys(hdr.DCID)
 }
 
 // applyFrameEffects updates transport state from client frames.
@@ -324,7 +322,7 @@ func (s *Server) applyFrameEffects(space int, frames []quicwire.Frame) {
 		case quicwire.FrameCrypto:
 			if space == spaceInitial && s.clientRandom == nil && len(f.Data) > 0 {
 				s.clientRandom = append([]byte(nil), f.Data...)
-				s.deriveSessionKeys()
+				s.keys[spaceHandshake], s.keys[spaceApp] = quiccrypto.SessionKeys(s.clientRandom, s.serverRandom)
 			}
 		case quicwire.FrameStream:
 			if end := f.Offset + uint64(len(f.Data)); end > s.clientStreamRecv {
@@ -336,25 +334,6 @@ func (s *Server) applyFrameEffects(space int, frames []quicwire.Frame) {
 			}
 		}
 	}
-}
-
-// deriveSessionKeys derives handshake and 1-RTT keys once both hello
-// randoms are known.
-func (s *Server) deriveSessionKeys() {
-	hc, hs := quiccrypto.HandshakeSecrets(s.clientRandom, s.serverRandom)
-	ac, as := quiccrypto.AppSecrets(s.clientRandom, s.serverRandom)
-	s.keys[spaceHandshake].client = mustKeys(hc)
-	s.keys[spaceHandshake].server = mustKeys(hs)
-	s.keys[spaceApp].client = mustKeys(ac)
-	s.keys[spaceApp].server = mustKeys(as)
-}
-
-func mustKeys(secret []byte) *quiccrypto.Keys {
-	k, err := quiccrypto.NewKeys(secret)
-	if err != nil {
-		panic(fmt.Sprintf("quicsim: key derivation failed: %v", err))
-	}
-	return k
 }
 
 func spaceForType(t quicwire.PacketType) (int, bool) {
@@ -398,7 +377,7 @@ func (s *Server) buildPacket(spec PacketSpec) []byte {
 		payload = append(payload, 0) // PADDING
 	}
 
-	keys := s.keys[space].server
+	keys := s.keys[space].Server
 	var buf []byte
 	var pnOffset int
 	sealedLen := len(payload) + keys.Overhead()

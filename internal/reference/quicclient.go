@@ -7,8 +7,8 @@
 //     ACKs are queued and folded into later requested symbols),
 //  2. concrete packets match the requested abstract symbols,
 //  3. both endpoints reset on request,
-//  4. every exchange is recorded with its abstract and concrete forms for
-//     the Oracle Table, and
+//  4. every exchange is returned with its abstract and concrete forms to
+//     the caller that asks, for the Oracle Table, and
 //  5. responses are abstracted back to the learner's alphabet.
 package reference
 
@@ -52,7 +52,8 @@ type ConcretePacket struct {
 }
 
 // Exchange is one abstract I/O step together with its concrete packets,
-// the raw material of the Oracle Table (Adapter property 4).
+// the raw material of the Oracle Table (Adapter property 4). StepExchange
+// returns one per step; the client keeps none.
 type Exchange struct {
 	AbstractIn  string
 	AbstractOut string
@@ -74,18 +75,17 @@ type QUICClientConfig struct {
 // QUICClient is the instrumented QUIC reference client. It is not safe for
 // concurrent use; the learning loop is sequential.
 type QUICClient struct {
-	cfg   QUICClientConfig
-	tr    Transport
-	seq   int // connection attempt counter, drives fresh CIDs
-	port  int
-	trace []Exchange
+	cfg  QUICClientConfig
+	tr   Transport
+	seq  int // connection attempt counter, drives fresh CIDs
+	port int
 
-	dcid, scid   []byte
+	dcid, scid   []byte // dcid addresses the server for the connection's life
 	clientRandom []byte
 	serverRandom []byte
 	retryToken   []byte
-	keys         [3]struct{ send, recv *quiccrypto.Keys }
-	placeholder  [3]struct{ send *quiccrypto.Keys }
+	keys         [3]quiccrypto.Pair // Client keys seal, Server keys open
+	placeholder  [3]*quiccrypto.Keys
 	sendPN       [3]uint64
 	largestRecv  [3]uint64
 	ackQueue     [3]bool // queued reactive ACKs per space (property 1)
@@ -118,25 +118,16 @@ func (c *QUICClient) Reset() error {
 	c.clientRandom = clientSeedBytes(c.cfg.Seed, c.seq, "client-random", 32)
 	c.serverRandom = nil
 	c.retryToken = nil
-	c.keys = [3]struct{ send, recv *quiccrypto.Keys }{}
-	c.placeholder = [3]struct{ send *quiccrypto.Keys }{}
+	c.keys = [3]quiccrypto.Pair{quiccrypto.InitialKeys(c.dcid)}
+	c.placeholder = [3]*quiccrypto.Keys{}
 	c.sendPN = [3]uint64{}
 	c.largestRecv = [3]uint64{}
 	c.ackQueue = [3]bool{}
 	c.fcRaises = 0
 	c.streamSent = 0
 	c.reqCount = 0
-	clientSecret, serverSecret := quiccrypto.InitialSecrets(c.dcid)
-	c.keys[0].send = mustKeys(clientSecret)
-	c.keys[0].recv = mustKeys(serverSecret)
 	return nil
 }
-
-// Trace returns the recorded exchanges since construction (property 4).
-func (c *QUICClient) Trace() []Exchange { return c.trace }
-
-// ClearTrace discards recorded exchanges.
-func (c *QUICClient) ClearTrace() { c.trace = nil }
 
 func clientSeedBytes(seed int64, attempt int, label string, n int) []byte {
 	mac := hmac.New(sha256.New, []byte(label))
@@ -150,34 +141,32 @@ func clientSeedBytes(seed int64, attempt int, label string, n int) []byte {
 	return out[:n]
 }
 
-func mustKeys(secret []byte) *quiccrypto.Keys {
-	k, err := quiccrypto.NewKeys(secret)
-	if err != nil {
-		panic(fmt.Sprintf("reference: key derivation: %v", err))
-	}
-	return k
-}
-
 // Step sends the concrete packet for one abstract input symbol and returns
 // the abstract output symbol (property 5). Unknown symbols are an error:
 // the adapter's alphabet is fixed up front.
 func (c *QUICClient) Step(abstract string) (string, error) {
+	ex, err := c.StepExchange(abstract)
+	return ex.AbstractOut, err
+}
+
+// StepExchange is Step returning the whole exchange with its concrete
+// packets (property 4), for callers that build an Oracle Table.
+func (c *QUICClient) StepExchange(abstract string) (Exchange, error) {
 	pt, badver, frames, err := parseAbstract(abstract)
 	if err != nil {
-		return "", err
+		return Exchange{}, err
 	}
 	space, ok := spaceFor(pt)
 	if !ok {
-		return "", fmt.Errorf("reference: cannot send packet type %v", pt)
+		return Exchange{}, fmt.Errorf("reference: cannot send packet type %v", pt)
 	}
 	concIn, datagram := c.buildPacket(pt, badver, space, frames)
 	responses := c.tr.Send(c.src(), datagram)
 	absOut, concOut := c.processResponses(responses)
-	c.trace = append(c.trace, Exchange{
+	return Exchange{
 		AbstractIn: abstract, AbstractOut: absOut,
 		ConcreteIn: []ConcretePacket{concIn}, ConcreteOut: concOut,
-	})
-	return absOut, nil
+	}, nil
 }
 
 // parseAbstract splits "TYPE(?,?)[F1,F2]" into packet type and frame names.
@@ -229,14 +218,14 @@ func spaceFor(pt quicwire.PacketType) (int, bool) {
 // packet is well-formed on the wire and the target drops it, which is
 // exactly the observable behaviour the model should record.
 func (c *QUICClient) sendKeys(space int) *quiccrypto.Keys {
-	if k := c.keys[space].send; k != nil {
+	if k := c.keys[space].Client; k != nil {
 		return k
 	}
-	if c.placeholder[space].send == nil {
+	if c.placeholder[space] == nil {
 		secret := clientSeedBytes(c.cfg.Seed, c.seq, fmt.Sprintf("placeholder-%d", space), 32)
-		c.placeholder[space].send = mustKeys(secret)
+		c.placeholder[space] = quiccrypto.NewKeys(secret)
 	}
-	return c.placeholder[space].send
+	return c.placeholder[space]
 }
 
 // buildPacket constructs the concrete packet for the abstract symbol,
@@ -262,7 +251,7 @@ func (c *QUICClient) buildPacket(pt quicwire.PacketType, badver bool, space int,
 	var pnOffset int
 	sealedLen := len(payload) + keys.Overhead()
 	if pt == quicwire.PacketShort {
-		buf, pnOffset = quicwire.AppendShortHeader(nil, c.serverCID(), pn)
+		buf, pnOffset = quicwire.AppendShortHeader(nil, c.dcid, pn)
 	} else {
 		var token []byte
 		if pt == quicwire.PacketInitial {
@@ -272,7 +261,7 @@ func (c *QUICClient) buildPacket(pt quicwire.PacketType, badver bool, space int,
 		if badver {
 			version = quicwire.VersionGrease
 		}
-		buf, pnOffset = quicwire.AppendLongHeaderVersion(nil, pt, version, c.serverCID(), c.scid, token, pn, sealedLen)
+		buf, pnOffset = quicwire.AppendLongHeaderVersion(nil, pt, version, c.dcid, c.scid, token, pn, sealedLen)
 	}
 	ad := append([]byte(nil), buf...)
 	buf = append(buf, keys.Seal(payload, pn, ad)...)
@@ -285,12 +274,6 @@ func (c *QUICClient) buildPacket(pt quicwire.PacketType, badver bool, space int,
 	}
 	conc := ConcretePacket{Type: typeName, PacketNumber: pn, Frames: frames}
 	return conc, buf
-}
-
-// serverCID returns the DCID to address the server by: its SCID once known,
-// otherwise the client's chosen initial DCID.
-func (c *QUICClient) serverCID() []byte {
-	return c.dcid
 }
 
 // buildFrame constructs a concrete frame for an abstract frame name using
@@ -382,7 +365,7 @@ func (c *QUICClient) processPacket(data []byte) (string, ConcretePacket, int) {
 	if !ok {
 		return "", ConcretePacket{}, hdr.PayloadEnd
 	}
-	keys := c.keys[space].recv
+	keys := c.keys[space].Server
 	if keys == nil {
 		// Undecryptable: could be a stateless reset disguised as a short
 		// packet (they are indistinguishable by design, RFC 9000 §10.3).
@@ -433,18 +416,9 @@ func (c *QUICClient) applyFrames(space int, frames []quicwire.Frame) {
 			const prefix = "SERVER_HELLO:"
 			if len(f.Data) > len(prefix) && string(f.Data[:len(prefix)]) == prefix {
 				c.serverRandom = append([]byte(nil), f.Data[len(prefix):]...)
-				c.deriveSessionKeys()
+				hello := append([]byte("CLIENT_HELLO:"), c.clientRandom...)
+				c.keys[1], c.keys[2] = quiccrypto.SessionKeys(hello, c.serverRandom)
 			}
 		}
 	}
-}
-
-// deriveSessionKeys mirrors the server's simplified TLS schedule.
-func (c *QUICClient) deriveSessionKeys() {
-	hc, hs := quiccrypto.HandshakeSecrets(append([]byte("CLIENT_HELLO:"), c.clientRandom...), c.serverRandom)
-	ac, as := quiccrypto.AppSecrets(append([]byte("CLIENT_HELLO:"), c.clientRandom...), c.serverRandom)
-	c.keys[1].send = mustKeys(hc)
-	c.keys[1].recv = mustKeys(hs)
-	c.keys[2].send = mustKeys(ac)
-	c.keys[2].recv = mustKeys(as)
 }

@@ -22,19 +22,29 @@ func newQUICPair(t *testing.T, profile quicsim.Profile) (*reference.QUICClient, 
 // run sends a word of abstract symbols, resetting first.
 func run(t *testing.T, cli *reference.QUICClient, srv *quicsim.Server, word ...string) []string {
 	t.Helper()
+	var out []string
+	for _, ex := range runExchanges(t, cli, srv, word...) {
+		out = append(out, ex.AbstractOut)
+	}
+	return out
+}
+
+// runExchanges is run returning each step's whole exchange.
+func runExchanges(t *testing.T, cli *reference.QUICClient, srv *quicsim.Server, word ...string) []reference.Exchange {
+	t.Helper()
 	if err := cli.Reset(); err != nil {
 		t.Fatal(err)
 	}
 	srv.Reset()
-	out := make([]string, 0, len(word))
+	trace := make([]reference.Exchange, 0, len(word))
 	for _, sym := range word {
-		o, err := cli.Step(sym)
+		ex, err := cli.StepExchange(sym)
 		if err != nil {
 			t.Fatalf("step %q: %v", sym, err)
 		}
-		out = append(out, o)
+		trace = append(trace, ex)
 	}
-	return out
+	return trace
 }
 
 // TestQUICWirePathMatchesGroundTruth drives the real packet path (encode,
@@ -168,12 +178,11 @@ func TestIssue4StreamDataBlockedField(t *testing.T) {
 		{quicsim.ProfileGoogleFixed, quicsim.Chunk},
 	} {
 		cli, srv := newQUICPair(t, c.profile)
-		cli.ClearTrace()
-		run(t, cli, srv,
+		trace := runExchanges(t, cli, srv,
 			quicsim.SymInitialCrypto, quicsim.SymHandshakeC,
 			quicsim.SymShortStream, quicsim.SymShortStream)
 		var found bool
-		for _, ex := range cli.Trace() {
+		for _, ex := range trace {
 			for _, cp := range ex.ConcreteOut {
 				for _, f := range cp.Frames {
 					if f.Type.String() == "STREAM_DATA_BLOCKED" {
@@ -194,9 +203,7 @@ func TestIssue4StreamDataBlockedField(t *testing.T) {
 // TestOracleTableRecordsConcretePackets checks Adapter property (4).
 func TestOracleTableRecordsConcretePackets(t *testing.T) {
 	cli, srv := newQUICPair(t, quicsim.ProfileGoogle)
-	cli.ClearTrace()
-	run(t, cli, srv, quicsim.SymInitialCrypto, quicsim.SymHandshakeC)
-	trace := cli.Trace()
+	trace := runExchanges(t, cli, srv, quicsim.SymInitialCrypto, quicsim.SymHandshakeC)
 	if len(trace) != 2 {
 		t.Fatalf("trace length %d, want 2", len(trace))
 	}
@@ -249,19 +256,29 @@ func newTCPPair(t *testing.T) (*reference.TCPClient, *tcpsim.Server) {
 
 func runTCP(t *testing.T, cli *reference.TCPClient, srv *tcpsim.Server, word ...string) []string {
 	t.Helper()
+	var out []string
+	for _, ex := range runTCPExchanges(t, cli, srv, word...) {
+		out = append(out, ex.AbstractOut)
+	}
+	return out
+}
+
+// runTCPExchanges is runTCP returning each step's whole exchange.
+func runTCPExchanges(t *testing.T, cli *reference.TCPClient, srv *tcpsim.Server, word ...string) []reference.TCPExchange {
+	t.Helper()
 	if err := cli.Reset(); err != nil {
 		t.Fatal(err)
 	}
 	srv.Reset()
-	out := make([]string, 0, len(word))
+	trace := make([]reference.TCPExchange, 0, len(word))
 	for _, sym := range word {
-		o, err := cli.Step(sym)
+		ex, err := cli.StepExchange(sym)
 		if err != nil {
 			t.Fatalf("step %q: %v", sym, err)
 		}
-		out = append(out, o)
+		trace = append(trace, ex)
 	}
-	return out
+	return trace
 }
 
 func TestTCPHandshakeThroughWire(t *testing.T) {
@@ -310,9 +327,7 @@ func TestTCPSymbolParsing(t *testing.T) {
 
 func TestTCPOracleTableRecordsNumbers(t *testing.T) {
 	cli, srv := newTCPPair(t)
-	cli.ClearTrace()
-	runTCP(t, cli, srv, "SYN(?,?,0)", "ACK(?,?,0)")
-	trace := cli.Trace()
+	trace := runTCPExchanges(t, cli, srv, "SYN(?,?,0)", "ACK(?,?,0)")
 	if len(trace) != 2 {
 		t.Fatalf("trace length %d", len(trace))
 	}

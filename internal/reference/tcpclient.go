@@ -9,8 +9,8 @@ import (
 	"repro/internal/tcpwire"
 )
 
-// TCPExchange is one abstract TCP I/O step with its concrete segments, as
-// recorded for the Oracle Table.
+// TCPExchange is one abstract TCP I/O step with its concrete segments, the
+// raw material of the Oracle Table. StepExchange returns one per step.
 type TCPExchange struct {
 	AbstractIn  string
 	AbstractOut string
@@ -33,14 +33,13 @@ type TCPClientConfig struct {
 // It keeps live sequence/acknowledgement state so concretization is just
 // "fill in the current numbers".
 type TCPClient struct {
-	cfg   TCPClientConfig
-	tr    Transport
-	src   string // SrcAddr as the transport's source, port 0
-	rng   *rand.Rand
-	iss   uint32 // this attempt's initial sequence number
-	seq   uint32 // send point: lowest sequence number the peer has not acked
-	ack   uint32 // next expected peer sequence number (our ACK field)
-	trace []TCPExchange
+	cfg TCPClientConfig
+	tr  Transport
+	src string // SrcAddr as the transport's source, port 0
+	rng *rand.Rand
+	iss uint32 // this attempt's initial sequence number
+	seq uint32 // send point: lowest sequence number the peer has not acked
+	ack uint32 // next expected peer sequence number (our ACK field)
 }
 
 // NewTCPClient returns a client speaking to the given transport. Each
@@ -79,23 +78,24 @@ func (c *TCPClient) Reset() error {
 	return nil
 }
 
-// Trace returns recorded exchanges.
-func (c *TCPClient) Trace() []TCPExchange { return c.trace }
-
-// ClearTrace discards recorded exchanges.
-func (c *TCPClient) ClearTrace() { c.trace = nil }
-
 // Step sends the concrete segment for one abstract symbol such as
 // "SYN(?,?,0)" or "ACK+PSH(?,?,1)" — optionally carrying modifiers like
 // "SYN(?,?,0)[SACKOK]" — and returns the abstracted response.
 func (c *TCPClient) Step(abstract string) (string, error) {
+	ex, err := c.StepExchange(abstract)
+	return ex.AbstractOut, err
+}
+
+// StepExchange is Step returning the whole exchange with its concrete
+// segments, for callers that build an Oracle Table.
+func (c *TCPClient) StepExchange(abstract string) (TCPExchange, error) {
 	base, mods, err := splitTCPMods(abstract)
 	if err != nil {
-		return "", err
+		return TCPExchange{}, err
 	}
 	flags, payloadLen, err := ParseTCPSymbol(base)
 	if err != nil {
-		return "", err
+		return TCPExchange{}, err
 	}
 	seg := tcpwire.Segment{
 		SourcePort:      c.cfg.SrcPort,
@@ -151,11 +151,10 @@ func (c *TCPClient) Step(abstract string) (string, error) {
 		}
 		absOut = out.Abstract()
 	}
-	c.trace = append(c.trace, TCPExchange{
+	return TCPExchange{
 		AbstractIn: abstract, AbstractOut: absOut,
 		ConcreteIn: seg, ConcreteOut: concOut,
-	})
-	return absOut, nil
+	}, nil
 }
 
 // clientWindowScale is the shift the client offers in [SACKOK] SYNs, and
