@@ -16,6 +16,7 @@
 //	                 [-witness-dir dir] [-workers N]
 //	prognosis monitor [-manifest F] [-data dir] [-targets a,b]
 //	                 [-interval D] [-workers N]
+//	prognosis reproduce [-seed N] [-workers N] [-window N] [-parallel N] [-impair T]
 //
 // `learn` learns one target and reports model statistics. `diff` learns
 // two targets concurrently (by default through a mildly impaired link, so
@@ -34,7 +35,9 @@
 // compared against its previous snapshot, raising a drift alarm only
 // when the shortest witness reproduces live (docs/MONITORING.md). With
 // -interval it keeps cycling; without, one cycle runs and the command
-// exits nonzero if any alarm fired.
+// exits nonzero if any alarm fired. `reproduce` prints the paper's §6
+// table, paper value next to measured (-impair: one target's impairment
+// matrix instead).
 //
 // Targets: every name in the lab registry — the in-process targets tcp,
 // tcp-sack, google, google-fixed, quiche, mvfst, lossy-retransmit, and

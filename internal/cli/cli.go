@@ -1,7 +1,8 @@
 // Package cli owns the prognosis verbs — learn, diff, check, export,
-// regress, monitor — over the unified analysis plane. Each verb's work
-// lives in exactly one exported function that returns a structured
-// outcome (LearnTarget, RunDiff, RunCheck, RunRegress, RunMonitorCycle);
+// regress, monitor, reproduce — over the unified analysis plane. Each
+// verb's work lives in exactly one exported function that returns a
+// structured outcome (LearnTarget, RunDiff, RunCheck, RunRegress,
+// RunMonitorCycle, RunReproduce);
 // the subcommands here and prognosisd's jobs (internal/server) both call
 // those functions and differ only in how they render the outcome. Every
 // subcommand owns its flag set, installs Ctrl-C cancellation, and speaks
@@ -46,6 +47,8 @@ func Main(args []string, stderr io.Writer) int {
 		err = Regress(args[1:])
 	case "monitor":
 		err = Monitor(args[1:])
+	case "reproduce":
+		err = Reproduce(args[1:])
 	case "help", "-h", "-help", "--help":
 		Usage(stderr)
 		return 0
@@ -80,6 +83,7 @@ Usage:
   prognosis export -target <name> | -model <file> write the model in the unified codecs
   prognosis regress [-manifest F] [-store dir]    relearn manifest targets (warm), gate on goldens
   prognosis monitor [-manifest F] [-data dir]     relearn manifest cells, alarm on live-confirmed drift
+  prognosis reproduce [-seed N] [-impair target]  regenerate the paper's §6 table, paper vs measured
 
 Run any subcommand with -h for its options. Invoking prognosis with
 learn-style flags and no subcommand (e.g. 'prognosis -target tcp')

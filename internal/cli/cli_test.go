@@ -346,7 +346,7 @@ func TestMainDispatch(t *testing.T) {
 	if code := Main([]string{"help"}, &errBuf); code != 0 {
 		t.Fatalf("help exit %d", code)
 	}
-	for _, verb := range []string{"prognosis learn", "prognosis monitor"} {
+	for _, verb := range []string{"prognosis learn", "prognosis monitor", "prognosis reproduce"} {
 		if !strings.Contains(errBuf.String(), verb) {
 			t.Fatalf("usage missing %q: %s", verb, errBuf.String())
 		}
@@ -357,6 +357,17 @@ func TestMainDispatch(t *testing.T) {
 	}
 	if strings.Contains(errBuf.String(), "unknown subcommand") {
 		t.Fatalf("monitor not dispatched: %s", errBuf.String())
+	}
+	errBuf.Reset()
+	if code := Main([]string{"reproduce", "-h"}, &errBuf); code != 0 {
+		t.Fatalf("reproduce -h exit %d: %s", code, errBuf.String())
+	}
+	if strings.Contains(errBuf.String(), "unknown subcommand") {
+		t.Fatalf("reproduce not dispatched: %s", errBuf.String())
+	}
+	errBuf.Reset()
+	if code := Main([]string{"reproduce", "extra"}, &errBuf); code != 1 {
+		t.Fatalf("reproduce with a positional argument exit %d, want 1", code)
 	}
 	if code := Main(nil, &errBuf); code != 2 {
 		t.Fatal("empty invocation must fail with usage")

@@ -7,8 +7,8 @@
 // (WithWorkers, WithTransport, WithRTT, WithLearner, WithGuard, ...),
 // learned with a context (cancellable mid-round), observed through a typed
 // event stream, and batched into concurrent Campaigns. The command-line
-// tools, examples, and the benchmark harness all drive experiments through
-// this package.
+// tools and the benchmark harness all drive experiments through this
+// package.
 package lab
 
 import (
@@ -194,9 +194,9 @@ func (r *remoteSUL) Step(in string) (string, error) {
 // returns its synthesis trace for the Issue 4 experiment and the refinement
 // loop: the input parameter is the MAX_STREAM_DATA limit the client granted
 // (0 when the symbol carries none), the output parameter is the Maximum
-// Stream Data field of any STREAM_DATA_BLOCKED frame in a blockedLabel
-// response.
-func CollectSDBTrace(setup *QUICSetup, word []string, blockedLabel string) (synth.Trace, error) {
+// Stream Data field of any STREAM_DATA_BLOCKED frame in a
+// BlockedOutputLabel response.
+func CollectSDBTrace(setup *QUICSetup, word []string) (synth.Trace, error) {
 	return collect(setup.Reset, setup.Client.StepExchange, word, func(ex reference.Exchange) synth.Step {
 		step := synth.Step{Input: ex.AbstractIn, InVals: []int64{0}}
 		for _, cp := range ex.ConcreteIn {
@@ -206,7 +206,7 @@ func CollectSDBTrace(setup *QUICSetup, word []string, blockedLabel string) (synt
 				}
 			}
 		}
-		if ex.AbstractOut == blockedLabel {
+		if ex.AbstractOut == BlockedOutputLabel {
 			for _, cp := range ex.ConcreteOut {
 				for _, f := range cp.Frames {
 					if f.Type == quicwire.FrameStreamDataBlocked {
@@ -257,10 +257,23 @@ func collect[E any](reset func() error, step func(string) (E, error), word []str
 // STREAM_DATA_BLOCKED frame in the Google profiles.
 const BlockedOutputLabel = "{SHORT(?,?)[ACK,STREAM,STREAM_DATA_BLOCKED]}"
 
-// SDBProblem assembles the Issue 4 synthesis problem over a learned Google
-// model: one register (tracking the granted limit) and the blocked output's
+// SDBProblem collects the flow-control traces of the Issue 4 experiment on
+// setup and assembles the synthesis problem over a learned Google model:
+// one register (tracking the granted limit) and the blocked output's
 // Maximum Stream Data parameter.
-func SDBProblem(model *automata.Mealy, traces []synth.Trace) *synth.Problem {
+func SDBProblem(model *automata.Mealy, setup *QUICSetup) (*synth.Problem, error) {
+	// Each word completes the handshake, then sends stream data with or
+	// without a MAX_STREAM_DATA grant (FC) in between.
+	data, fc := quicsim.SymShortStream, quicsim.SymShortFC
+	var traces []synth.Trace
+	for _, after := range [][]string{{data, data, fc, data}, {data, data, data}, {fc, data, data, data}} {
+		word := append([]string{quicsim.SymInitialCrypto, quicsim.SymHandshakeC}, after...)
+		tr, err := CollectSDBTrace(setup, word)
+		if err != nil {
+			return nil, err
+		}
+		traces = append(traces, tr)
+	}
 	return &synth.Problem{
 		Machine:        model,
 		NumRegisters:   1,
@@ -269,7 +282,7 @@ func SDBProblem(model *automata.Mealy, traces []synth.Trace) *synth.Problem {
 		InitRegs:       []int64{quicsim.Chunk},
 		Consts:         []int64{0},
 		Positive:       traces,
-	}
+	}, nil
 }
 
 // TCPProblem collects the handshake traces of Fig. 3(c) on setup and

@@ -98,14 +98,6 @@ func TestNewExperimentPerfectNeedsTruth(t *testing.T) {
 // observe that Google's Maximum Stream Data is the constant 0 while the
 // fixed profile's tracks the granted limit.
 func TestIssue4SynthesisEndToEnd(t *testing.T) {
-	words := [][]string{
-		{quicsim.SymInitialCrypto, quicsim.SymHandshakeC, quicsim.SymShortStream,
-			quicsim.SymShortStream, quicsim.SymShortFC, quicsim.SymShortStream},
-		{quicsim.SymInitialCrypto, quicsim.SymHandshakeC, quicsim.SymShortStream,
-			quicsim.SymShortStream, quicsim.SymShortStream},
-		{quicsim.SymInitialCrypto, quicsim.SymHandshakeC, quicsim.SymShortFC,
-			quicsim.SymShortStream, quicsim.SymShortStream, quicsim.SymShortStream},
-	}
 	for _, tc := range []struct {
 		target    string
 		wantConst bool
@@ -115,16 +107,11 @@ func TestIssue4SynthesisEndToEnd(t *testing.T) {
 	} {
 		res := learnT(t, tc.target, WithSeed(29), WithPerfectEquivalence())
 		profile, _ := QUICProfile(tc.target)
-		setup := NewQUIC(profile, QUICOptions{Seed: 29})
-		var traces []synth.Trace
-		for _, w := range words {
-			tr, err := CollectSDBTrace(setup, w, BlockedOutputLabel)
-			if err != nil {
-				t.Fatal(err)
-			}
-			traces = append(traces, tr)
+		p, err := SDBProblem(res.Machine, NewQUIC(profile, QUICOptions{Seed: 29}))
+		if err != nil {
+			t.Fatal(err)
 		}
-		em, err := synth.Synthesize(SDBProblem(res.Machine, traces))
+		em, err := synth.Synthesize(p)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.target, err)
 		}
@@ -181,7 +168,7 @@ func TestSDBTraceExtraction(t *testing.T) {
 	tr, err := CollectSDBTrace(setup, []string{
 		quicsim.SymInitialCrypto, quicsim.SymHandshakeC,
 		quicsim.SymShortStream, quicsim.SymShortFC, quicsim.SymShortStream,
-	}, BlockedOutputLabel)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
