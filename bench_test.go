@@ -421,6 +421,7 @@ func BenchmarkEquivalence(b *testing.B) {
 // packet path (encode, HKDF, AES-GCM, header protection, decode).
 func BenchmarkWirePath(b *testing.B) {
 	setup := lab.NewQUIC(quicsim.ProfileGoogle, lab.QUICOptions{Seed: 7})
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if err := setup.Reset(); err != nil {
 			b.Fatal(err)
@@ -442,6 +443,7 @@ func BenchmarkWirePath(b *testing.B) {
 // segments with checksums.
 func BenchmarkTCPWirePath(b *testing.B) {
 	setup := lab.NewTCP(5)
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if err := setup.Reset(); err != nil {
 			b.Fatal(err)

@@ -312,6 +312,8 @@ func (c *CachedOracle) Refresh(ctx context.Context, word []string) ([]string, er
 	return out, nil
 }
 
+// lookup returns the cached outputs of word. It walks the path before it
+// allocates the answer, so a miss costs no allocation.
 func (c *Cache) lookup(word []string) ([]string, bool) {
 	if len(word) == 0 {
 		return []string{}, true
@@ -320,14 +322,16 @@ func (c *Cache) lookup(word []string) ([]string, bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	n := &sh.root
-	out := make([]string, 0, len(word))
 	for _, in := range word {
-		ch, ok := n.children[in]
-		if !ok {
+		if n = n.children[in]; n == nil {
 			return nil, false
 		}
-		out = append(out, ch.output)
-		n = ch
+	}
+	out := make([]string, len(word))
+	n = &sh.root
+	for i, in := range word {
+		n = n.children[in]
+		out[i] = n.output
 	}
 	return out, true
 }

@@ -14,11 +14,11 @@ package quiccrypto
 import (
 	"crypto/aes"
 	"crypto/cipher"
-	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -28,11 +28,49 @@ var initialSalt = []byte{
 	0x9a, 0xe6, 0xa4, 0xc8, 0x0c, 0xad, 0xcc, 0xbb, 0x7f, 0x0a,
 }
 
+// macStack is the longest message MAC hashes in its stack buffer; longer
+// messages take one heap buffer.
+const macStack = 256
+
+// MAC returns HMAC-SHA256 (RFC 2104) of the concatenation of msg under
+// key. It hashes with sha256.Sum256 over a stack buffer, so the packet
+// path allocates nothing: a key longer than one block is hashed first
+// (RFC 2104 §2), and only a message longer than macStack bytes in total
+// takes a heap buffer.
+func MAC(key []byte, msg ...[]byte) [sha256.Size]byte {
+	const block = sha256.BlockSize
+	if len(key) > block {
+		sum := sha256.Sum256(key)
+		key = sum[:]
+	}
+	n := 0
+	for _, m := range msg {
+		n += len(m)
+	}
+	var stack [block + macStack]byte
+	buf := stack[:block]
+	if n > macStack {
+		buf = make([]byte, block, block+n)
+	}
+	copy(buf, key)
+	for i := range buf {
+		buf[i] ^= 0x36 // ipad
+	}
+	for _, m := range msg {
+		buf = append(buf, m...)
+	}
+	inner := sha256.Sum256(buf)
+	buf = buf[:block]
+	for i := range buf {
+		buf[i] ^= 0x36 ^ 0x5c // ipad to opad
+	}
+	return sha256.Sum256(append(buf, inner[:]...))
+}
+
 // HKDFExtract implements HKDF-Extract with SHA-256.
 func HKDFExtract(salt, ikm []byte) []byte {
-	h := hmac.New(sha256.New, salt)
-	h.Write(ikm)
-	return h.Sum(nil)
+	prk := MAC(salt, ikm)
+	return prk[:]
 }
 
 // HKDFExpand implements HKDF-Expand with SHA-256. RFC 5869 §2.3 caps the
@@ -41,68 +79,71 @@ func HKDFExpand(prk, info []byte, length int) []byte {
 	if length > 255*sha256.Size {
 		panic(fmt.Sprintf("quiccrypto: HKDF-Expand length %d exceeds %d", length, 255*sha256.Size))
 	}
-	h := hmac.New(sha256.New, prk)
 	out := make([]byte, 0, length+sha256.Size)
+	var prev []byte
 	for counter := byte(1); len(out) < length; counter++ {
-		h.Reset()
-		if len(out) > 0 {
-			h.Write(out[len(out)-sha256.Size:])
-		}
-		h.Write(info)
-		h.Write([]byte{counter})
-		out = h.Sum(out)
+		t := MAC(prk, prev, info, []byte{counter})
+		out = append(out, t[:]...)
+		prev = out[len(out)-sha256.Size:]
 	}
 	return out[:length]
 }
 
-// hkdfLabel builds the TLS 1.3 HkdfLabel structure with an empty context.
-func hkdfLabel(label string, length int) []byte {
-	full := "tls13 " + label
-	info := make([]byte, 0, 5+len(full))
-	info = binary.BigEndian.AppendUint16(info, uint16(length))
-	info = append(info, byte(len(full)))
-	info = append(info, full...)
-	return append(info, 0) // empty context
+// appendHkdfLabel appends the TLS 1.3 HkdfLabel structure with an empty
+// context to b.
+func appendHkdfLabel(b []byte, label string, length int) []byte {
+	const prefix = "tls13 "
+	b = binary.BigEndian.AppendUint16(b, uint16(length))
+	b = append(b, byte(len(prefix)+len(label)))
+	b = append(append(b, prefix...), label...)
+	return append(b, 0) // empty context
 }
 
 // HKDFExpandLabel implements the TLS 1.3 HkdfLabel expansion used by QUIC.
 func HKDFExpandLabel(secret []byte, label string, length int) []byte {
-	return HKDFExpand(secret, hkdfLabel(label, length), length)
+	var buf [64]byte // keeps a short label off the heap
+	return HKDFExpand(secret, appendHkdfLabel(buf[:0], label, length), length)
 }
 
 // quicLabels are the "quic key", "quic iv" and "quic hp" HkdfLabels of
 // RFC 9001 §5.1, each followed by HKDF-Expand's first block counter: every
 // output fits in one SHA-256 block, so T(1) is the whole expansion.
 var quicLabels = [3][]byte{
-	append(hkdfLabel("quic key", 16), 1),
-	append(hkdfLabel("quic iv", 12), 1),
-	append(hkdfLabel("quic hp", 16), 1),
+	append(appendHkdfLabel(nil, "quic key", 16), 1),
+	append(appendHkdfLabel(nil, "quic iv", 12), 1),
+	append(appendHkdfLabel(nil, "quic hp", 16), 1),
 }
 
 // Keys holds one direction's packet protection material. It is immutable
-// once built and safe for concurrent use.
+// once built and safe for concurrent use: the key table shares one Keys
+// between both endpoints of a connection, and each endpoint brings its own
+// Scratch.
 type Keys struct {
 	aead cipher.AEAD
-	iv   []byte
+	iv   [12]byte
 	hp   cipher.Block // header protection cipher
 }
 
+// Scratch is one endpoint's working space for packet protection: the
+// per-packet nonce and the header-protection mask. The AEAD and the
+// header-protection cipher sit behind interfaces, so buffers handed to
+// them escape; keeping them in the endpoint's long-lived Scratch makes
+// that escape free. A Scratch serves one goroutine at a time.
+type Scratch struct {
+	nonce [12]byte
+	mask  [aes.BlockSize]byte
+}
+
 // NewKeys derives AEAD and header-protection keys from a traffic secret
-// (RFC 9001 §5.1). One HMAC keyed with the secret serves all three labels.
+// (RFC 9001 §5.1).
 func NewKeys(secret []byte) *Keys {
-	mac := hmac.New(sha256.New, secret)
-	out := make([]byte, 0, len(quicLabels)*sha256.Size)
-	for _, info := range quicLabels {
-		mac.Reset()
-		mac.Write(info)
-		out = mac.Sum(out)
+	key, iv, hp := MAC(secret, quicLabels[0]), MAC(secret, quicLabels[1]), MAC(secret, quicLabels[2])
+	k := &Keys{
+		aead: must(cipher.NewGCM(must(aes.NewCipher(key[:16])))),
+		hp:   must(aes.NewCipher(hp[:16])),
 	}
-	const iv, hp = sha256.Size, 2 * sha256.Size
-	return &Keys{
-		aead: must(cipher.NewGCM(must(aes.NewCipher(out[:16])))),
-		iv:   out[iv : iv+12],
-		hp:   must(aes.NewCipher(out[hp : hp+16])),
-	}
+	copy(k.iv[:], iv[:])
+	return k
 }
 
 // must unwraps the AES and GCM constructors, which cannot fail on the
@@ -117,9 +158,9 @@ func must[T any](v T, err error) T {
 // InitialSecrets derives the client and server initial traffic secrets from
 // the client's first destination connection ID (RFC 9001 §5.2).
 func InitialSecrets(dcid []byte) (client, server []byte) {
-	initial := HKDFExtract(initialSalt, dcid)
-	client = HKDFExpandLabel(initial, "client in", 32)
-	server = HKDFExpandLabel(initial, "server in", 32)
+	initial := MAC(initialSalt, dcid) // HKDF-Extract
+	client = HKDFExpandLabel(initial[:], "client in", 32)
+	server = HKDFExpandLabel(initial[:], "server in", 32)
 	return client, server
 }
 
@@ -184,10 +225,11 @@ func SessionKeys(clientHello, serverRandom []byte) (handshake, app Pair) {
 	return v[0], v[1]
 }
 
-// nonce computes the per-packet AEAD nonce: IV XOR packet number.
-func (k *Keys) nonce(pn uint64) []byte {
-	n := make([]byte, 12)
-	copy(n, k.iv)
+// nonce computes the per-packet AEAD nonce, IV XOR packet number, into
+// the endpoint's scratch.
+func (k *Keys) nonce(sc *Scratch, pn uint64) []byte {
+	n := sc.nonce[:]
+	copy(n, k.iv[:])
 	for i := 0; i < 8; i++ {
 		n[11-i] ^= byte(pn >> (8 * i))
 	}
@@ -198,17 +240,21 @@ func (k *Keys) nonce(pn uint64) []byte {
 func (k *Keys) Overhead() int { return k.aead.Overhead() }
 
 // Seal encrypts payload with the packet number and associated data (the
-// packet header through the packet number field).
-func (k *Keys) Seal(payload []byte, pn uint64, ad []byte) []byte {
-	return k.aead.Seal(nil, k.nonce(pn), payload, ad)
+// packet header through the packet number field) and appends the result
+// to dst. Pass payload[:0] as dst to seal in place.
+func (k *Keys) Seal(sc *Scratch, dst, payload []byte, pn uint64, ad []byte) []byte {
+	return k.aead.Seal(dst, k.nonce(sc, pn), payload, ad)
 }
 
 // ErrDecrypt is returned when packet protection removal fails.
 var ErrDecrypt = errors.New("quiccrypto: payload authentication failed")
 
-// Open decrypts a sealed payload.
-func (k *Keys) Open(sealed []byte, pn uint64, ad []byte) ([]byte, error) {
-	out, err := k.aead.Open(nil, k.nonce(pn), sealed, ad)
+var errShortSample = errors.New("quiccrypto: packet too short for header protection sample")
+
+// Open decrypts a sealed payload and appends the plaintext to dst. Pass
+// sealed[:0] as dst to open in place.
+func (k *Keys) Open(sc *Scratch, dst, sealed []byte, pn uint64, ad []byte) ([]byte, error) {
+	out, err := k.aead.Open(dst, k.nonce(sc, pn), sealed, ad)
 	if err != nil {
 		return nil, ErrDecrypt
 	}
@@ -223,12 +269,12 @@ const pnLen = 4
 // start with the 4-byte packet number followed by the sealed payload, from
 // which the sample is taken (RFC 9001 §5.4.2: sample begins 4 bytes past
 // the start of the packet number).
-func (k *Keys) ProtectHeader(packet []byte, pnOffset int) error {
+func (k *Keys) ProtectHeader(sc *Scratch, packet []byte, pnOffset int) error {
 	sampleStart := pnOffset + 4
 	if sampleStart+16 > len(packet) {
-		return fmt.Errorf("quiccrypto: packet too short for header protection sample")
+		return errShortSample
 	}
-	mask := make([]byte, aes.BlockSize)
+	mask := sc.mask[:]
 	k.hp.Encrypt(mask, packet[sampleStart:sampleStart+16])
 	if packet[0]&0x80 != 0 {
 		packet[0] ^= mask[0] & 0x0F
@@ -244,48 +290,72 @@ func (k *Keys) ProtectHeader(packet []byte, pnOffset int) error {
 // UnprotectHeader removes header protection in place. It relies on this
 // implementation's fixed 4-byte packet number encoding: the sample position
 // is independent of the (protected) packet number length bits.
-func (k *Keys) UnprotectHeader(packet []byte, pnOffset int) error {
-	return k.ProtectHeader(packet, pnOffset) // XOR is symmetric
+func (k *Keys) UnprotectHeader(sc *Scratch, packet []byte, pnOffset int) error {
+	return k.ProtectHeader(sc, packet, pnOffset) // XOR is symmetric
+}
+
+// SealPacket protects a packet built in place: packet holds the header
+// through the 4-byte packet number at pnOffset, then the plaintext
+// payload. The payload is sealed in place under the header as associated
+// data and the tag appended (packet grows only if its capacity is short
+// of Overhead); then header protection is applied.
+func (k *Keys) SealPacket(sc *Scratch, packet []byte, pnOffset int, pn uint64) []byte {
+	hdr := pnOffset + pnLen
+	packet = slices.Grow(packet, k.Overhead())
+	sealed := k.Seal(sc, packet[hdr:hdr], packet[hdr:], pn, packet[:hdr])
+	packet = packet[:hdr+len(sealed)]
+	// Cannot fail: the 16-byte sample starts right after the packet
+	// number, and the tag alone covers it.
+	_ = k.ProtectHeader(sc, packet, pnOffset)
+	return packet
+}
+
+// OpenPacket removes header and packet protection in place from packet,
+// which runs from the first header byte to the end of the sealed payload.
+// It returns the packet number and the plaintext payload, which aliases
+// packet.
+func (k *Keys) OpenPacket(sc *Scratch, packet []byte, pnOffset int) (uint64, []byte, error) {
+	if err := k.UnprotectHeader(sc, packet, pnOffset); err != nil {
+		return 0, nil, err
+	}
+	hdr := pnOffset + pnLen
+	pn := uint64(binary.BigEndian.Uint32(packet[pnOffset:]))
+	payload, err := k.Open(sc, packet[hdr:hdr], packet[hdr:], pn, packet[:hdr])
+	return pn, payload, err
 }
 
 // HandshakeSecrets derives per-direction handshake traffic secrets from the
 // client and server hello randoms (the simplified TLS layer's stand-in for
 // the TLS 1.3 handshake secret; see the package comment).
 func HandshakeSecrets(clientRandom, serverRandom []byte) (client, server []byte) {
-	master := HKDFExtract(clientRandom, serverRandom)
-	client = HKDFExpandLabel(master, "c hs traffic", 32)
-	server = HKDFExpandLabel(master, "s hs traffic", 32)
+	master := MAC(clientRandom, serverRandom) // HKDF-Extract
+	client = HKDFExpandLabel(master[:], "c hs traffic", 32)
+	server = HKDFExpandLabel(master[:], "s hs traffic", 32)
 	return client, server
 }
 
 // AppSecrets derives per-direction 1-RTT application traffic secrets.
 func AppSecrets(clientRandom, serverRandom []byte) (client, server []byte) {
-	master := HKDFExtract(clientRandom, serverRandom)
-	client = HKDFExpandLabel(master, "c ap traffic", 32)
-	server = HKDFExpandLabel(master, "s ap traffic", 32)
+	master := MAC(clientRandom, serverRandom) // HKDF-Extract
+	client = HKDFExpandLabel(master[:], "c ap traffic", 32)
+	server = HKDFExpandLabel(master[:], "s ap traffic", 32)
 	return client, server
 }
 
 // ResetToken derives the 16-byte stateless reset token for a connection ID
 // under a static endpoint key (RFC 9000 §10.3.2 recommends a keyed
 // pseudorandom function of the CID).
-func ResetToken(staticKey, cid []byte) [16]byte {
-	h := hmac.New(sha256.New, staticKey)
-	h.Write(cid)
-	var token [16]byte
-	copy(token[:], h.Sum(nil))
+func ResetToken(staticKey, cid []byte) (token [16]byte) {
+	sum := MAC(staticKey, cid)
+	copy(token[:], sum[:])
 	return token
 }
 
 // RetryTag computes the Retry pseudo-integrity tag binding a retry token to
 // the original DCID (a keyed MAC standing in for the AES-GCM retry tag of
 // RFC 9001 §5.8; same binding role, simpler construction).
-func RetryTag(staticKey, odcid, token []byte) [16]byte {
-	h := hmac.New(sha256.New, staticKey)
-	h.Write([]byte{byte(len(odcid))})
-	h.Write(odcid)
-	h.Write(token)
-	var tag [16]byte
-	copy(tag[:], h.Sum(nil))
+func RetryTag(staticKey, odcid, token []byte) (tag [16]byte) {
+	sum := MAC(staticKey, []byte{byte(len(odcid))}, odcid, token)
+	copy(tag[:], sum[:])
 	return tag
 }

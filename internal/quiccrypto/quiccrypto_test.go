@@ -5,6 +5,7 @@ import (
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/hkdf"
+	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -60,22 +61,23 @@ func TestSealOpenRoundTrip(t *testing.T) {
 	sk := NewKeys(server)
 	payload := []byte("crypto frame bytes")
 	ad := []byte("header")
-	sealed := ck.Seal(payload, 7, ad)
+	var sc Scratch
+	sealed := ck.Seal(&sc, nil, payload, 7, ad)
 	if len(sealed) != len(payload)+ck.Overhead() {
 		t.Fatalf("sealed length %d", len(sealed))
 	}
-	opened, err := ck.Open(sealed, 7, ad)
+	opened, err := ck.Open(&sc, nil, sealed, 7, ad)
 	if err != nil || !bytes.Equal(opened, payload) {
 		t.Fatalf("open: %v %q", err, opened)
 	}
 	// Wrong packet number, AD, or keys must fail.
-	if _, err := ck.Open(sealed, 8, ad); err == nil {
+	if _, err := ck.Open(&sc, nil, sealed, 8, ad); err == nil {
 		t.Fatal("wrong pn accepted")
 	}
-	if _, err := ck.Open(sealed, 7, []byte("other")); err == nil {
+	if _, err := ck.Open(&sc, nil, sealed, 7, []byte("other")); err == nil {
 		t.Fatal("wrong AD accepted")
 	}
-	if _, err := sk.Open(sealed, 7, ad); err == nil {
+	if _, err := sk.Open(&sc, nil, sealed, 7, ad); err == nil {
 		t.Fatal("wrong direction keys accepted")
 	}
 }
@@ -83,10 +85,11 @@ func TestSealOpenRoundTrip(t *testing.T) {
 func TestNonceVariesWithPacketNumber(t *testing.T) {
 	client, _ := InitialSecrets([]byte{9})
 	k := NewKeys(client)
-	if bytes.Equal(k.nonce(1), k.nonce(2)) {
+	var sc Scratch
+	if bytes.Equal(bytes.Clone(k.nonce(&sc, 1)), k.nonce(&sc, 2)) {
 		t.Fatal("nonces must differ per packet number")
 	}
-	if len(k.nonce(0)) != 12 {
+	if len(k.nonce(&sc, 0)) != 12 {
 		t.Fatal("nonce must be 12 bytes")
 	}
 }
@@ -101,7 +104,8 @@ func TestHeaderProtectionRoundTrip(t *testing.T) {
 	packet[0] = 0xC3 // long header
 	orig := append([]byte(nil), packet...)
 	pnOffset := 18
-	if err := k.ProtectHeader(packet, pnOffset); err != nil {
+	var sc Scratch
+	if err := k.ProtectHeader(&sc, packet, pnOffset); err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Equal(packet, orig) {
@@ -116,7 +120,7 @@ func TestHeaderProtectionRoundTrip(t *testing.T) {
 			t.Fatalf("protection touched header byte %d", i)
 		}
 	}
-	if err := k.UnprotectHeader(packet, pnOffset); err != nil {
+	if err := k.UnprotectHeader(&sc, packet, pnOffset); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(packet, orig) {
@@ -127,7 +131,7 @@ func TestHeaderProtectionRoundTrip(t *testing.T) {
 func TestHeaderProtectionShortSample(t *testing.T) {
 	client, _ := InitialSecrets([]byte{1})
 	k := NewKeys(client)
-	if err := k.ProtectHeader(make([]byte, 10), 2); err == nil {
+	if err := k.ProtectHeader(new(Scratch), make([]byte, 10), 2); err == nil {
 		t.Fatal("short sample must error")
 	}
 }
@@ -228,7 +232,7 @@ func TestHKDFExpandLengthLimit(t *testing.T) {
 func TestNewKeysRFC9001(t *testing.T) {
 	client, _ := InitialSecrets(unhex(t, "8394c8f03e515708"))
 	k := NewKeys(client)
-	if got := hex.EncodeToString(k.iv); got != "fa044b2f42a3fd3b46fb255c" {
+	if got := hex.EncodeToString(k.iv[:]); got != "fa044b2f42a3fd3b46fb255c" {
 		t.Fatalf("quic iv = %s", got)
 	}
 	block, err := aes.NewCipher(unhex(t, "1f369613dd76d5467730efcbe3b1a22d"))
@@ -240,7 +244,8 @@ func TestNewKeysRFC9001(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload, ad := []byte("crypto frame bytes"), []byte("header")
-	if got, want := k.Seal(payload, 2, ad), aead.Seal(nil, k.nonce(2), payload, ad); !bytes.Equal(got, want) {
+	var sc Scratch
+	if got, want := k.Seal(&sc, nil, payload, 2, ad), aead.Seal(nil, k.nonce(&sc, 2), payload, ad); !bytes.Equal(got, want) {
 		t.Fatal("quic key differs from RFC 9001 A.1")
 	}
 	hp, err := aes.NewCipher(unhex(t, "9f50449e04a0e810283a1e9933adedd2"))
@@ -263,7 +268,7 @@ func TestProtectHeaderRFC9001(t *testing.T) {
 	k := NewKeys(client)
 	header := unhex(t, "c300000001088394c8f03e5157080000449e00000002")
 	packet := append(header, unhex(t, "d1b1c98dd7689fb8ec11d242b123dc9b")...)
-	if err := k.ProtectHeader(packet, len(header)-4); err != nil {
+	if err := k.ProtectHeader(new(Scratch), packet, len(header)-4); err != nil {
 		t.Fatal(err)
 	}
 	if got := hex.EncodeToString(packet[:len(header)]); got != "c000000001088394c8f03e5157080000449e7b9aec34" {
@@ -283,14 +288,15 @@ func TestKeyTable(t *testing.T) {
 	client, _ := InitialSecrets(dcid)
 	direct := NewKeys(client)
 	payload, ad := []byte("payload"), []byte("ad")
-	if !bytes.Equal(initial.Client.Seal(payload, 1, ad), direct.Seal(payload, 1, ad)) {
+	var sc Scratch
+	if !bytes.Equal(initial.Client.Seal(&sc, nil, payload, 1, ad), direct.Seal(&sc, nil, payload, 1, ad)) {
 		t.Fatal("InitialKeys client keys differ from NewKeys(InitialSecrets)")
 	}
 	hs, app := SessionKeys([]byte("ab"), []byte("c"))
 	if hs2, app2 := SessionKeys([]byte("ab"), []byte("c")); hs2 != hs || app2 != app {
 		t.Fatal("second SessionKeys lookup derived new keys")
 	}
-	if hs3, _ := SessionKeys([]byte("a"), []byte("bc")); bytes.Equal(hs3.Client.iv, hs.Client.iv) {
+	if hs3, _ := SessionKeys([]byte("a"), []byte("bc")); hs3.Client.iv == hs.Client.iv {
 		t.Fatal(`("a","bc") shares keys with ("ab","c")`)
 	}
 	for i := 0; i < 2*keyTableSize; i++ {
@@ -304,15 +310,28 @@ func TestKeyTable(t *testing.T) {
 	}
 }
 
-// TestKeyAllocs pins the packet-protection hot paths: header protection
-// allocates only its mask, a table hit allocates nothing, and NewKeys keys
-// one HMAC for its three labels.
+// TestKeyAllocs pins the packet-protection hot paths: sealing, opening
+// and header protection work in the endpoint's Scratch and allocate
+// nothing, a table hit allocates nothing, and NewKeys allocates only its
+// ciphers.
 func TestKeyAllocs(t *testing.T) {
 	client, _ := InitialSecrets([]byte{9})
 	k := NewKeys(client)
+	var sc Scratch
 	packet := make([]byte, 64)
-	if avg := testing.AllocsPerRun(200, func() { _ = k.ProtectHeader(packet, 18) }); avg > 1 {
-		t.Fatalf("ProtectHeader allocates %.1f allocs/op, want <= 1", avg)
+	if avg := testing.AllocsPerRun(200, func() { _ = k.ProtectHeader(&sc, packet, 18) }); avg != 0 {
+		t.Fatalf("ProtectHeader allocates %.1f allocs/op, want 0", avg)
+	}
+	buf, header := make([]byte, 0, 128), make([]byte, 22)
+	header[21] = 3 // packet number 3 at offset 18
+	if avg := testing.AllocsPerRun(200, func() {
+		pkt := append(append(buf[:0], header...), packet[:40]...)
+		pkt = k.SealPacket(&sc, pkt, 18, 3)
+		if _, _, err := k.OpenPacket(&sc, pkt, 18); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Fatalf("SealPacket + OpenPacket allocate %.1f allocs/op, want 0", avg)
 	}
 	dcid, hello, random := []byte{7, 7, 7, 7}, []byte("CLIENT_HELLO:hello"), []byte("random")
 	InitialKeys(dcid)
@@ -323,9 +342,80 @@ func TestKeyAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(200, func() { SessionKeys(hello, random) }); avg != 0 {
 		t.Fatalf("SessionKeys table hit allocates %.1f allocs/op, want 0", avg)
 	}
-	if avg := testing.AllocsPerRun(200, func() { NewKeys(client) }); avg > 17 {
-		t.Fatalf("NewKeys allocates %.1f allocs/op, want <= 17", avg)
+	if avg := testing.AllocsPerRun(200, func() { NewKeys(client) }); avg > 4 {
+		t.Fatalf("NewKeys allocates %.1f allocs/op, want <= 4", avg)
 	}
+	if avg := testing.AllocsPerRun(200, func() { MAC(client, hello, random) }); avg != 0 {
+		t.Fatalf("MAC allocates %.1f allocs/op, want 0", avg)
+	}
+}
+
+// TestPacketRoundTrip seals packets built in place and opens them again:
+// SealPacket must produce what Seal plus ProtectHeader produce, and
+// OpenPacket must recover the packet number and payload.
+func TestPacketRoundTrip(t *testing.T) {
+	client, _ := InitialSecrets([]byte{5, 6, 7})
+	k := NewKeys(client)
+	var sc Scratch
+	header := []byte{0xC3, 0, 0, 0, 1, 0, 0, 0x40, 0x30, 0, 0, 0, 9}
+	const pnOffset = 9
+	for _, n := range []int{20, 48, 300} {
+		payload := bytes.Repeat([]byte{byte(n)}, n)
+		pkt := k.SealPacket(&sc, append(append([]byte(nil), header...), payload...), pnOffset, 9)
+		want := append(append([]byte(nil), header...), k.Seal(&sc, nil, payload, 9, header)...)
+		if err := k.ProtectHeader(&sc, want, pnOffset); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(pkt, want) {
+			t.Fatalf("%d-byte payload: SealPacket differs from Seal + ProtectHeader", n)
+		}
+		pn, opened, err := k.OpenPacket(&sc, pkt, pnOffset)
+		if err != nil || pn != 9 || !bytes.Equal(opened, payload) {
+			t.Fatalf("%d-byte payload: OpenPacket = %d, %v", n, pn, err)
+		}
+	}
+}
+
+// TestMACMatchesHMAC compares MAC with crypto/hmac over keys of 0 to 130
+// bytes, so keys longer than one block are hashed first, and messages of 0
+// to 400 bytes split into one to three parts, so messages past the stack
+// buffer take the heap fallback.
+func TestMACMatchesHMAC(t *testing.T) {
+	data := make([]byte, 530)
+	for i := range data {
+		data[i] = byte(i*7 + 3)
+	}
+	for klen := 0; klen <= 130; klen++ {
+		key := data[:klen]
+		for mlen := 0; mlen <= 400; mlen += 1 + klen%7 {
+			msg := data[klen : klen+mlen]
+			h := hmac.New(sha256.New, key)
+			h.Write(msg)
+			want := h.Sum(nil)
+			a, b := mlen/3, 2*mlen/3
+			for _, parts := range [][][]byte{{msg}, {msg[:a], msg[a:]}, {msg[:a], msg[a:b], msg[b:]}} {
+				if got := MAC(key, parts...); !bytes.Equal(got[:], want) {
+					t.Fatalf("key %d B, message %d B in %d parts: MAC differs from crypto/hmac", klen, mlen, len(parts))
+				}
+			}
+		}
+	}
+}
+
+// FuzzMAC checks MAC against crypto/hmac on arbitrary keys and messages,
+// the message split at an arbitrary point.
+func FuzzMAC(f *testing.F) {
+	f.Add([]byte("key"), []byte("message"), uint16(3))
+	f.Add(bytes.Repeat([]byte{1}, 100), bytes.Repeat([]byte{2}, 300), uint16(299))
+	f.Fuzz(func(t *testing.T, key, msg []byte, cut uint16) {
+		h := hmac.New(sha256.New, key)
+		h.Write(msg)
+		want := h.Sum(nil)
+		c := int(cut) % (len(msg) + 1)
+		if got := MAC(key, msg[:c], msg[c:]); !bytes.Equal(got[:], want) {
+			t.Fatalf("MAC(%x, %x | %x) differs from crypto/hmac", key, msg[:c], msg[c:])
+		}
+	})
 }
 
 // TestSharedKeysConcurrentUse drives one table-shared Keys from several
@@ -340,25 +430,26 @@ func TestSharedKeysConcurrentUse(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			var sc Scratch // each endpoint brings its own
 			payload := []byte(fmt.Sprintf("payload of goroutine %d", g))
 			for pn := uint64(0); pn < 200; pn++ {
 				InitialKeys([]byte{byte(g), byte(pn)}) // misses, and clears when full
-				sealed := shared.Seal(payload, pn, []byte{byte(g)})
-				if !bytes.Equal(sealed, InitialKeys(dcid).Client.Seal(payload, pn, []byte{byte(g)})) {
+				sealed := shared.Seal(&sc, nil, payload, pn, []byte{byte(g)})
+				if !bytes.Equal(sealed, InitialKeys(dcid).Client.Seal(&sc, nil, payload, pn, []byte{byte(g)})) {
 					t.Errorf("goroutine %d pn %d: table keys differ from the shared keys", g, pn)
 					return
 				}
 				packet := append(make([]byte, 8), sealed...)
 				orig := append([]byte(nil), packet...)
-				if err := shared.ProtectHeader(packet, 4); err != nil {
+				if err := shared.ProtectHeader(&sc, packet, 4); err != nil {
 					t.Error(err)
 					return
 				}
-				if err := shared.UnprotectHeader(packet, 4); err != nil || !bytes.Equal(packet, orig) {
+				if err := shared.UnprotectHeader(&sc, packet, 4); err != nil || !bytes.Equal(packet, orig) {
 					t.Errorf("goroutine %d pn %d: header protection did not round-trip", g, pn)
 					return
 				}
-				opened, err := shared.Open(sealed, pn, []byte{byte(g)})
+				opened, err := shared.Open(&sc, nil, sealed, pn, []byte{byte(g)})
 				if err != nil || !bytes.Equal(opened, payload) {
 					t.Errorf("goroutine %d pn %d: open: %v", g, pn, err)
 					return

@@ -110,7 +110,7 @@ func VNInputAlphabet() []string {
 
 // PacketSpec describes one abstract output packet: its type and the frame
 // types it carries, in canonical label order (ACK first, then alphabetical,
-// matching quicwire.FrameNames).
+// matching quicwire.AppendFrameNames).
 type PacketSpec struct {
 	Type   quicwire.PacketType
 	Frames []quicwire.FrameType

@@ -2,10 +2,11 @@ package quicsim
 
 import (
 	"bytes"
-	"crypto/hmac"
-	"crypto/sha256"
+	"crypto/subtle"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strconv"
 	"sync"
 
 	"repro/internal/quiccrypto"
@@ -57,6 +58,14 @@ type Server struct {
 	beh    behavior
 	static []byte // static key for reset tokens and retry tags
 
+	// Seed constants, derived once by NewServer: the connection ID the
+	// server hands out, its hello random, each space's crypto stream (the
+	// toy handshake layer's TLS messages) and the stateless-reset datagram.
+	scid          []byte
+	serverRandom  []byte
+	cryptoStreams [numSpaces][]byte
+	resetDgram    []byte
+
 	// resetRNG survives Reset: it drives the mvfst profile's
 	// nondeterministic stateless RESETs across queries (Issue 2).
 	resetRNG *rand.Rand
@@ -64,13 +73,11 @@ type Server struct {
 	// Per-connection state, cleared by Reset.
 	est          bool
 	state        int
-	scid         []byte
 	clientCID    []byte // client's SCID: the DCID we send to
 	keys         [numSpaces]quiccrypto.Pair
 	sendPN       [numSpaces]uint64
 	largestRecv  [numSpaces]uint64
-	serverRandom []byte
-	clientRandom []byte
+	clientRandom []byte // the client's hello; empty until it arrives
 	cryptoSent   [numSpaces]uint64
 
 	clientStreamRecv uint64
@@ -97,9 +104,17 @@ type Server struct {
 	gapCount int
 	degraded bool
 
-	// frameScratch is the reused frame slice for the decode hot path. It
-	// is only touched under mu, and the parsed frames never outlive the
-	// packet being processed (applyFrameEffects copies what it keeps).
+	// Scratch for the packet path, only touched under mu: sc protects
+	// packets, rx holds the packet being opened, frameScratch its parsed
+	// frames (they alias rx and never outlive the packet; applyFrameEffects
+	// copies what it keeps), sym its abstract symbol, payload the frames
+	// of the packet being built and text a frame's formatted data. Every
+	// response datagram gets a fresh buffer, so the caller may hold the
+	// whole burst (transport.QUICServer writes it as one batch).
+	sc           quiccrypto.Scratch
+	rx, sym      []byte
+	payload      []byte
+	text         []byte
 	frameScratch []quicwire.Frame
 }
 
@@ -113,24 +128,37 @@ const lossyRetransGapLimit = 1
 // NewServer returns a server in its initial state.
 func NewServer(cfg Config) *Server {
 	s := &Server{
-		cfg:      cfg,
-		beh:      behaviorFor(cfg.Profile),
-		static:   seedBytes(cfg.Seed, "static-key", 32),
-		resetRNG: rand.New(rand.NewSource(cfg.Seed ^ 0x5EED)),
+		cfg:          cfg,
+		beh:          behaviorFor(cfg.Profile),
+		static:       seedBytes(cfg.Seed, "static-key", 32),
+		scid:         seedBytes(cfg.Seed, "scid", CIDLen),
+		serverRandom: seedBytes(cfg.Seed, "server-random", 32),
+		resetRNG:     rand.New(rand.NewSource(cfg.Seed ^ 0x5EED)),
 	}
+	s.cryptoStreams = [numSpaces][]byte{
+		append([]byte("SERVER_HELLO:"), s.serverRandom...),
+		[]byte("ENCRYPTED_EXTENSIONS;CERTIFICATE;CERT_VERIFY;FINISHED-------------"),
+		[]byte("NEW_SESSION_TICKET:ticket-0001"),
+	}
+	// A stateless reset: unpredictable bytes shaped like a short-header
+	// packet, ending with the reset token for the connection ID the
+	// server hands out (RFC 9000 §10.3).
+	s.resetDgram = seedBytes(s.cfg.Seed, "reset-noise", 24)
+	s.resetDgram[0] = 0x40 | (s.resetDgram[0] & 0x3F)
+	token := quiccrypto.ResetToken(s.static, s.scid)
+	s.resetDgram = append(s.resetDgram, token[:]...)
 	s.resetLocked()
 	return s
 }
 
 // seedBytes derives deterministic pseudo-random bytes from a seed and label.
 func seedBytes(seed int64, label string, n int) []byte {
-	mac := hmac.New(sha256.New, []byte(label))
-	fmt.Fprintf(mac, "%d", seed)
-	out := mac.Sum(nil)
+	var buf [20]byte
+	sum := quiccrypto.MAC([]byte(label), strconv.AppendInt(buf[:0], seed, 10))
+	out := append(make([]byte, 0, n+len(sum)), sum[:]...)
 	for len(out) < n {
-		mac.Reset()
-		mac.Write(out)
-		out = mac.Sum(out)
+		sum = quiccrypto.MAC([]byte(label), out)
+		out = append(out, sum[:]...)
 	}
 	return out[:n]
 }
@@ -147,13 +175,11 @@ func (s *Server) Reset() {
 func (s *Server) resetLocked() {
 	s.est = false
 	s.state = 0
-	s.scid = seedBytes(s.cfg.Seed, "scid", CIDLen)
-	s.clientCID = nil
+	s.clientCID = s.clientCID[:0]
 	s.keys = [numSpaces]quiccrypto.Pair{}
 	s.sendPN = [numSpaces]uint64{}
 	s.largestRecv = [numSpaces]uint64{}
-	s.serverRandom = seedBytes(s.cfg.Seed, "server-random", 32)
-	s.clientRandom = nil
+	s.clientRandom = s.clientRandom[:0]
 	s.cryptoSent = [numSpaces]uint64{}
 	s.clientStreamRecv = 0
 	s.respOffset = 0
@@ -188,7 +214,7 @@ func (s *Server) HandleDatagram(src string, datagram []byte) [][]byte {
 		}
 		pkt := rest[:hdr.PayloadEnd]
 		rest = rest[hdr.PayloadEnd:]
-		out = append(out, s.processPacket(src, pkt, hdr)...)
+		out = s.processPacket(out, src, pkt, hdr)
 	}
 	return out
 }
@@ -209,51 +235,44 @@ func (s *Server) versionNegotiate(data []byte) []byte {
 	return quicwire.AppendVersionNegotiation(nil, scid, dcid, []uint32{quicwire.Version1})
 }
 
-// processPacket handles a single (possibly coalesced-out) packet.
-func (s *Server) processPacket(src string, pkt []byte, hdr quicwire.Header) [][]byte {
+// processPacket handles a single (possibly coalesced-out) packet and
+// appends its response datagrams to out.
+func (s *Server) processPacket(out [][]byte, src string, pkt []byte, hdr quicwire.Header) [][]byte {
 	// Connection admission on Initials.
 	if hdr.Type == quicwire.PacketInitial && !s.est {
 		if s.cfg.RetryRequired {
 			if len(hdr.Token) == 0 {
-				return [][]byte{s.buildRetry(src, hdr)}
+				return append(out, s.buildRetry(src, hdr))
 			}
-			if !s.validToken(src, hdr.DCID, hdr.Token) {
-				return nil
+			if !s.validToken(src, hdr.Token) {
+				return out
 			}
 		}
 		s.acceptConnection(hdr)
 	}
 	if !s.est {
-		return nil // no connection: nothing can be decrypted
+		return out // no connection: nothing can be decrypted
 	}
 
 	space, ok := spaceForType(hdr.Type)
 	if !ok {
-		return nil // Retry/VN from a client is meaningless; drop
+		return out // Retry/VN from a client is meaningless; drop
 	}
 	keys := s.keys[space].Client
 	if keys == nil {
-		return nil // keys not derivable yet: drop (realistic behaviour)
+		return out // keys not derivable yet: drop (realistic behaviour)
 	}
 
 	// Remove header protection and packet protection.
-	buf := append([]byte(nil), pkt...)
-	if err := keys.UnprotectHeader(buf, hdr.PNOffset); err != nil {
-		return nil
-	}
-	pn, err := quicwire.DecodePacketNumber(buf, hdr.PNOffset)
+	s.rx = append(s.rx[:0], pkt...)
+	pn, payload, err := keys.OpenPacket(&s.sc, s.rx, hdr.PNOffset)
 	if err != nil {
-		return nil
-	}
-	ad := buf[:hdr.PNOffset+4]
-	payload, err := keys.Open(buf[hdr.PNOffset+4:hdr.PayloadEnd], pn, ad)
-	if err != nil {
-		return nil
+		return out
 	}
 	frames, err := quicwire.ParseFramesAppend(s.frameScratch[:0], payload)
 	s.frameScratch = frames[:0]
 	if err != nil {
-		return nil
+		return out
 	}
 	if pn > s.largestRecv[space] {
 		s.largestRecv[space] = pn
@@ -281,21 +300,21 @@ func (s *Server) processPacket(src string, pkt []byte, hdr quicwire.Header) [][]
 	}
 
 	// Abstract the packet and step the behaviour machine.
-	sym := fmt.Sprintf("%s(?,?)[%s]", hdr.Type, quicwire.FrameNames(frames))
+	s.sym = quicwire.AppendSymbol(s.sym[:0], hdr.Type, frames)
 	if s.beh.closedState >= 0 && s.state == s.beh.closedState {
 		// Issue 2: the mvfst closed state answers probes with a stateless
 		// RESET only ~82% of the time, with no back-off.
 		if s.resetRNG.Float64() < 0.82 {
-			return [][]byte{s.buildStatelessReset()}
+			return append(out, bytes.Clone(s.resetDgram))
 		}
-		return nil
+		return out
 	}
-	tr, ok := s.beh.table[s.state][sym]
+	tr, ok := s.beh.table[s.state][string(s.sym)]
 	if !ok {
-		return nil // symbol outside the modelled alphabet: drop
+		return out // symbol outside the modelled alphabet: drop
 	}
 	s.state = tr.next
-	var out [][]byte
+	out = slices.Grow(out, len(tr.out))
 	for _, spec := range tr.out {
 		out = append(out, s.buildPacket(spec))
 		if s.degraded {
@@ -311,7 +330,7 @@ func (s *Server) processPacket(src string, pkt []byte, hdr quicwire.Header) [][]
 // acceptConnection creates connection state from a client Initial.
 func (s *Server) acceptConnection(hdr quicwire.Header) {
 	s.est = true
-	s.clientCID = append([]byte(nil), hdr.SCID...)
+	s.clientCID = append(s.clientCID[:0], hdr.SCID...)
 	s.keys[spaceInitial] = quiccrypto.InitialKeys(hdr.DCID)
 }
 
@@ -320,8 +339,8 @@ func (s *Server) applyFrameEffects(space int, frames []quicwire.Frame) {
 	for _, f := range frames {
 		switch f.Type {
 		case quicwire.FrameCrypto:
-			if space == spaceInitial && s.clientRandom == nil && len(f.Data) > 0 {
-				s.clientRandom = append([]byte(nil), f.Data...)
+			if space == spaceInitial && len(s.clientRandom) == 0 && len(f.Data) > 0 {
+				s.clientRandom = append(s.clientRandom, f.Data...)
 				s.keys[spaceHandshake], s.keys[spaceApp] = quiccrypto.SessionKeys(s.clientRandom, s.serverRandom)
 			}
 		case quicwire.FrameStream:
@@ -348,27 +367,13 @@ func spaceForType(t quicwire.PacketType) (int, bool) {
 	return 0, false
 }
 
-// serverCryptoStream returns the full server crypto byte stream for a
-// packet-number space: the simplified TLS messages of this repo's toy
-// handshake layer.
-func (s *Server) serverCryptoStream(space int) []byte {
-	switch space {
-	case spaceInitial:
-		return append([]byte("SERVER_HELLO:"), s.serverRandom...)
-	case spaceHandshake:
-		return []byte("ENCRYPTED_EXTENSIONS;CERTIFICATE;CERT_VERIFY;FINISHED-------------")
-	default:
-		return []byte("NEW_SESSION_TICKET:ticket-0001")
-	}
-}
-
 // buildPacket constructs, seals, and header-protects one output packet.
 func (s *Server) buildPacket(spec PacketSpec) []byte {
 	space, _ := spaceForType(spec.Type)
 	pn := s.sendPN[space]
 	s.sendPN[space]++
 
-	var payload []byte
+	payload := s.payload[:0]
 	for _, ft := range spec.Frames {
 		payload = quicwire.AppendFrame(payload, s.buildFrame(space, spec, ft))
 	}
@@ -376,23 +381,28 @@ func (s *Server) buildPacket(spec PacketSpec) []byte {
 	for len(payload) < 20 {
 		payload = append(payload, 0) // PADDING
 	}
+	s.payload = payload
 
 	keys := s.keys[space].Server
-	var buf []byte
-	var pnOffset int
 	sealedLen := len(payload) + keys.Overhead()
+	buf := make([]byte, 0, maxHeaderLen+sealedLen)
+	var pnOffset int
 	if spec.Type == quicwire.PacketShort {
-		buf, pnOffset = quicwire.AppendShortHeader(nil, s.clientCID, pn)
+		buf, pnOffset = quicwire.AppendShortHeader(buf, s.clientCID, pn)
 	} else {
-		buf, pnOffset = quicwire.AppendLongHeader(nil, spec.Type, s.clientCID, s.scid, nil, pn, sealedLen)
+		buf, pnOffset = quicwire.AppendLongHeader(buf, spec.Type, s.clientCID, s.scid, nil, pn, sealedLen)
 	}
-	ad := append([]byte(nil), buf...)
-	buf = append(buf, keys.Seal(payload, pn, ad)...)
-	if err := keys.ProtectHeader(buf, pnOffset); err != nil {
-		panic(fmt.Sprintf("quicsim: header protection: %v", err))
-	}
-	return buf
+	return keys.SealPacket(&s.sc, append(buf, payload...), pnOffset, pn)
 }
+
+// maxHeaderLen bounds the headers buildPacket writes, so each response
+// datagram is one exact allocation: a long header with two 20-byte
+// connection IDs, no token and a two-byte length is 53 bytes.
+const maxHeaderLen = 64
+
+// respData is the server's application response: buildResponseStream
+// slices it, so a STREAM frame's data is never built byte by byte.
+var respData = bytes.Repeat([]byte{'r'}, RespTotal)
 
 // buildFrame constructs the concrete frame for an abstract frame type.
 func (s *Server) buildFrame(space int, spec PacketSpec, ft quicwire.FrameType) quicwire.Frame {
@@ -401,7 +411,7 @@ func (s *Server) buildFrame(space int, spec PacketSpec, ft quicwire.FrameType) q
 		largest := s.largestRecv[space]
 		return quicwire.Frame{Type: quicwire.FrameAck, AckLargest: largest, AckRange: largest}
 	case quicwire.FrameCrypto:
-		stream := s.serverCryptoStream(space)
+		stream := s.cryptoStreams[space]
 		off := s.cryptoSent[space]
 		if off >= uint64(len(stream)) {
 			return quicwire.Frame{Type: quicwire.FrameCrypto, Offset: off}
@@ -418,8 +428,8 @@ func (s *Server) buildFrame(space int, spec PacketSpec, ft quicwire.FrameType) q
 		if spec.Greeting {
 			id := uint64(3 + 4*s.greetingsSent) // server-initiated unidirectional
 			s.greetingsSent++
-			return quicwire.Frame{Type: quicwire.FrameStream, StreamID: id,
-				Data: []byte(fmt.Sprintf("greeting-%d", id))}
+			s.text = strconv.AppendUint(append(s.text[:0], "greeting-"...), id, 10)
+			return quicwire.Frame{Type: quicwire.FrameStream, StreamID: id, Data: s.text}
 		}
 		return s.buildResponseStream()
 	case quicwire.FrameStreamDataBlocked:
@@ -454,8 +464,9 @@ func (s *Server) buildResponseStream() quicwire.Frame {
 	if remaining := total - s.respOffset; n > remaining {
 		n = remaining
 	}
-	data := bytes.Repeat([]byte{'r'}, int(n))
-	f := quicwire.Frame{Type: quicwire.FrameStream, StreamID: 0, Offset: s.respOffset, Data: data}
+	// n <= RespTotal: the other profiles send at most RespTotal in all,
+	// and quiche's total is always one Chunk past the offset.
+	f := quicwire.Frame{Type: quicwire.FrameStream, StreamID: 0, Offset: s.respOffset, Data: respData[:n]}
 	s.respOffset += n
 	f.Fin = s.cfg.Profile != ProfileQuiche && s.respOffset == total
 	return f
@@ -465,34 +476,18 @@ func (s *Server) buildResponseStream() quicwire.Frame {
 // address (Issue 3's address validation).
 func (s *Server) buildRetry(src string, hdr quicwire.Header) []byte {
 	token := s.tokenFor(src)
-	tag := quiccrypto.RetryTag(s.static, hdr.DCID, token)
-	return quicwire.AppendRetry(nil, hdr.SCID, s.scid, append(token, tag[:]...))
+	tag := quiccrypto.RetryTag(s.static, hdr.DCID, token[:])
+	return quicwire.AppendRetry(nil, hdr.SCID, s.scid, append(token[:], tag[:]...))
 }
 
 // tokenFor derives the retry token for a source address.
-func (s *Server) tokenFor(src string) []byte {
-	mac := hmac.New(sha256.New, s.static)
-	mac.Write([]byte("retry-token"))
-	mac.Write([]byte(src))
-	return mac.Sum(nil)[:16]
+func (s *Server) tokenFor(src string) [16]byte {
+	sum := quiccrypto.MAC(s.static, []byte("retry-token"), []byte(src))
+	return [16]byte(sum[:16])
 }
 
 // validToken checks a retry token against the claimed source address.
-func (s *Server) validToken(src string, dcid, token []byte) bool {
+func (s *Server) validToken(src string, token []byte) bool {
 	want := s.tokenFor(src)
-	if len(token) < len(want) {
-		return false
-	}
-	return hmac.Equal(token[:len(want)], want)
-}
-
-// buildStatelessReset constructs a stateless reset datagram: unpredictable
-// bytes shaped like a short-header packet, ending with the reset token for
-// the connection ID the server handed out (RFC 9000 §10.3).
-func (s *Server) buildStatelessReset() []byte {
-	buf := make([]byte, 24)
-	copy(buf, seedBytes(s.cfg.Seed, "reset-noise", 24))
-	buf[0] = 0x40 | (buf[0] & 0x3F)
-	token := quiccrypto.ResetToken(s.static, s.scid)
-	return append(buf, token[:]...)
+	return len(token) >= len(want) && subtle.ConstantTimeCompare(token[:len(want)], want[:]) == 1
 }

@@ -7,8 +7,7 @@ package quicwire
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
 
 	"repro/internal/wire"
 )
@@ -364,27 +363,30 @@ func parseFrame(r *wire.Reader, alias bool) (Frame, error) {
 	return f, nil
 }
 
-// FrameNames returns the sorted, de-duplicated frame-type names of a frame
-// list in the paper's bracket notation order (e.g. "ACK,CRYPTO"). ACK sorts
-// first to mirror the paper's symbols; remaining names sort alphabetically.
-func FrameNames(frames []Frame) string {
-	seen := make(map[string]bool)
-	var names []string
+// AppendFrameNames appends the sorted, de-duplicated frame-type names of
+// a frame list in the paper's bracket notation (e.g. "ACK,CRYPTO"). The
+// names sort alphabetically, which puts ACK first as in the paper's
+// symbols. It allocates nothing for lists of up to eight distinct types.
+func AppendFrameNames(b []byte, frames []Frame) []byte {
+	names := make([]string, 0, 8)
 	for _, f := range frames {
-		n := f.Type.String()
-		if !seen[n] {
-			seen[n] = true
+		if n := f.Type.String(); !slices.Contains(names, n) {
 			names = append(names, n)
 		}
 	}
-	sort.Slice(names, func(i, j int) bool {
-		if names[i] == "ACK" {
-			return true
+	slices.Sort(names)
+	for i, n := range names {
+		if i > 0 {
+			b = append(b, ',')
 		}
-		if names[j] == "ACK" {
-			return false
-		}
-		return names[i] < names[j]
-	})
-	return strings.Join(names, ",")
+		b = append(b, n...)
+	}
+	return b
+}
+
+// AppendSymbol appends the abstract symbol of one packet, its type and
+// its frame names in the form "TYPE(?,?)[F1,F2]".
+func AppendSymbol(b []byte, t PacketType, frames []Frame) []byte {
+	b = append(append(b, t.String()...), "(?,?)["...)
+	return append(AppendFrameNames(b, frames), ']')
 }

@@ -255,17 +255,6 @@ func LongHeaderCIDs(data []byte) (version uint32, dcid, scid []byte, err error) 
 	return version, dcid, scid, nil
 }
 
-// DecodePacketNumber extracts the fixed-width packet number at PNOffset.
-// Callers must have removed header protection first.
-func DecodePacketNumber(data []byte, pnOffset int) (uint64, error) {
-	if pnOffset+pnLen > len(data) {
-		return 0, ErrShortPacket
-	}
-	v := uint64(data[pnOffset])<<24 | uint64(data[pnOffset+1])<<16 |
-		uint64(data[pnOffset+2])<<8 | uint64(data[pnOffset+3])
-	return v, nil
-}
-
 // IsLongHeader reports whether the datagram byte stream starts with a long
 // header packet.
 func IsLongHeader(data []byte) bool {

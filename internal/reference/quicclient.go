@@ -13,9 +13,9 @@
 package reference
 
 import (
-	"crypto/hmac"
-	"crypto/sha256"
+	"bytes"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/quiccrypto"
@@ -25,7 +25,10 @@ import (
 
 // Transport delivers one client datagram to the target implementation and
 // returns the datagrams the target sends back. Implementations exist for
-// in-memory servers and UDP sockets.
+// in-memory servers and UDP sockets. The client reuses the datagram's
+// buffer once Send returns, so a Transport that keeps it must copy it.
+// The returned datagrams need stay valid only until the next Send: the
+// client copies what it keeps.
 type Transport interface {
 	Send(src string, datagram []byte) [][]byte
 }
@@ -79,10 +82,12 @@ type QUICClient struct {
 	tr   Transport
 	seq  int // connection attempt counter, drives fresh CIDs
 	port int
+	src  string // the source address, "10.0.0.2:<port>"
 
 	dcid, scid   []byte // dcid addresses the server for the connection's life
 	clientRandom []byte
-	serverRandom []byte
+	hello        []byte // the CRYPTO data of the client's Initial
+	serverRandom []byte // empty until the server hello arrives
 	retryToken   []byte
 	keys         [3]quiccrypto.Pair // Client keys seal, Server keys open
 	placeholder  [3]*quiccrypto.Keys
@@ -92,32 +97,65 @@ type QUICClient struct {
 	fcRaises     int
 	streamSent   uint64
 	reqCount     int
+
+	// Scratch for the packet path, reused by every step: sc protects
+	// packets, payload and tx hold the frames and the packet being sent
+	// (the Transport copies what it keeps), rx and rxFrames a response
+	// packet being opened and its frames (they alias rx), text a frame's
+	// formatted data and label the abstract output being built.
+	sc          quiccrypto.Scratch
+	payload, tx []byte
+	rx, text    []byte
+	label       []byte
+	rxFrames    []quicwire.Frame
+
+	symbols map[string]inputSymbol // each abstract input's parse
+	outputs map[string]string      // interned abstract outputs
 }
+
+// inputSymbol is the parse of one abstract input symbol.
+type inputSymbol struct {
+	pt       quicwire.PacketType
+	badver   bool
+	space    int
+	frames   []string
+	typeName string // the concrete packet's type in Oracle Table records
+}
+
+// maxOutputs bounds the interned outputs; a full table is cleared.
+const maxOutputs = 1024
 
 // NewQUICClient returns a client speaking to the given transport.
 func NewQUICClient(cfg QUICClientConfig, tr Transport) *QUICClient {
 	if cfg.BasePort == 0 {
 		cfg.BasePort = 40000
 	}
-	c := &QUICClient{cfg: cfg, tr: tr}
+	c := &QUICClient{cfg: cfg, tr: tr,
+		symbols: make(map[string]inputSymbol), outputs: make(map[string]string)}
 	c.Reset()
 	return c
 }
 
-// src returns the client's current source address.
-func (c *QUICClient) src() string { return fmt.Sprintf("10.0.0.2:%d", c.port) }
+// setPort moves the client to a source port.
+func (c *QUICClient) setPort(port int) {
+	if port != c.port || c.src == "" {
+		c.port = port
+		c.src = "10.0.0.2:" + strconv.Itoa(port)
+	}
+}
 
 // Reset implements Adapter property (3): a fresh connection with fresh CIDs
 // and cleared crypto state. The per-reset values are derived from the seed
 // and attempt counter so runs are reproducible.
 func (c *QUICClient) Reset() error {
 	c.seq++
-	c.port = c.cfg.BasePort
-	c.dcid = clientSeedBytes(c.cfg.Seed, c.seq, "dcid", quicsim.CIDLen)
-	c.scid = clientSeedBytes(c.cfg.Seed, c.seq, "scid", quicsim.CIDLen)
-	c.clientRandom = clientSeedBytes(c.cfg.Seed, c.seq, "client-random", 32)
-	c.serverRandom = nil
-	c.retryToken = nil
+	c.setPort(c.cfg.BasePort)
+	c.dcid = clientSeedBytes(c.dcid, c.cfg.Seed, c.seq, "dcid", quicsim.CIDLen)
+	c.scid = clientSeedBytes(c.scid, c.cfg.Seed, c.seq, "scid", quicsim.CIDLen)
+	c.clientRandom = clientSeedBytes(c.clientRandom, c.cfg.Seed, c.seq, "client-random", 32)
+	c.hello = append(append(c.hello[:0], "CLIENT_HELLO:"...), c.clientRandom...)
+	c.serverRandom = c.serverRandom[:0]
+	c.retryToken = c.retryToken[:0]
 	c.keys = [3]quiccrypto.Pair{quiccrypto.InitialKeys(c.dcid)}
 	c.placeholder = [3]*quiccrypto.Keys{}
 	c.sendPN = [3]uint64{}
@@ -129,14 +167,17 @@ func (c *QUICClient) Reset() error {
 	return nil
 }
 
-func clientSeedBytes(seed int64, attempt int, label string, n int) []byte {
-	mac := hmac.New(sha256.New, []byte(label))
-	fmt.Fprintf(mac, "client/%d/%d", seed, attempt)
-	out := mac.Sum(nil)
+// clientSeedBytes derives n pseudo-random bytes from the seed, the attempt
+// and a label into dst's storage.
+func clientSeedBytes(dst []byte, seed int64, attempt int, label string, n int) []byte {
+	var buf [48]byte
+	msg := strconv.AppendInt(append(buf[:0], "client/"...), seed, 10)
+	msg = strconv.AppendInt(append(msg, '/'), int64(attempt), 10)
+	sum := quiccrypto.MAC([]byte(label), msg)
+	out := append(dst[:0], sum[:]...)
 	for len(out) < n {
-		mac.Reset()
-		mac.Write(out)
-		out = mac.Sum(out)
+		sum = quiccrypto.MAC([]byte(label), out)
+		out = append(out, sum[:]...)
 	}
 	return out[:n]
 }
@@ -145,59 +186,70 @@ func clientSeedBytes(seed int64, attempt int, label string, n int) []byte {
 // the abstract output symbol (property 5). Unknown symbols are an error:
 // the adapter's alphabet is fixed up front.
 func (c *QUICClient) Step(abstract string) (string, error) {
-	ex, err := c.StepExchange(abstract)
-	return ex.AbstractOut, err
+	return c.step(abstract, nil)
 }
 
 // StepExchange is Step returning the whole exchange with its concrete
 // packets (property 4), for callers that build an Oracle Table.
 func (c *QUICClient) StepExchange(abstract string) (Exchange, error) {
-	pt, badver, frames, err := parseAbstract(abstract)
+	ex := Exchange{AbstractIn: abstract}
+	out, err := c.step(abstract, &ex)
 	if err != nil {
 		return Exchange{}, err
 	}
-	space, ok := spaceFor(pt)
+	ex.AbstractOut = out
+	return ex, nil
+}
+
+// step runs one exchange, recording its concrete packets in ex unless ex
+// is nil.
+func (c *QUICClient) step(abstract string, ex *Exchange) (string, error) {
+	sym, ok := c.symbols[abstract]
 	if !ok {
-		return Exchange{}, fmt.Errorf("reference: cannot send packet type %v", pt)
+		var err error
+		if sym, err = parseAbstract(abstract); err != nil {
+			return "", err
+		}
+		c.symbols[abstract] = sym
 	}
-	concIn, datagram := c.buildPacket(pt, badver, space, frames)
-	responses := c.tr.Send(c.src(), datagram)
-	absOut, concOut := c.processResponses(responses)
-	return Exchange{
-		AbstractIn: abstract, AbstractOut: absOut,
-		ConcreteIn: []ConcretePacket{concIn}, ConcreteOut: concOut,
-	}, nil
+	datagram := c.buildPacket(sym, ex)
+	return c.processResponses(c.tr.Send(c.src, datagram), ex), nil
 }
 
 // parseAbstract splits "TYPE(?,?)[F1,F2]" into packet type and frame names.
 // The badver flag marks INITIAL_BADVER symbols: an Initial-shaped long
 // header that must be sent with a grease version to probe the target's
 // version-negotiation handling.
-func parseAbstract(s string) (pt quicwire.PacketType, badver bool, frames []string, err error) {
+func parseAbstract(s string) (inputSymbol, error) {
 	open := strings.Index(s, "(")
 	lb := strings.Index(s, "[")
 	if open < 0 || lb < 0 || !strings.HasSuffix(s, "]") {
-		return 0, false, nil, fmt.Errorf("reference: malformed abstract symbol %q", s)
+		return inputSymbol{}, fmt.Errorf("reference: malformed abstract symbol %q", s)
 	}
+	sym := inputSymbol{typeName: s[:open]}
 	switch s[:open] {
 	case "INITIAL":
-		pt = quicwire.PacketInitial
+		sym.pt = quicwire.PacketInitial
 	case "INITIAL_BADVER":
-		pt, badver = quicwire.PacketInitial, true
+		sym.pt, sym.badver = quicwire.PacketInitial, true
 	case "HANDSHAKE":
-		pt = quicwire.PacketHandshake
+		sym.pt = quicwire.PacketHandshake
 	case "SHORT":
-		pt = quicwire.PacketShort
+		sym.pt = quicwire.PacketShort
 	case "0RTT":
-		pt = quicwire.PacketZeroRTT
+		sym.pt = quicwire.PacketZeroRTT
 	default:
-		return 0, false, nil, fmt.Errorf("reference: unknown packet type in %q", s)
+		return inputSymbol{}, fmt.Errorf("reference: unknown packet type in %q", s)
 	}
-	inner := s[lb+1 : len(s)-1]
-	if inner == "" {
-		return pt, badver, nil, nil
+	space, ok := spaceFor(sym.pt)
+	if !ok {
+		return inputSymbol{}, fmt.Errorf("reference: cannot send packet type %v", sym.pt)
 	}
-	return pt, badver, strings.Split(inner, ","), nil
+	sym.space = space
+	if inner := s[lb+1 : len(s)-1]; inner != "" {
+		sym.frames = strings.Split(inner, ",")
+	}
+	return sym, nil
 }
 
 func spaceFor(pt quicwire.PacketType) (int, bool) {
@@ -212,6 +264,9 @@ func spaceFor(pt quicwire.PacketType) (int, bool) {
 	return 0, false
 }
 
+// placeholderLabels label the seeds of the placeholder keys per space.
+var placeholderLabels = [3]string{"placeholder-0", "placeholder-1", "placeholder-2"}
+
 // sendKeys returns usable sealing keys for a space. When the real keys are
 // not yet derivable (e.g. the learner asks for a HANDSHAKE packet before
 // any server hello was seen) the client seals under placeholder keys: the
@@ -222,62 +277,71 @@ func (c *QUICClient) sendKeys(space int) *quiccrypto.Keys {
 		return k
 	}
 	if c.placeholder[space] == nil {
-		secret := clientSeedBytes(c.cfg.Seed, c.seq, fmt.Sprintf("placeholder-%d", space), 32)
+		secret := clientSeedBytes(nil, c.cfg.Seed, c.seq, placeholderLabels[space], 32)
 		c.placeholder[space] = quiccrypto.NewKeys(secret)
 	}
 	return c.placeholder[space]
 }
 
-// buildPacket constructs the concrete packet for the abstract symbol,
-// consuming any queued reactive ACK for the space (property 1).
-func (c *QUICClient) buildPacket(pt quicwire.PacketType, badver bool, space int, frameNames []string) (ConcretePacket, []byte) {
+// buildPacket builds the concrete packet for the abstract symbol in the
+// client's send buffer, consuming any queued reactive ACK for the space
+// (property 1).
+func (c *QUICClient) buildPacket(sym inputSymbol, ex *Exchange) []byte {
+	space := sym.space
 	pn := c.sendPN[space]
 	c.sendPN[space]++
-	var frames []quicwire.Frame
-	for _, name := range frameNames {
-		frames = append(frames, c.buildFrame(space, name))
+	var conc *ConcretePacket
+	if ex != nil {
+		ex.ConcreteIn = []ConcretePacket{{Type: sym.typeName, PacketNumber: pn}}
+		conc = &ex.ConcreteIn[0]
+	}
+	payload := c.payload[:0]
+	for _, name := range sym.frames {
+		f := c.buildFrame(space, name)
+		payload = quicwire.AppendFrame(payload, f)
+		if conc != nil {
+			conc.Frames = append(conc.Frames, recorded(f))
+		}
 	}
 	c.ackQueue[space] = false // any queued ACK is folded in or superseded
-
-	var payload []byte
-	for _, f := range frames {
-		payload = quicwire.AppendFrame(payload, f)
-	}
 	for len(payload) < 20 {
 		payload = append(payload, 0) // PADDING up to the HP sample size
 	}
+	c.payload = payload
+
 	keys := c.sendKeys(space)
-	var buf []byte
+	buf := c.tx[:0]
 	var pnOffset int
-	sealedLen := len(payload) + keys.Overhead()
-	if pt == quicwire.PacketShort {
-		buf, pnOffset = quicwire.AppendShortHeader(nil, c.dcid, pn)
+	if sym.pt == quicwire.PacketShort {
+		buf, pnOffset = quicwire.AppendShortHeader(buf, c.dcid, pn)
 	} else {
 		var token []byte
-		if pt == quicwire.PacketInitial {
+		if sym.pt == quicwire.PacketInitial {
 			token = c.retryToken
 		}
 		version := uint32(quicwire.Version1)
-		if badver {
+		if sym.badver {
 			version = quicwire.VersionGrease
 		}
-		buf, pnOffset = quicwire.AppendLongHeaderVersion(nil, pt, version, c.dcid, c.scid, token, pn, sealedLen)
+		sealedLen := len(payload) + keys.Overhead()
+		buf, pnOffset = quicwire.AppendLongHeaderVersion(buf, sym.pt, version, c.dcid, c.scid, token, pn, sealedLen)
 	}
-	ad := append([]byte(nil), buf...)
-	buf = append(buf, keys.Seal(payload, pn, ad)...)
-	if err := keys.ProtectHeader(buf, pnOffset); err != nil {
-		panic(fmt.Sprintf("reference: header protection: %v", err))
-	}
-	typeName := pt.String()
-	if badver {
-		typeName = "INITIAL_BADVER"
-	}
-	conc := ConcretePacket{Type: typeName, PacketNumber: pn, Frames: frames}
-	return conc, buf
+	c.tx = keys.SealPacket(&c.sc, append(buf, payload...), pnOffset, pn)
+	return c.tx
+}
+
+// recorded copies a frame's byte fields out of the client's scratch for an
+// Oracle Table record.
+func recorded(f quicwire.Frame) quicwire.Frame {
+	f.Data = bytes.Clone(f.Data)
+	f.Token = bytes.Clone(f.Token)
+	f.ConnectionID = bytes.Clone(f.ConnectionID)
+	return f
 }
 
 // buildFrame constructs a concrete frame for an abstract frame name using
-// the client's live connection state.
+// the client's live connection state. Its data may alias the client's
+// scratch until the next frame is built.
 func (c *QUICClient) buildFrame(space int, name string) quicwire.Frame {
 	switch name {
 	case "ACK":
@@ -285,11 +349,10 @@ func (c *QUICClient) buildFrame(space int, name string) quicwire.Frame {
 		return quicwire.Frame{Type: quicwire.FrameAck, AckLargest: largest, AckRange: largest}
 	case "CRYPTO":
 		if space == 0 {
-			return quicwire.Frame{Type: quicwire.FrameCrypto, Offset: 0,
-				Data: append([]byte("CLIENT_HELLO:"), c.clientRandom...)}
+			return quicwire.Frame{Type: quicwire.FrameCrypto, Offset: 0, Data: c.hello}
 		}
-		return quicwire.Frame{Type: quicwire.FrameCrypto, Offset: 0,
-			Data: append([]byte("FINISHED:"), c.clientRandom[:16]...)}
+		c.text = append(append(c.text[:0], "FINISHED:"...), c.clientRandom[:16]...)
+		return quicwire.Frame{Type: quicwire.FrameCrypto, Offset: 0, Data: c.text}
 	case "HANDSHAKE_DONE":
 		return quicwire.Frame{Type: quicwire.FrameHandshakeDone}
 	case "MAX_DATA":
@@ -301,10 +364,10 @@ func (c *QUICClient) buildFrame(space int, name string) quicwire.Frame {
 			Limit: uint64(quicsim.Chunk * (1 + c.fcRaises))}
 	case "STREAM":
 		c.reqCount++
-		data := []byte(fmt.Sprintf("GET /page-%d", c.reqCount))
+		c.text = strconv.AppendInt(append(c.text[:0], "GET /page-"...), int64(c.reqCount), 10)
 		f := quicwire.Frame{Type: quicwire.FrameStream, StreamID: 0,
-			Offset: c.streamSent, Data: data}
-		c.streamSent += uint64(len(data))
+			Offset: c.streamSent, Data: c.text}
+		c.streamSent += uint64(len(c.text))
 		return f
 	case "PING":
 		return quicwire.Frame{Type: quicwire.FramePing}
@@ -314,92 +377,110 @@ func (c *QUICClient) buildFrame(space int, name string) quicwire.Frame {
 }
 
 // processResponses abstracts the server's datagrams (property 5), updating
-// client connection state along the way.
-func (c *QUICClient) processResponses(datagrams [][]byte) (string, []ConcretePacket) {
-	var labels []string
-	var conc []ConcretePacket
+// client connection state along the way, and records their concrete
+// packets in ex unless ex is nil.
+func (c *QUICClient) processResponses(datagrams [][]byte, ex *Exchange) string {
+	c.label = append(c.label[:0], '{')
 	for _, dgram := range datagrams {
-		rest := dgram
-		for len(rest) > 0 {
-			label, cp, consumed := c.processPacket(rest)
+		for rest := dgram; len(rest) > 0; {
+			consumed := c.processPacket(rest, ex)
 			if consumed <= 0 {
 				break
 			}
 			rest = rest[consumed:]
-			if label != "" {
-				labels = append(labels, label)
-				conc = append(conc, cp)
-			}
 		}
 	}
-	return "{" + strings.Join(labels, ",") + "}", conc
+	c.label = append(c.label, '}')
+	if out, ok := c.outputs[string(c.label)]; ok {
+		return out
+	}
+	if len(c.outputs) >= maxOutputs {
+		clear(c.outputs)
+	}
+	out := string(c.label)
+	c.outputs[out] = out
+	return out
 }
 
-// processPacket handles one server packet, returning its abstract label,
-// concrete form, and the number of bytes consumed from the datagram.
-func (c *QUICClient) processPacket(data []byte) (string, ConcretePacket, int) {
+// emit adds one server packet to the step's output: its abstract label
+// and, when ex records the exchange, its concrete form.
+func (c *QUICClient) emit(ex *Exchange, t quicwire.PacketType, pn uint64, frames []quicwire.Frame) {
+	if len(c.label) > 1 {
+		c.label = append(c.label, ',')
+	}
+	c.label = quicwire.AppendSymbol(c.label, t, frames)
+	if ex != nil {
+		cp := ConcretePacket{Type: t.String(), PacketNumber: pn}
+		for _, f := range frames {
+			cp.Frames = append(cp.Frames, recorded(f))
+		}
+		ex.ConcreteOut = append(ex.ConcreteOut, cp)
+	}
+}
+
+// processPacket handles one server packet, emitting it if it abstracts to
+// a label, and returns the number of bytes consumed from the datagram.
+func (c *QUICClient) processPacket(data []byte, ex *Exchange) int {
 	hdr, err := quicwire.ParseHeader(data, quicsim.CIDLen)
 	if err != nil {
 		// Not parseable as a QUIC packet: check for a stateless reset
 		// (random-looking short-header datagram). Consume everything.
 		if c.looksLikeReset(data) {
-			return "RESET(?,?)[]", ConcretePacket{Type: "RESET"}, len(data)
+			c.emit(ex, quicwire.PacketStatelessReset, 0, nil)
 		}
-		return "", ConcretePacket{}, len(data)
+		return len(data)
 	}
 	switch hdr.Type {
 	case quicwire.PacketRetry:
 		// Token is everything except the 16-byte integrity tag.
 		if len(hdr.Token) > 16 {
-			c.retryToken = append([]byte(nil), hdr.Token[:len(hdr.Token)-16]...)
+			c.retryToken = append(c.retryToken[:0], hdr.Token[:len(hdr.Token)-16]...)
 		}
 		if c.cfg.RetryFromNewPort {
 			// Issue 3: reopen the socket on a new port before retrying.
-			c.port++
+			c.setPort(c.port + 1)
 		}
-		return "RETRY(?,?)[]", ConcretePacket{Type: "RETRY"}, hdr.PayloadEnd
+		c.emit(ex, hdr.Type, 0, nil)
+		return hdr.PayloadEnd
 	case quicwire.PacketVersionNegotiation:
-		return "VERSION_NEGOTIATION(?,?)[]", ConcretePacket{Type: "VERSION_NEGOTIATION"}, hdr.PayloadEnd
+		c.emit(ex, hdr.Type, 0, nil)
+		return hdr.PayloadEnd
 	}
 	space, ok := spaceFor(hdr.Type)
 	if !ok {
-		return "", ConcretePacket{}, hdr.PayloadEnd
+		return hdr.PayloadEnd
 	}
 	keys := c.keys[space].Server
 	if keys == nil {
 		// Undecryptable: could be a stateless reset disguised as a short
 		// packet (they are indistinguishable by design, RFC 9000 §10.3).
 		if hdr.Type == quicwire.PacketShort && c.looksLikeReset(data) {
-			return "RESET(?,?)[]", ConcretePacket{Type: "RESET"}, len(data)
+			c.emit(ex, quicwire.PacketStatelessReset, 0, nil)
+			return len(data)
 		}
-		return "", ConcretePacket{}, hdr.PayloadEnd
+		return hdr.PayloadEnd
 	}
-	buf := append([]byte(nil), data[:hdr.PayloadEnd]...)
-	if err := keys.UnprotectHeader(buf, hdr.PNOffset); err != nil {
-		return "", ConcretePacket{}, hdr.PayloadEnd
-	}
-	pn, err := quicwire.DecodePacketNumber(buf, hdr.PNOffset)
-	if err != nil {
-		return "", ConcretePacket{}, hdr.PayloadEnd
-	}
-	payload, err := keys.Open(buf[hdr.PNOffset+4:hdr.PayloadEnd], pn, buf[:hdr.PNOffset+4])
+	c.rx = append(c.rx[:0], data[:hdr.PayloadEnd]...)
+	pn, payload, err := keys.OpenPacket(&c.sc, c.rx, hdr.PNOffset)
 	if err != nil {
 		if hdr.Type == quicwire.PacketShort && c.looksLikeReset(data) {
-			return "RESET(?,?)[]", ConcretePacket{Type: "RESET"}, len(data)
+			c.emit(ex, quicwire.PacketStatelessReset, 0, nil)
+			return len(data)
 		}
-		return "", ConcretePacket{}, hdr.PayloadEnd
+		return hdr.PayloadEnd
 	}
-	frames, err := quicwire.ParseFrames(payload)
+	frames, err := quicwire.ParseFramesAppend(c.rxFrames[:0], payload)
+	c.rxFrames = frames[:0]
 	if err != nil {
-		return "", ConcretePacket{}, hdr.PayloadEnd
+		return hdr.PayloadEnd
 	}
 	if pn > c.largestRecv[space] {
 		c.largestRecv[space] = pn
 	}
 	c.ackQueue[space] = true // a reactive ACK is now queued (property 1)
 	c.applyFrames(space, frames)
-	label := fmt.Sprintf("%s(?,?)[%s]", hdr.Type, quicwire.FrameNames(frames))
-	return label, ConcretePacket{Type: hdr.Type.String(), PacketNumber: pn, Frames: frames}, hdr.PayloadEnd
+	c.emit(ex, hdr.Type, pn, frames)
+	return hdr.PayloadEnd
 }
 
 // looksLikeReset applies the reference implementation's stateless-reset
@@ -412,12 +493,11 @@ func (c *QUICClient) looksLikeReset(data []byte) bool {
 // applyFrames folds server frames into client state.
 func (c *QUICClient) applyFrames(space int, frames []quicwire.Frame) {
 	for _, f := range frames {
-		if f.Type == quicwire.FrameCrypto && space == 0 && c.serverRandom == nil {
+		if f.Type == quicwire.FrameCrypto && space == 0 && len(c.serverRandom) == 0 {
 			const prefix = "SERVER_HELLO:"
 			if len(f.Data) > len(prefix) && string(f.Data[:len(prefix)]) == prefix {
-				c.serverRandom = append([]byte(nil), f.Data[len(prefix):]...)
-				hello := append([]byte("CLIENT_HELLO:"), c.clientRandom...)
-				c.keys[1], c.keys[2] = quiccrypto.SessionKeys(hello, c.serverRandom)
+				c.serverRandom = append(c.serverRandom, f.Data[len(prefix):]...)
+				c.keys[1], c.keys[2] = quiccrypto.SessionKeys(c.hello, c.serverRandom)
 			}
 		}
 	}
