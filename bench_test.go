@@ -26,22 +26,6 @@ import (
 	"repro/internal/transport"
 )
 
-// BenchmarkLearnTCPHandshake — Fig. 3(b): learn the handshake fragment over
-// the two-symbol alphabet.
-func BenchmarkLearnTCPHandshake(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sul := lab.NewTCP(1)
-		exp := &core.Experiment{Alphabet: []string{"SYN(?,?,0)", "ACK(?,?,0)"}, SUL: sul, Seed: 1}
-		m, err := exp.Learn(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if m.NumStates() < 3 {
-			b.Fatalf("degenerate model: %d states", m.NumStates())
-		}
-	}
-}
-
 // BenchmarkLearnTCPFull — §6.1: the full seven-symbol TCP alphabet
 // (paper: 6 states, 42 transitions, 4,726 membership queries).
 func BenchmarkLearnTCPFull(b *testing.B) {
@@ -110,7 +94,7 @@ func BenchmarkLearnQuiche(b *testing.B) {
 // BenchmarkLearnerComparison — ablation: L* vs the discrimination-tree
 // learner on the same target (live query counts with the cache enabled).
 func BenchmarkLearnerComparison(b *testing.B) {
-	for _, kind := range []core.LearnerKind{core.LearnerLStar, core.LearnerTTT} {
+	for _, kind := range []lab.LearnerKind{lab.LearnerLStar, lab.LearnerTTT} {
 		b.Run(string(kind), func(b *testing.B) {
 			var queries int64
 			for i := 0; i < b.N; i++ {

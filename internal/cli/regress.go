@@ -162,12 +162,7 @@ type cellRun struct {
 // baseline or comparison error.
 func relearnCell(ctx context.Context, rt RegressTarget, storeDir string, workers, witnesses int,
 	obs learn.Observer, baseline func() (*analysis.Model, error)) (*cellRun, error) {
-	cfg := learncfg.Config{
-		Learner: "ttt", Seed: rt.Seed, Conformance: rt.Conformance,
-		Loss: rt.Loss, Duplicate: rt.Duplicate, Reorder: rt.Reorder,
-		Warmup: rt.Warmup, Workers: workers, Store: storeDir,
-	}
-	exp, res, err := LearnTarget(ctx, rt.Name, cfg, obs)
+	exp, res, err := LearnTarget(ctx, rt.Name, rt.Config("ttt", workers, storeDir), obs)
 	if err != nil {
 		return nil, err
 	}
@@ -265,6 +260,17 @@ type RegressTarget struct {
 	Duplicate   float64 `json:"dup,omitempty"`
 	Reorder     float64 `json:"reorder,omitempty"`
 	Warmup      int     `json:"warmup,omitempty"`
+}
+
+// Config is the learning configuration of the manifest cell, run with
+// the given learner and worker count, warm-started from storeDir when it
+// is non-empty.
+func (rt RegressTarget) Config(learner string, workers int, storeDir string) learncfg.Config {
+	return learncfg.Config{
+		Learner: learner, Seed: rt.Seed, Conformance: rt.Conformance,
+		Loss: rt.Loss, Duplicate: rt.Duplicate, Reorder: rt.Reorder,
+		Warmup: rt.Warmup, Workers: workers, Store: storeDir,
+	}
 }
 
 // RegressManifest is a loaded regression manifest. Dir is the directory

@@ -1,14 +1,10 @@
-// Package core is the Prognosis framework of §2: it wires a System Under
-// Learning (a protocol implementation behind an instrumented reference-
-// implementation adapter) to the learning module, guards queries against
-// nondeterminism (§5), maintains the Oracle Table used for model synthesis
-// (§4.3), and exposes the experiment driver used by the command-line tools
-// and benchmarks.
-//
-// The experiment API is context-first: Experiment.Learn takes a
-// context.Context, and cancelling it aborts the run mid-round — the pool
-// workers, the cache's in-flight waiters, the voting guard, and the
-// equivalence search all exit promptly without leaking goroutines.
+// Package core is the boundary between Prognosis (§2) and a System Under
+// Learning: the SUL interface a protocol implementation is reached
+// through (behind an instrumented reference-implementation adapter),
+// Oracle, which turns an SUL into the learning module's membership
+// oracle, and the §5 voting guard against nondeterminism (Guardian).
+// lab.Experiment assembles these pieces, with the learn package's pool,
+// cache and equivalence oracles, into one oracle chain per experiment.
 package core
 
 import (
@@ -21,7 +17,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/automata"
 	"repro/internal/learn"
 )
 
@@ -481,311 +476,9 @@ func (g *Guardian) adaptiveQuery(ctx context.Context, o learn.Oracle, word []str
 	return accepted, nil
 }
 
-// maxCacheRepairs bounds how many times one Learn call may repair the
-// cache and restart its learner before giving up: repairs are cheap (the
-// warm cache answers everything untainted), but an implementation that
-// keeps producing contradictions is genuinely unlearnable and must fail
-// rather than spin.
-const maxCacheRepairs = 3
-
-// revalidatedEq wraps an equivalence oracle with the cache-poisoning
-// breaker: a counterexample identical to the previous round's means the
-// learner made no progress on it. After the guard, the likeliest cause is
-// a wrongly accepted answer sitting in the cache (which would otherwise
-// loop the MAT rounds forever), so the word is re-voted live and the
-// cached path overwritten before the learner retries it. A counterexample
-// that still makes no progress after repeated repairs is escalated as an
-// InconsistencyError, which Experiment.Learn handles with a wider repair
-// and a learner restart.
-type revalidatedEq struct {
-	inner   learn.EquivalenceOracle
-	cache   *learn.CachedOracle
-	last    string
-	repeats int
-}
-
-// FindCounterexample implements learn.EquivalenceOracle.
-func (r *revalidatedEq) FindCounterexample(ctx context.Context, hyp *automata.Mealy) ([]string, error) {
-	ce, err := r.inner.FindCounterexample(ctx, hyp)
-	if err != nil || ce == nil {
-		r.last, r.repeats = "", 0
-		return ce, err
-	}
-	key := strings.Join(ce, "\x1f")
-	if key != r.last {
-		r.last, r.repeats = key, 0
-		return ce, nil
-	}
-	r.repeats++
-	if r.repeats > maxCacheRepairs {
-		return nil, &learn.InconsistencyError{
-			CE: ce, Words: [][]string{ce},
-			Reason: "counterexample made no progress despite repeated cache repairs",
-		}
-	}
-	if _, err := r.cache.Refresh(ctx, ce); err != nil {
-		return nil, err
-	}
-	return ce, nil
-}
-
 // Guard wraps a single oracle with the nondeterminism check — the one-shot
 // form of NewGuardian(cfg, nil, nil).Wrap(o) for callers that need no
 // shared stats or escalation events.
 func Guard(o learn.Oracle, cfg GuardConfig) learn.Oracle {
 	return NewGuardian(cfg, nil, nil).Wrap(o)
-}
-
-// LearnerKind selects the learning algorithm.
-type LearnerKind string
-
-// Available learners.
-const (
-	LearnerLStar LearnerKind = "lstar"
-	LearnerTTT   LearnerKind = "ttt" // discrimination-tree learner
-)
-
-// Experiment wires an SUL to the learning module. Zero-value fields get
-// sensible defaults from Learn.
-type Experiment struct {
-	Alphabet []string
-	SUL      SUL
-	// SULs optionally provides additional behaviourally identical replicas
-	// of SUL, each with its own reset state. Together with Workers > 1 they
-	// form the sharded pool the concurrent query engine fans batches
-	// across. SUL itself is always shard 0; SULs are shards 1..n.
-	SULs    []SUL
-	Workers int
-	Learner LearnerKind
-	// Equivalence is the equivalence oracle; when nil a random-words
-	// oracle over the guarded SUL with the given seed is used (partitioned
-	// across Workers goroutines in concurrent mode).
-	Equivalence learn.EquivalenceOracle
-	// Conformance > 0 strengthens the default equivalence search (it is
-	// ignored when Equivalence is set): after the cheap random-words pass,
-	// a Wp-method suite of this depth runs against the guarded SUL, which
-	// is guaranteed to expose any residual fault adding at most Conformance
-	// extra states. Unlike a ground-truth oracle it needs no specification,
-	// so it works for closed-box targets and for targets whose behaviour
-	// only an impaired link reveals.
-	Conformance int
-	Guard       GuardConfig
-	Seed        int64
-	// DisableCache turns off the prefix-tree query cache (for ablation).
-	DisableCache bool
-	// Warm, when set, seeds the learner from this previously learned
-	// hypothesis (L* rebuilds its observation table from the old access
-	// words and characterizing set; the discrimination-tree learner starts
-	// from a tree rebuilt from the old model), so relearning re-derives
-	// the structure through the — typically store-warmed — cache instead
-	// of rediscovering it query by query. The warm structures carry only
-	// questions, never answers: a hypothesis that no longer matches the
-	// system merely biases which queries are asked first.
-	Warm *automata.Mealy
-	// Store, when set, persists the run's membership answers: the cache is
-	// pre-seeded from the store's query log before the first query, every
-	// accepted live answer is appended during the run, and a successful
-	// learn seals and snapshots the final model for the next run's warm
-	// start (learn.Store, learn.CachedOracle.UseStore). Ignored when
-	// DisableCache is set — the store is the cache's persistent half.
-	Store *learn.Store
-	// Window, when set, puts a congestion-window-style adaptive limit on
-	// the queries in flight across the pool (workers > 1 only): additive
-	// increase on clean completions, multiplicative decrease on guard
-	// escalations and timeouts. A zero Max defaults to the worker count.
-	// The fixed worker-count limit still caps it — the window can only
-	// tighten concurrency, never exceed the shards.
-	Window *learn.WindowConfig
-	// Observer, when set, receives the typed event stream of the run:
-	// RoundStarted / HypothesisReady / CounterexampleFound from the
-	// learner, CacheSnapshot once per hypothesis (only while the cache is
-	// enabled — a DisableCache run has no cache to snapshot), and
-	// NondeterminismDetected when the §5 guard halts the run.
-	Observer learn.Observer
-
-	// Stats is populated during Learn: Queries/Symbols count live SUL
-	// traffic, Hits counts cache hits.
-	Stats learn.Stats
-	// GuardStats is populated during Learn with the voting guard's
-	// cumulative cost counters (read with Snapshot while running).
-	GuardStats GuardStats
-	// WindowStats is populated during Learn with the adaptive window's
-	// counters when Window is set (zero value otherwise).
-	WindowStats learn.WindowStats
-}
-
-// Learn runs the full MAT loop and returns the learned model. Cancelling
-// ctx aborts the run within one query round and returns ctx.Err().
-func (e *Experiment) Learn(ctx context.Context) (*automata.Mealy, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if e.SUL == nil || len(e.Alphabet) == 0 {
-		return nil, errors.New("core: experiment needs an SUL and an alphabet")
-	}
-	guard := e.Guard
-	if guard == (GuardConfig{}) {
-		guard = DefaultGuard()
-	}
-	workers := e.Workers
-	if workers > 1+len(e.SULs) {
-		workers = 1 + len(e.SULs)
-	}
-	// The adaptive in-flight window, when configured, sits in front of the
-	// pool's free list and is fed by the guard: every GuardEscalated event
-	// is a loss signal that cuts the window multiplicatively. It only
-	// makes sense with a pool (workers > 1) — a single shard has nothing
-	// to throttle.
-	var win *learn.Window
-	guardObs := e.Observer
-	if e.Window != nil && workers > 1 {
-		wcfg := *e.Window
-		if wcfg.Max == 0 {
-			wcfg.Max = workers
-		}
-		win = learn.NewWindow(wcfg, e.Observer)
-		guardObs = learn.MultiObserver(e.Observer, learn.ObserverFunc(func(ev learn.Event) {
-			if _, ok := ev.(learn.GuardEscalated); ok {
-				win.OnLoss()
-			}
-		}))
-		defer func() { e.WindowStats = win.Stats() }()
-	}
-	// One Guardian serves every shard: the voting policy adapts to the
-	// link's observed quality, which is a property of the experiment, not
-	// of any single replica.
-	guardian := NewGuardian(guard, &e.GuardStats, guardObs)
-	var oracle learn.Oracle
-	if workers > 1 {
-		// Concurrent mode: one guarded, counted oracle chain per SUL
-		// replica, pooled behind the batch dispatcher. The counter is per
-		// shard (each drives exactly one SUL); the stats and the guard
-		// state are shared and updated atomically.
-		shards := make([]learn.Oracle, 0, workers)
-		for _, s := range append([]SUL{e.SUL}, e.SULs...)[:workers] {
-			shards = append(shards, guardian.Wrap(learn.Counting(Oracle(s), &e.Stats)))
-		}
-		pool := learn.NewPool(shards...)
-		if win != nil {
-			pool.UseWindow(win)
-		}
-		oracle = pool
-	} else {
-		oracle = guardian.Wrap(learn.Counting(Oracle(e.SUL), &e.Stats))
-	}
-	obs := e.Observer
-	var cached *learn.CachedOracle
-	if !e.DisableCache {
-		cached = learn.NewCache(oracle, &e.Stats)
-		if e.Store != nil {
-			cached.UseStore(e.Store)
-		}
-		oracle = cached
-		if obs != nil {
-			// Every hypothesis is a natural synchronisation point: piggyback
-			// a cache/traffic snapshot on it so observers can watch live
-			// query costs without polling.
-			inner := obs
-			obs = learn.ObserverFunc(func(ev learn.Event) {
-				inner.OnEvent(ev)
-				if h, ok := ev.(learn.HypothesisReady); ok {
-					inner.OnEvent(learn.CacheSnapshot{
-						Round:       h.Round,
-						Entries:     cached.Size(),
-						LiveQueries: atomic.LoadInt64(&e.Stats.Queries),
-						Symbols:     atomic.LoadInt64(&e.Stats.Symbols),
-						Hits:        atomic.LoadInt64(&e.Stats.Hits),
-					})
-				}
-			})
-		}
-	}
-	eq := e.Equivalence
-	if eq == nil {
-		rw := learn.NewRandomWordsOracle(oracle, e.Alphabet, e.Seed+1)
-		if workers > 1 {
-			rw.Workers = workers
-		}
-		eq = rw
-		if e.Conformance > 0 {
-			eq = learn.ChainOracle{rw, &learn.WpMethodOracle{
-				Oracle: oracle, Inputs: e.Alphabet, Depth: e.Conformance, Workers: workers,
-			}}
-		}
-	}
-	if cached != nil {
-		// A counterexample the learner makes no progress on would loop the
-		// MAT rounds forever; with a cache in front of a voting guard, the
-		// likeliest cause is a wrongly accepted (and therefore permanently
-		// cached) answer. Re-vote and repair rather than spin.
-		eq = &revalidatedEq{inner: eq, cache: cached}
-	}
-	runLearner := func() (*automata.Mealy, error) {
-		switch e.Learner {
-		case LearnerLStar:
-			l := learn.NewLStar(oracle, e.Alphabet)
-			l.Observer = obs
-			l.Warm = e.Warm
-			return l.Learn(ctx, eq)
-		case LearnerTTT, "":
-			d := learn.NewDTLearner(oracle, e.Alphabet)
-			d.Observer = obs
-			d.Warm = e.Warm
-			return d.Learn(ctx, eq)
-		default:
-			return nil, fmt.Errorf("core: unknown learner %q", e.Learner)
-		}
-	}
-	var model *automata.Mealy
-	var err error
-	for attempt := 0; ; attempt++ {
-		model, err = runLearner()
-		var inc *learn.InconsistencyError
-		if err == nil || cached == nil || attempt >= maxCacheRepairs || !errors.As(err, &inc) {
-			break
-		}
-		// The learner proved its observations contradict every
-		// deterministic machine. Two causes exist: a wrongly accepted
-		// answer poisoned the cache (the guard makes that rare, the cache
-		// makes it permanent), or the target's behaviour genuinely
-		// shifted mid-run (state leaking across resets, as the
-		// lossy-retransmit profile does under loss). Re-vote the
-		// implicated words and restart — the warm cache answers
-		// everything untainted for free; on the last attempt drop the
-		// whole cache, which converges whenever the current behaviour is
-		// stable, whatever stale entries remain elsewhere.
-		if attempt == maxCacheRepairs-1 {
-			cached.Clear()
-			continue
-		}
-		for _, w := range inc.Words {
-			if _, rerr := cached.Refresh(ctx, w); rerr != nil {
-				return nil, rerr
-			}
-		}
-	}
-	if err != nil {
-		if nd, ok := IsNondeterminism(err); ok && obs != nil {
-			obs.OnEvent(learn.NondeterminismDetected{
-				Word: nd.Word, Alternatives: len(nd.Observed), Votes: nd.Votes,
-			})
-		}
-		return nil, err
-	}
-	if e.Store != nil && cached != nil {
-		// Best-effort: the store is an accelerator, so neither a seal nor a
-		// snapshot failure may turn a successful learn into an error — the
-		// next run is merely colder. The seal logs every word a warm
-		// rebuild of this model will ask (answered from the cache, or from
-		// the model for the few combinations never asked live), which is
-		// what makes an unchanged target's relearn free of live membership
-		// queries.
-		_ = cached.SealWarm(ctx, model, e.Alphabet, e.Learner == LearnerLStar)
-		// Snapshot the canonical (minimized, BFS-numbered) form: equivalent
-		// machines share one canonical form, so the snapshot's bytes are
-		// stable across relearns of an unchanged target no matter which
-		// tree or table shape produced them.
-		_ = e.Store.SaveModel(model.Minimize())
-	}
-	return model, nil
 }

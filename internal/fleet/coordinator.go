@@ -678,7 +678,7 @@ func (co *Coordinator) mergeCampaign(c *campaign) {
 				}
 				machine = m
 			}
-			rr.Result = lab.RestoreResult(cr.cell.Target, core.LearnerKind(cr.cell.Config.Learner),
+			rr.Result = lab.RestoreResult(cr.cell.Target, lab.LearnerKind(cr.cell.Config.Learner),
 				machine, nondet, metrics)
 			mCellsMerged.Inc()
 		case "failed":

@@ -39,16 +39,6 @@ type Campaign struct {
 	// zero). Each run may additionally use WithWorkers internally; total
 	// SUL concurrency is the product.
 	Parallelism int
-	// Checkpoint, when set, makes the campaign resumable: every run that
-	// completes (learned a model or halted on nondeterminism — errors are
-	// retried) is appended to this JSONL file, and a later Run of a
-	// campaign naming the same file skips the recorded runs, restoring
-	// their results instead of relearning. An interrupted impairment
-	// matrix therefore continues from where it stopped. Records are keyed
-	// by run name, so resumed campaigns must keep their RunSpec names
-	// stable; a truncated final line (a crash mid-append) is discarded on
-	// load, costing only that one run.
-	Checkpoint string
 }
 
 // Run executes the campaign and returns one RunResult per RunSpec,
@@ -59,15 +49,6 @@ func (c *Campaign) Run(ctx context.Context) ([]RunResult, error) {
 		ctx = context.Background()
 	}
 	results := make([]RunResult, len(c.Runs))
-	done := map[string]*Result{}
-	var ckpt *checkpointFile
-	if c.Checkpoint != "" {
-		var err error
-		if done, ckpt, err = openCheckpoint(c.Checkpoint); err != nil {
-			return nil, err
-		}
-		defer ckpt.close()
-	}
 	par := c.Parallelism
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
@@ -84,15 +65,6 @@ func (c *Campaign) Run(ctx context.Context) ([]RunResult, error) {
 			name = spec.Target
 		}
 		results[i] = RunResult{Name: name, Target: spec.Target}
-		if res, ok := done[name]; ok && res.Target == spec.Target {
-			// Recorded by a previous (interrupted) campaign naming the same
-			// checkpoint: restore instead of relearning. A record whose
-			// target no longer matches the spec (the campaign was edited
-			// but kept the run name) is ignored — relearning under the new
-			// spec beats silently attributing the old result to it.
-			results[i].Result = res
-			continue
-		}
 		// Check cancellation before contending for a slot: once ctx is done
 		// no further run may start, even if the semaphore has capacity (a
 		// two-way select would pick between the ready channels at random).
@@ -115,17 +87,11 @@ func (c *Campaign) Run(ctx context.Context) ([]RunResult, error) {
 			continue
 		}
 		wg.Add(1)
-		go func(i int, spec RunSpec, name string) {
+		go func(i int, spec RunSpec) {
 			defer wg.Done()
 			defer func() { <-sem }()
 			results[i].Result, results[i].Err = runSpec(ctx, spec)
-			if ckpt != nil && results[i].Err == nil && results[i].Result != nil {
-				// Best-effort: a checkpoint that cannot grow costs only
-				// resumability. Errored runs are not recorded — they retry
-				// on resume.
-				_ = ckpt.append(name, results[i].Result)
-			}
-		}(i, spec, name)
+		}(i, spec)
 	}
 	wg.Wait()
 	return results, ctx.Err()

@@ -27,7 +27,7 @@ type Result struct {
 	Stats       learn.Stats
 	Nondet      *core.NondeterminismError
 	Duration    time.Duration
-	LearnerKind core.LearnerKind
+	LearnerKind LearnerKind
 	// The guard, fault, and window counters are read through Metrics().
 	guard  core.GuardStats
 	faults netem.Stats
@@ -78,7 +78,7 @@ func (r *Result) Metrics() Metrics {
 // RestoreResult rebuilds the Result of a run that finished elsewhere from
 // its recorded outcome and unified metrics — how campaign checkpoints and
 // the fleet coordinator's merged cells restore runs without relearning.
-func RestoreResult(target string, kind core.LearnerKind, machine *automata.Mealy,
+func RestoreResult(target string, kind LearnerKind, machine *automata.Mealy,
 	nondet *core.NondeterminismError, m Metrics) *Result {
 	return &Result{
 		Target: target, LearnerKind: kind, Machine: machine, Nondet: nondet,
@@ -95,17 +95,24 @@ func (r *Result) Model() *analysis.Model {
 }
 
 // Experiment is one configured learning run against a registered target:
-// the built SUL replicas, the assembled oracle chain, and the resolved
-// options. Build it with NewExperiment, run it with Learn (repeatably —
-// replicas reset per query), and release any transport resources with
-// Close.
+// the built SUL replicas and the resolved options, from which every Learn
+// assembles its oracle chain. Build it with NewExperiment, run it with
+// Learn (repeatably — replicas reset per query), and release any
+// transport resources with Close.
 type Experiment struct {
 	target string
 	cfg    config
 	sys    *System
-	exp    *core.Experiment
+	suls   []core.SUL // the replicas as the chain sees them (RTT-wrapped)
+	eq     learn.EquivalenceOracle
+	warm   *automata.Mealy
 	links  []*netem.Link
 	store  *learn.Store
+
+	// The running Learn's counters, replaced at its start; the chain
+	// updates them atomically, so they are readable mid-run.
+	stats learn.Stats
+	guard core.GuardStats
 }
 
 // NewExperiment resolves target in the registry, builds one SUL replica
@@ -118,11 +125,14 @@ func NewExperiment(target string, opts ...Option) (*Experiment, error) {
 	if cfg.workers < 1 {
 		cfg.workers = 1
 	}
-	if cfg.impair.Enabled() && !cfg.guardSet {
+	switch {
+	case cfg.impair.Enabled() && !cfg.guardSet:
 		// A fixed certainty threshold cannot be met on a link that
 		// corrupts a large fraction of executions; impaired runs default
 		// to the adaptive guard unless the caller chose one explicitly.
 		cfg.guard = core.DefaultAdaptiveGuard()
+	case cfg.guard == (core.GuardConfig{}):
+		cfg.guard = core.DefaultGuard()
 	}
 	var links []*netem.Link
 	var wrap func(worker int, tr reference.Transport) reference.Transport
@@ -170,28 +180,14 @@ func NewExperiment(target string, opts ...Option) (*Experiment, error) {
 		}
 		suls = wrapped
 	}
-	exp := &core.Experiment{
-		Alphabet:     sys.Alphabet,
-		SUL:          suls[0],
-		SULs:         suls[1:],
-		Workers:      cfg.workers,
-		Learner:      cfg.learner,
-		Seed:         cfg.seed,
-		DisableCache: cfg.disableCache,
-		Guard:        cfg.guard,
-		Conformance:  cfg.conformance,
-		Equivalence:  cfg.equivalence,
-		Observer:     cfg.observer,
-		Window:       cfg.window,
-	}
-	if cfg.perfect && exp.Equivalence == nil {
+	e := &Experiment{target: target, cfg: cfg, sys: sys, suls: suls, eq: cfg.equivalence, links: links}
+	if cfg.perfect && e.eq == nil {
 		if sys.Truth == nil {
 			sys.Close()
 			return nil, fmt.Errorf("lab: no ground truth available for %q", target)
 		}
-		exp.Equivalence = &learn.ModelOracle{Model: sys.Truth}
+		e.eq = &learn.ModelOracle{Model: sys.Truth}
 	}
-	e := &Experiment{target: target, cfg: cfg, sys: sys, exp: exp, links: links}
 	if cfg.storeDir != "" && !cfg.disableCache {
 		st, err := learn.OpenStore(cfg.storeDir, runKey(target, cfg))
 		if err != nil {
@@ -199,12 +195,11 @@ func NewExperiment(target string, opts ...Option) (*Experiment, error) {
 			return nil, err
 		}
 		e.store = st
-		exp.Store = st
 		// A saved hypothesis warm-starts the learner. Load failures (or a
 		// snapshot over a different alphabet, rejected by the learner) just
 		// degrade to a cold start.
 		if warm, err := st.LoadModel(); err == nil {
-			exp.Warm = warm
+			e.warm = warm
 		}
 	}
 	return e, nil
@@ -308,11 +303,17 @@ func (e *Experiment) Alphabet() []string { return e.sys.Alphabet }
 // Stats returns a snapshot of the live-traffic counters (valid after — or,
 // from an observer, during — Learn). The counters are read atomically, so
 // snapshots taken while pool workers are updating them are safe.
-func (e *Experiment) Stats() learn.Stats { return statsSnapshot(&e.exp.Stats) }
+func (e *Experiment) Stats() learn.Stats {
+	return learn.Stats{
+		Queries: atomic.LoadInt64(&e.stats.Queries),
+		Symbols: atomic.LoadInt64(&e.stats.Symbols),
+		Hits:    atomic.LoadInt64(&e.stats.Hits),
+	}
+}
 
 // GuardStats returns a snapshot of the voting guard's cumulative cost
 // counters (safe to read mid-run).
-func (e *Experiment) GuardStats() core.GuardStats { return e.exp.GuardStats.Snapshot() }
+func (e *Experiment) GuardStats() core.GuardStats { return e.guard.Snapshot() }
 
 // Faults aggregates the fault counters of every worker's netem link.
 // Without WithImpairment there are no links and the result is zero.
@@ -336,44 +337,29 @@ func faultsDelta(before, after netem.Stats) netem.Stats {
 	}
 }
 
-// statsSnapshot reads the atomically-updated counters without racing
-// concurrent pool workers.
-func statsSnapshot(st *learn.Stats) learn.Stats {
-	return learn.Stats{
-		Queries: atomic.LoadInt64(&st.Queries),
-		Symbols: atomic.LoadInt64(&st.Symbols),
-		Hits:    atomic.LoadInt64(&st.Hits),
-	}
-}
-
 // Learn runs the full Prognosis pipeline. Cancelling ctx aborts the run
 // within one query round and returns ctx.Err(); a nondeterministic target
 // (the §5 analysis) is not an error — it is reported in Result.Nondet.
 // Learn is repeatable (replicas reset per query); each call's Result.Stats
-// counts only that run's traffic.
+// counts only that run's traffic. Learn is not safe for concurrent use on
+// one Experiment; campaign runs each own their Experiment.
 func (e *Experiment) Learn(ctx context.Context) (*Result, error) {
-	// Zero the counters so repeated Learns report per-run traffic rather
-	// than an accumulating total. (Learn itself is not safe for concurrent
-	// use on one Experiment; campaign runs each own their Experiment.)
-	atomic.StoreInt64(&e.exp.Stats.Queries, 0)
-	atomic.StoreInt64(&e.exp.Stats.Symbols, 0)
-	atomic.StoreInt64(&e.exp.Stats.Hits, 0)
-	atomic.StoreInt64(&e.exp.GuardStats.Votes, 0)
-	atomic.StoreInt64(&e.exp.GuardStats.Escalations, 0)
-	atomic.StoreInt64(&e.exp.GuardStats.RetriedQueries, 0)
-	atomic.StoreInt64(&e.exp.GuardStats.WastedVotes, 0)
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	e.stats, e.guard = learn.Stats{}, core.GuardStats{}
 	// Link counters cannot be zeroed (the links keep their fault streams),
 	// so per-run fault totals are deltas against the pre-run snapshot.
 	faultsBefore := e.Faults()
 	res := &Result{Target: e.target, LearnerKind: e.cfg.learner}
 	start := time.Now()
-	model, err := e.exp.Learn(ctx)
+	model, win, err := e.learn(ctx)
 	res.Duration = time.Since(start)
-	res.Stats = statsSnapshot(&e.exp.Stats)
-	res.guard = e.exp.GuardStats.Snapshot()
+	res.Stats = e.Stats()
+	res.guard = e.GuardStats()
 	res.faults = faultsDelta(faultsBefore, e.Faults())
-	if e.cfg.window != nil && e.cfg.workers > 1 {
-		ws := e.exp.WindowStats
+	if win != nil {
+		ws := win.Stats()
 		res.window = &ws
 	}
 	if err != nil {
@@ -387,13 +373,135 @@ func (e *Experiment) Learn(ctx context.Context) (*Result, error) {
 	return res, nil
 }
 
+// learn assembles this run's oracle chain and runs the MAT loop through
+// it. Every replica is counted and guarded by one shared Guardian, and
+// the replicas are the shards of one pool (a single replica is a
+// one-shard pool); the adaptive window, when configured, throttles the
+// pool; the prefix-tree cache, with its store, fronts it; and the
+// equivalence oracle asks through the cache. It returns the window too,
+// nil when none was installed.
+func (e *Experiment) learn(ctx context.Context) (*automata.Mealy, *learn.Window, error) {
+	cfg, obs := e.cfg, e.cfg.observer
+	// The adaptive in-flight window sits in front of the pool's free list
+	// and is fed by the guard: every GuardEscalated event is a loss
+	// signal that cuts the window multiplicatively. A single shard has
+	// nothing to throttle.
+	var win *learn.Window
+	guardObs := obs
+	if cfg.window != nil && len(e.suls) > 1 {
+		wcfg := *cfg.window
+		if wcfg.Max == 0 {
+			wcfg.Max = len(e.suls)
+		}
+		win = learn.NewWindow(wcfg, obs)
+		guardObs = learn.MultiObserver(obs, learn.ObserverFunc(func(ev learn.Event) {
+			if _, ok := ev.(learn.GuardEscalated); ok {
+				win.OnLoss()
+			}
+		}))
+	}
+	// One Guardian serves every shard: the voting policy adapts to the
+	// link's observed quality, which is a property of the experiment, not
+	// of any single replica. The counter is per shard (each drives exactly
+	// one SUL); the stats and the guard state are shared.
+	guardian := core.NewGuardian(cfg.guard, &e.guard, guardObs)
+	shards := make([]learn.Oracle, len(e.suls))
+	for i, s := range e.suls {
+		shards[i] = guardian.Wrap(learn.Counting(core.Oracle(s), &e.stats))
+	}
+	pool := learn.NewPool(shards...)
+	if win != nil {
+		pool.UseWindow(win)
+	}
+	var oracle learn.Oracle = pool
+	var cached *learn.CachedOracle
+	if !cfg.disableCache {
+		cached = learn.NewCache(pool, &e.stats)
+		if e.store != nil {
+			cached.UseStore(e.store)
+		}
+		oracle = cached
+		if obs != nil {
+			// Every hypothesis is a natural synchronisation point: piggyback
+			// a cache/traffic snapshot on it so observers can watch live
+			// query costs without polling.
+			inner := obs
+			obs = learn.ObserverFunc(func(ev learn.Event) {
+				inner.OnEvent(ev)
+				if h, ok := ev.(learn.HypothesisReady); ok {
+					st := e.Stats()
+					inner.OnEvent(learn.CacheSnapshot{
+						Round: h.Round, Entries: cached.Size(),
+						LiveQueries: st.Queries, Symbols: st.Symbols, Hits: st.Hits,
+					})
+				}
+			})
+		}
+	}
+	eq := e.eq
+	if eq == nil {
+		rw := learn.NewRandomWordsOracle(oracle, e.sys.Alphabet, cfg.seed+1)
+		rw.Workers = len(e.suls)
+		eq = rw
+		if cfg.conformance > 0 {
+			eq = learn.ChainOracle{rw, &learn.WpMethodOracle{
+				Oracle: oracle, Inputs: e.sys.Alphabet, Depth: cfg.conformance, Workers: len(e.suls),
+			}}
+		}
+	}
+	run := func(eq learn.EquivalenceOracle) (*automata.Mealy, error) {
+		switch cfg.learner {
+		case LearnerLStar:
+			l := learn.NewLStar(oracle, e.sys.Alphabet)
+			l.Observer, l.Warm = obs, e.warm
+			return l.Learn(ctx, eq)
+		case LearnerTTT, "":
+			d := learn.NewDTLearner(oracle, e.sys.Alphabet)
+			d.Observer, d.Warm = obs, e.warm
+			return d.Learn(ctx, eq)
+		}
+		return nil, fmt.Errorf("lab: unknown learner %q", cfg.learner)
+	}
+	var model *automata.Mealy
+	var err error
+	if cached != nil {
+		model, err = cached.LearnRepairing(ctx, eq, run)
+	} else {
+		model, err = run(eq)
+	}
+	if err != nil {
+		if nd, ok := core.IsNondeterminism(err); ok && obs != nil {
+			obs.OnEvent(learn.NondeterminismDetected{
+				Word: nd.Word, Alternatives: len(nd.Observed), Votes: nd.Votes,
+			})
+		}
+		return nil, win, err
+	}
+	if e.store != nil && cached != nil {
+		// Best-effort: the store is an accelerator, so neither a seal nor a
+		// snapshot failure may turn a successful learn into an error — the
+		// next run is merely colder. The seal logs every word a warm
+		// rebuild of this model will ask (answered from the cache, or from
+		// the model for the few combinations never asked live), which is
+		// what makes an unchanged target's relearn free of live membership
+		// queries.
+		_ = cached.SealWarm(ctx, model, e.sys.Alphabet, cfg.learner == LearnerLStar)
+		// Snapshot the canonical (minimized, BFS-numbered) form: equivalent
+		// machines share one canonical form, so the snapshot's bytes are
+		// stable across relearns of an unchanged target no matter which
+		// tree or table shape produced them.
+		_ = e.store.SaveModel(model.Minimize())
+	}
+	return model, win, nil
+}
+
 // Oracle returns a live membership oracle over the experiment's first
 // replica: every query resets the replica and replays the word over its
 // real transport — through any impairment link the experiment configured.
 // This is how witness words from the analysis plane replay against the
 // wire (analysis.Replay / analysis.ConfirmWitness). The oracle shares the
 // replica with Learn, so do not query it while a Learn is in flight.
-func (e *Experiment) Oracle() learn.Oracle { return core.Oracle(e.exp.SUL) }
+func (e *Experiment) Oracle() learn.Oracle { return core.Oracle(e.suls[0]) }
 
 // StoreEntries returns the persistent query store's logged-query count
 // — the query-log version the monitor's lineage records tie model

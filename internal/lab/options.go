@@ -18,7 +18,7 @@ type LinkMiddleware func(worker int, tr reference.Transport) reference.Transport
 // config is the resolved option set of one experiment.
 type config struct {
 	seed         int64
-	learner      core.LearnerKind
+	learner      LearnerKind
 	workers      int
 	rtt          time.Duration
 	transport    TransportKind
@@ -50,8 +50,17 @@ func WithSeed(seed int64) Option {
 	return func(c *config) { c.seed = seed }
 }
 
-// WithLearner selects the learning algorithm (core.LearnerTTT by default).
-func WithLearner(kind core.LearnerKind) Option {
+// LearnerKind selects the learning algorithm.
+type LearnerKind string
+
+// Available learners.
+const (
+	LearnerLStar LearnerKind = "lstar"
+	LearnerTTT   LearnerKind = "ttt" // discrimination-tree learner
+)
+
+// WithLearner selects the learning algorithm (LearnerTTT by default).
+func WithLearner(kind LearnerKind) Option {
 	return func(c *config) { c.learner = kind }
 }
 

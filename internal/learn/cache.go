@@ -7,6 +7,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/automata"
 )
 
 // cacheNode is one node of the prefix tree. The output on the edge from the
@@ -102,6 +104,14 @@ func (c *CachedOracle) Query(ctx context.Context, word []string) ([]string, erro
 		}
 		k := strings.Join(word, "\x1f")
 		c.mu.Lock()
+		// A leader stores its answer before it leaves the in-flight map,
+		// both under c.mu: re-checking the cache here closes the window in
+		// which the word is in neither, which would ask it live twice.
+		if out, ok := c.cache.lookup(word); ok {
+			c.mu.Unlock()
+			c.hit()
+			return out, nil
+		}
 		if fl, ok := c.inflight[k]; ok {
 			c.mu.Unlock()
 			select {
@@ -310,6 +320,90 @@ func (c *CachedOracle) Refresh(ctx context.Context, word []string) ([]string, er
 	c.cache.refresh(word, out)
 	c.persist(word, out)
 	return out, nil
+}
+
+// maxCacheRepairs bounds how many times LearnRepairing may repair the
+// cache and restart its learner before giving up: repairs are cheap (the
+// warm cache answers everything untainted), but an implementation that
+// keeps producing contradictions is genuinely unlearnable and must fail
+// rather than spin.
+const maxCacheRepairs = 3
+
+// LearnRepairing runs a learner through this cache under the
+// cache-repair policy. run learns with the equivalence oracle it is
+// given: eq behind a breaker that re-votes a counterexample the learner
+// made no progress on (Refresh) before handing it back, since a wrongly
+// accepted — and therefore permanently cached — answer would otherwise
+// loop the MAT rounds forever. When run fails with an InconsistencyError,
+// the implicated words are refreshed and run is called again; the last
+// restart drops the whole cache instead.
+func (c *CachedOracle) LearnRepairing(ctx context.Context, eq EquivalenceOracle,
+	run func(EquivalenceOracle) (*automata.Mealy, error)) (*automata.Mealy, error) {
+	eq = &revalidatedEq{inner: eq, cache: c}
+	for attempt := 0; ; attempt++ {
+		model, err := run(eq)
+		var inc *InconsistencyError
+		if err == nil || attempt >= maxCacheRepairs || !errors.As(err, &inc) {
+			return model, err
+		}
+		// The learner proved its observations contradict every
+		// deterministic machine. Two causes exist: a wrongly accepted
+		// answer poisoned the cache (the guard makes that rare, the cache
+		// makes it permanent), or the target's behaviour genuinely
+		// shifted mid-run (state leaking across resets, as the
+		// lossy-retransmit profile does under loss). Re-vote the
+		// implicated words and restart — the warm cache answers
+		// everything untainted for free; on the last attempt drop the
+		// whole cache, which converges whenever the current behaviour is
+		// stable, whatever stale entries remain elsewhere.
+		if attempt == maxCacheRepairs-1 {
+			c.Clear()
+			continue
+		}
+		for _, w := range inc.Words {
+			if _, err := c.Refresh(ctx, w); err != nil {
+				return nil, err
+			}
+		}
+	}
+}
+
+// revalidatedEq is LearnRepairing's counterexample breaker: a
+// counterexample identical to the previous round's means the learner made
+// no progress on it, so the word is re-voted live and the cached path
+// overwritten before the learner retries it. One that still makes no
+// progress after repeated repairs is escalated as an InconsistencyError,
+// which LearnRepairing answers with a wider repair and a restart.
+type revalidatedEq struct {
+	inner   EquivalenceOracle
+	cache   *CachedOracle
+	last    string
+	repeats int
+}
+
+// FindCounterexample implements EquivalenceOracle.
+func (r *revalidatedEq) FindCounterexample(ctx context.Context, hyp *automata.Mealy) ([]string, error) {
+	ce, err := r.inner.FindCounterexample(ctx, hyp)
+	if err != nil || ce == nil {
+		r.last, r.repeats = "", 0
+		return ce, err
+	}
+	key := strings.Join(ce, "\x1f")
+	if key != r.last {
+		r.last, r.repeats = key, 0
+		return ce, nil
+	}
+	r.repeats++
+	if r.repeats > maxCacheRepairs {
+		return nil, &InconsistencyError{
+			CE: ce, Words: [][]string{ce},
+			Reason: "counterexample made no progress despite repeated cache repairs",
+		}
+	}
+	if _, err := r.cache.Refresh(ctx, ce); err != nil {
+		return nil, err
+	}
+	return ce, nil
 }
 
 // lookup returns the cached outputs of word. It walks the path before it

@@ -27,13 +27,12 @@ type RandomWordsOracle struct {
 	// determinism is what lets a store-backed relearn of an unchanged
 	// target reach zero live queries: its final hypothesis is re-verified
 	// with exactly the words the previous run already asked and logged.
-	Seed     int64
-	Attempts int64 // cumulative words tested, for statistics
-	// Workers > 1 partitions the word suite across that many goroutines,
-	// cancelling the rest once a counterexample is found. The result is
-	// deterministic and identical to the sequential search: each call
-	// draws the full round of Words words up front and the earliest
-	// failing word of the round wins.
+	Seed int64
+	// Workers partitions the word suite across that many goroutines
+	// (at least one), cancelling the rest once a counterexample is found.
+	// The result does not depend on it: each call draws the full round of
+	// Words words up front and the earliest failing word of the round
+	// wins.
 	Workers int
 }
 
@@ -99,20 +98,7 @@ func (r *RandomWordsOracle) FindCounterexample(ctx context.Context, hyp *automat
 	for i := range words {
 		words[i] = r.draw(rng)
 	}
-	if r.Workers > 1 {
-		return findFirstCE(ctx, r.Oracle, hyp, words, r.Workers, &r.Attempts)
-	}
-	for _, word := range words {
-		r.Attempts++
-		ce, err := checkWord(ctx, r.Oracle, hyp, word)
-		if err != nil {
-			return nil, err
-		}
-		if ce != nil {
-			return ce, nil
-		}
-	}
-	return nil, nil
+	return findFirstCE(ctx, r.Oracle, hyp, words, r.Workers)
 }
 
 // ModelOracle is a perfect equivalence oracle backed by a known Mealy

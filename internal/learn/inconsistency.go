@@ -11,9 +11,9 @@ import (
 // cause is a wrongly accepted — and therefore cached — answer: the guard
 // makes per-query mistakes extremely rare, but a cache makes any mistake
 // permanent. Words lists the queries involved in the contradiction (the
-// counterexample included), so a driver can re-vote exactly those,
-// overwrite the poisoned entries, and restart the learner instead of
-// failing the run; see core.Experiment.Learn.
+// counterexample included), so CachedOracle.LearnRepairing can re-vote
+// exactly those, overwrite the poisoned entries, and restart the learner
+// instead of failing the run.
 type InconsistencyError struct {
 	CE     []string
 	Words  [][]string

@@ -127,68 +127,45 @@ func (p *Pool) query(ctx context.Context, word []string) ([]string, error) {
 	return out, err
 }
 
-// QueryBatch implements BatchOracle. Words are dispatched to worker
-// goroutines, one per shard; the batch stops early on the first error or
-// when ctx is cancelled.
+// QueryBatch implements BatchOracle. Up to one worker per shard claims
+// the words in index order, the calling goroutine being one of them; the
+// batch stops early on the first error or when ctx is cancelled.
 func (p *Pool) QueryBatch(ctx context.Context, words [][]string) ([][]string, error) {
 	if len(words) == 0 {
 		return nil, nil
 	}
-	workers := len(p.shards)
-	if workers > len(words) {
-		workers = len(words)
-	}
-	if workers == 1 {
-		outs := make([][]string, len(words))
-		for i, w := range words {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			out, err := p.Query(ctx, w)
-			if err != nil {
-				return nil, err
-			}
-			outs[i] = out
-		}
-		return outs, nil
-	}
-
 	outs := make([][]string, len(words))
-	next := make(chan int)
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var firstErr error
 	var errOnce sync.Once
-	fail := func(err error) {
-		errOnce.Do(func() {
-			firstErr = err
-			cancel()
-		})
+	var next atomic.Int64
+	work := func() {
+		for {
+			i := int(next.Add(1) - 1)
+			if i >= len(words) || ctx.Err() != nil {
+				return
+			}
+			out, err := p.Query(ctx, words[i])
+			if err != nil {
+				errOnce.Do(func() {
+					firstErr = err
+					cancel()
+				})
+				return
+			}
+			outs[i] = out
+		}
 	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < min(len(p.shards), len(words)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range next {
-				out, err := p.Query(ctx, words[i])
-				if err != nil {
-					fail(err)
-					return
-				}
-				outs[i] = out
-			}
+			work()
 		}()
 	}
-dispatch:
-	for i := range words {
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(next)
+	work()
 	wg.Wait()
 	if firstErr != nil {
 		return nil, firstErr
@@ -206,7 +183,7 @@ dispatch:
 // best failing index seen so far, so every index below the winner is fully
 // checked. The derived context cancels in-flight work on error, and
 // cancelling the caller's ctx aborts the whole search with ctx.Err().
-func findFirstCE(ctx context.Context, o Oracle, hyp *automata.Mealy, words [][]string, workers int, attempts *int64) ([]string, error) {
+func findFirstCE(ctx context.Context, o Oracle, hyp *automata.Mealy, words [][]string, workers int) ([]string, error) {
 	if workers > len(words) {
 		workers = len(words)
 	}
@@ -220,43 +197,44 @@ func findFirstCE(ctx context.Context, o Oracle, hyp *automata.Mealy, words [][]s
 	ces := make([][]string, len(words))
 	var firstErr error
 	var errOnce sync.Once
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(start int) {
-			defer wg.Done()
-			for i := start; i < len(words); i += workers {
-				if int64(i) >= atomic.LoadInt64(&best) {
-					return // stripe indices only increase; nothing left to win
-				}
-				if ctx.Err() != nil {
-					return
-				}
-				if attempts != nil {
-					atomic.AddInt64(attempts, 1)
-				}
-				ce, err := checkWord(ctx, o, hyp, words[i])
-				if err != nil {
-					errOnce.Do(func() {
-						firstErr = err
-						cancel()
-					})
-					return
-				}
-				if ce != nil {
-					ces[i] = ce
-					// Lower best monotonically to i.
-					for {
-						cur := atomic.LoadInt64(&best)
-						if int64(i) >= cur || atomic.CompareAndSwapInt64(&best, cur, int64(i)) {
-							break
-						}
-					}
-					return
-				}
+	stripe := func(start int) {
+		for i := start; i < len(words); i += workers {
+			if int64(i) >= atomic.LoadInt64(&best) {
+				return // stripe indices only increase; nothing left to win
 			}
-		}(w)
+			if ctx.Err() != nil {
+				return
+			}
+			ce, err := checkWord(ctx, o, hyp, words[i])
+			if err != nil {
+				errOnce.Do(func() {
+					firstErr = err
+					cancel()
+				})
+				return
+			}
+			if ce != nil {
+				ces[i] = ce
+				// Lower best monotonically to i.
+				for {
+					cur := atomic.LoadInt64(&best)
+					if int64(i) >= cur || atomic.CompareAndSwapInt64(&best, cur, int64(i)) {
+						break
+					}
+				}
+				return
+			}
+		}
 	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			stripe(w)
+		}()
+	}
+	stripe(0)
 	wg.Wait()
 	if firstErr != nil {
 		return nil, firstErr

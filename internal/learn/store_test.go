@@ -3,11 +3,11 @@ package learn
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -19,7 +19,7 @@ import (
 // learnWithStore runs one DT learn of truth through a counting, cached,
 // store-attached oracle and returns the learned model plus the live query
 // count. warm is the hypothesis to warm-start from (nil = cold). seal
-// completes the log for the next warm start, as core.Experiment.Learn does
+// completes the log for the next warm start, as lab.Experiment.Learn does
 // after success.
 func learnWithStore(t *testing.T, truth *automata.Mealy, dir, key string, warm *automata.Mealy) (*automata.Mealy, int64) {
 	t.Helper()
@@ -114,65 +114,31 @@ func TestStoreWarmRelearnChangedTarget(t *testing.T) {
 	cached := NewCache(Counting(MealyOracle(changed), &stats), &stats)
 	cached.UseStore(st)
 	// The stale log disagrees with the changed target exactly on the
-	// changed cell; relearning must repair it through the live oracle. As
-	// in core.Experiment.Learn, a counterexample the learner stops making
-	// progress on is re-voted live (Refresh) — without that repair the
-	// stale cache would loop the MAT rounds forever.
-	eq := &refreshingEq{inner: &ModelOracle{Model: changed}, cached: cached}
-	var model *automata.Mealy
-	repaired := 0
-	for attempt := 0; ; attempt++ {
+	// changed cell: the cache answers it, from the log, with the old
+	// output.
+	cell := []string{"SYN", "ACK", "FIN"}
+	want, _ := changed.Run(cell)
+	if out, err := cached.Query(bg, cell); err != nil || stats.Queries != 0 || slices.Equal(out, want) {
+		t.Fatalf("stale log does not hold the changed cell (out %v, live queries %d, err %v); test is vacuous",
+			out, stats.Queries, err)
+	}
+	// Relearning must repair it through the live oracle: without the
+	// cache-repair policy the stale answer would loop the MAT rounds
+	// forever.
+	model, err := cached.LearnRepairing(bg, &ModelOracle{Model: changed}, func(eq EquivalenceOracle) (*automata.Mealy, error) {
 		d := NewDTLearner(cached, changed.Inputs())
 		d.Warm = warm
-		model, err = d.Learn(bg, eq)
-		var inc *InconsistencyError
-		if err == nil || attempt >= 3 || !errors.As(err, &inc) {
-			break
-		}
-		// Mirror core.Experiment.Learn: refresh the implicated words and
-		// restart the learner against the repaired cache.
-		for _, w := range inc.Words {
-			repaired++
-			if _, rerr := cached.Refresh(bg, w); rerr != nil {
-				t.Fatal(rerr)
-			}
-		}
-	}
+		return d.Learn(bg, eq)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eq2, ce := changed.Equivalent(model); !eq2 {
+	if eq, ce := changed.Equivalent(model); !eq {
 		t.Fatalf("stale warm state leaked into the relearned model (diverges on %v)", ce)
 	}
-	if eq.refreshes == 0 && repaired == 0 {
-		t.Fatal("relearn never hit the stale log; test is vacuous")
+	if out, err := cached.Query(bg, cell); err != nil || !slices.Equal(out, want) {
+		t.Fatalf("changed cell still answers %v after the relearn, want %v (err %v)", out, want, err)
 	}
-}
-
-// refreshingEq is the test-local analogue of core's revalidated
-// equivalence oracle: a repeated counterexample is repaired in the cache
-// (and so in the attached store) before being handed back.
-type refreshingEq struct {
-	inner     EquivalenceOracle
-	cached    *CachedOracle
-	last      string
-	refreshes int
-}
-
-func (r *refreshingEq) FindCounterexample(ctx context.Context, hyp *automata.Mealy) ([]string, error) {
-	ce, err := r.inner.FindCounterexample(ctx, hyp)
-	if err != nil || ce == nil {
-		return ce, err
-	}
-	if k := strings.Join(ce, "\x1f"); k == r.last {
-		r.refreshes++
-		if _, err := r.cached.Refresh(ctx, ce); err != nil {
-			return nil, err
-		}
-	} else {
-		r.last = k
-	}
-	return ce, nil
 }
 
 // TestStoreRecoversTruncatedAndCorruptedLog: a crash mid-append (partial

@@ -18,15 +18,15 @@ type WpMethodOracle struct {
 	Oracle Oracle
 	Inputs []string
 	Depth  int
-	// Workers > 1 partitions the test suite across that many goroutines
-	// with first-counterexample cancellation. The suite order is fixed, and
-	// the earliest failing word always wins, so the returned counterexample
-	// is the same one the sequential search finds.
+	// Workers partitions the test suite across that many goroutines (at
+	// least one) with first-counterexample cancellation. The suite order
+	// is fixed and the earliest failing word always wins, so the returned
+	// counterexample does not depend on it.
 	Workers int
 }
 
 // Suite materialises the full Wp test suite for a hypothesis, in the order
-// the sequential search checks it. The suite is O(|Q|·|Σ|^Depth·|W|)
+// the search ranks its failures. The suite is O(|Q|·|Σ|^Depth·|W|)
 // words, fine at this repo's hypothesis sizes and shallow depths; a
 // streaming generator would be worth it before pointing large Depth at a
 // big machine. Phase 1 is state cover × W; phase 2 is
@@ -102,16 +102,7 @@ func (w *WpMethodOracle) Suite(hyp *automata.Mealy) [][]string {
 
 // FindCounterexample implements EquivalenceOracle.
 func (w *WpMethodOracle) FindCounterexample(ctx context.Context, hyp *automata.Mealy) ([]string, error) {
-	suite := w.Suite(hyp)
-	if w.Workers > 1 {
-		return findFirstCE(ctx, w.Oracle, hyp, suite, w.Workers, nil)
-	}
-	for _, word := range suite {
-		if ce, err := checkWord(ctx, w.Oracle, hyp, word); err != nil || ce != nil {
-			return ce, err
-		}
-	}
-	return nil, nil
+	return findFirstCE(ctx, w.Oracle, hyp, w.Suite(hyp), w.Workers)
 }
 
 // identificationSets computes, per state, a minimal subset of W that

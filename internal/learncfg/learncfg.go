@@ -14,7 +14,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/lab"
 	"repro/internal/learn"
 	"repro/internal/netem"
@@ -146,8 +145,8 @@ func (c *Config) Register(fs *flag.FlagSet) {
 // fault rates, an unknown learner, negative counts. Options calls it, so
 // both surfaces fail before an experiment is half-built.
 func (c *Config) Validate() error {
-	switch core.LearnerKind(c.Learner) {
-	case core.LearnerTTT, core.LearnerLStar, "": // "" falls through to core's default (ttt)
+	switch lab.LearnerKind(c.Learner) {
+	case lab.LearnerTTT, lab.LearnerLStar, "": // "" falls through to lab's default (ttt)
 	default:
 		return fmt.Errorf("unknown learner %q (want ttt or lstar)", c.Learner)
 	}
@@ -204,7 +203,7 @@ func (c *Config) Options() ([]lab.Option, error) {
 	}
 	opts := []lab.Option{
 		lab.WithSeed(c.Seed),
-		lab.WithLearner(core.LearnerKind(c.Learner)),
+		lab.WithLearner(lab.LearnerKind(c.Learner)),
 		lab.WithWorkers(c.Workers),
 		lab.WithRTT(time.Duration(c.RTT)),
 		lab.WithConformance(c.Conformance),

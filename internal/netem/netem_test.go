@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/learn"
 	"repro/internal/quicsim"
 	"repro/internal/reference"
 	"repro/internal/testutil"
@@ -97,28 +96,6 @@ func TestDuplicationChangesAbstraction(t *testing.T) {
 	}
 	if a[0] == b[0] {
 		t.Fatalf("duplicate delivery should be visible in the abstraction: %q", b[0])
-	}
-}
-
-// TestLearningSucceedsOverFlakyLink: end-to-end, the guard lets the full
-// learning pipeline succeed over a link with rare faults.
-func TestLearningSucceedsOverFlakyLink(t *testing.T) {
-	s, link := lossySUL(quicsim.ProfileQuiche, Config{LossServer: 0.002, Seed: 5})
-	exp := &core.Experiment{
-		Alphabet:    quicsim.InputAlphabet(),
-		SUL:         s,
-		Guard:       core.GuardConfig{MinVotes: 3, MaxVotes: 80, Certainty: 0.75},
-		Equivalence: &learn.ModelOracle{Model: quicsim.GroundTruth(quicsim.ProfileQuiche)},
-	}
-	m, err := exp.Learn(bg)
-	if err != nil {
-		t.Fatalf("learning failed over flaky link (dropped %d): %v", link.Stats().DroppedServer, err)
-	}
-	if m.NumStates() != 8 {
-		t.Fatalf("learned %d states, want 8", m.NumStates())
-	}
-	if link.Stats().DroppedServer == 0 {
-		t.Log("note: no datagrams were dropped this run")
 	}
 }
 
