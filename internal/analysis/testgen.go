@@ -22,9 +22,11 @@ type TestSuite struct {
 func (s *TestSuite) Len() int { return len(s.Words) }
 
 // WMethodSuite generates Chow's W-method test suite with the given extra
-// depth: access · middle · characterizing-word for all combinations. It
-// subsumes transition coverage and detects any fault that does not add
-// more than depth extra states.
+// depth: access · middle · characterizing-word for all combinations, with
+// middles of up to depth symbols. That is state cover · Σ^≤depth · W, or
+// Chow's P · Σ^≤(depth−1) · W with P the transition cover: it subsumes
+// transition coverage and detects any fault that does not add more than
+// depth−1 extra states.
 func WMethodSuite(m *automata.Mealy, depth int) *TestSuite {
 	s := &TestSuite{}
 	access := m.AccessSequences()

@@ -8,7 +8,6 @@ package jsonlog
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"os"
 )
@@ -29,6 +28,10 @@ type header struct {
 // invalid tail is truncated away, leaving the file positioned at the end
 // of the valid prefix, ready for appends.
 //
+// line is a view of Recover's read buffer, valid only until accept
+// returns: accept must copy whatever it keeps (decoding into fresh values,
+// as json.Unmarshal does, is a copy).
+//
 // headerOK=false means the file was empty, foreign, or from a future
 // version: nothing was read and the caller should Reset it.
 func Recover(f *os.File, format string, maxVersion int, accept func(line []byte) bool) (headerOK bool, err error) {
@@ -36,7 +39,8 @@ func Recover(f *os.File, format string, maxVersion int, accept func(line []byte)
 		return false, err
 	}
 	r := bufio.NewReaderSize(f, 1<<16)
-	line, rerr := r.ReadBytes('\n')
+	var long []byte
+	line, rerr := readLine(r, &long)
 	var hdr header
 	if rerr != nil || json.Unmarshal(line, &hdr) != nil ||
 		hdr.Format != format || hdr.Version > maxVersion {
@@ -44,8 +48,8 @@ func Recover(f *os.File, format string, maxVersion int, accept func(line []byte)
 	}
 	good := int64(len(line))
 	for {
-		line, rerr = r.ReadBytes('\n')
-		if rerr != nil || !bytes.HasSuffix(line, []byte{'\n'}) || !accept(line) {
+		line, rerr = readLine(r, &long)
+		if rerr != nil || !accept(line) {
 			break
 		}
 		good += int64(len(line))
@@ -55,6 +59,23 @@ func Recover(f *os.File, format string, maxVersion int, accept func(line []byte)
 	}
 	_, err = f.Seek(good, 0)
 	return true, err
+}
+
+// readLine returns the next line with its newline: a view of r's buffer,
+// or, for a line longer than the buffer, the line assembled in *long.
+// err != nil exactly when the line has no newline (a crashed append, or
+// a read error).
+func readLine(r *bufio.Reader, long *[]byte) ([]byte, error) {
+	line, err := r.ReadSlice('\n')
+	if err != bufio.ErrBufferFull {
+		return line, err
+	}
+	*long = append((*long)[:0], line...)
+	for err == bufio.ErrBufferFull {
+		line, err = r.ReadSlice('\n')
+		*long = append(*long, line...)
+	}
+	return *long, err
 }
 
 // Reset empties the file down to a fresh header.

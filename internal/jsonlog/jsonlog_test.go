@@ -2,9 +2,11 @@ package jsonlog
 
 import (
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -152,5 +154,43 @@ func TestRecoverRejectsForeignHeaders(t *testing.T) {
 				t.Fatalf("Recover changed the file size from %d to %d", before.Size(), after.Size())
 			}
 		})
+	}
+}
+
+// TestRecoverLinesLongerThanBuffer: lines past Recover's 64 KiB read
+// buffer are assembled whole, between ordinary lines, and an unterminated
+// long tail is still a crashed append that Recover truncates away.
+func TestRecoverLinesLongerThanBuffer(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "log")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := Reset(f, testFormat, testVersion); err != nil {
+		t.Fatal(err)
+	}
+	want := []record{
+		{1, strings.Repeat("x", 200<<10)},
+		{2, "short"},
+		{3, strings.Repeat("y", 64<<10)},
+		{4, strings.Repeat("z", 130<<10)},
+	}
+	for _, r := range want {
+		appendRecord(t, f, r)
+	}
+	good, err := f.Seek(0, io.SeekCurrent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"n":5,"s":"` + strings.Repeat("w", 100<<10)); err != nil {
+		t.Fatal(err)
+	}
+	ok, got := recoverRecords(t, f)
+	if !ok || !slices.Equal(got, want) {
+		t.Fatalf("Recover = %v with %d records, want true with the %d complete ones", ok, len(got), len(want))
+	}
+	if st, _ := f.Stat(); st.Size() != good {
+		t.Fatalf("Recover kept %d bytes, want the %d of the complete lines", st.Size(), good)
 	}
 }

@@ -121,7 +121,8 @@ func WithPerfectEquivalence() Option {
 
 // WithConformance strengthens the default equivalence search with a
 // Wp-method conformance pass of the given depth over the live (guarded)
-// target: any residual fault adding at most depth extra states is found.
+// target: any residual fault adding at most depth−1 extra states is found
+// (see learn.WpMethodOracle.Suite).
 // Unlike WithPerfectEquivalence it needs no ground truth, so it works for
 // closed-box targets and under impairment — `prognosis diff` relies on it
 // to recover full models of both sides. Ignored when WithEquivalence or

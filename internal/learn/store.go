@@ -1,6 +1,7 @@
 package learn
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -113,9 +114,10 @@ func OpenStore(dir, key string) (*Store, error) {
 // load recovers the log's valid prefix (jsonlog.Recover), resetting a
 // file whose header is missing, foreign, or from a future version.
 func (s *Store) load() error {
+	d := entryDecoder{syms: map[string]string{}}
 	ok, err := jsonlog.Recover(s.f, storeFormat, storeVersion, func(line []byte) bool {
-		var e storeEntry
-		if json.Unmarshal(line, &e) != nil || len(e.Out) < len(e.In) {
+		e, ok := d.decode(line)
+		if !ok {
 			return false
 		}
 		s.entries = append(s.entries, e)
@@ -128,6 +130,98 @@ func (s *Store) load() error {
 		return jsonlog.Reset(s.f, storeFormat, storeVersion)
 	}
 	return nil
+}
+
+// entryDecoder decodes log lines for one load. Append writes every line as
+// json.Marshal(storeEntry), and for the symbols learning produces that is
+// {"in":[...],"out":[...]} with plain printable-ASCII strings: decode reads
+// exactly that shape by hand, which accepts a strict subset of what
+// encoding/json does and decodes it the same way, and hands every other
+// line (escapes, non-ASCII, null, whitespace, other key orders, foreign
+// input) to json.Unmarshal.
+type entryDecoder struct {
+	syms    map[string]string // interned symbols: one string per distinct symbol per load
+	scratch []string          // the line's symbols, In then Out
+}
+
+// decode returns the entry on line, or false when the line is not a
+// complete entry (undecodable, or fewer outputs than inputs).
+func (d *entryDecoder) decode(line []byte) (storeEntry, bool) {
+	e, ok := d.fast(line)
+	if !ok && json.Unmarshal(line, &e) != nil {
+		return storeEntry{}, false
+	}
+	return e, len(e.Out) >= len(e.In)
+}
+
+// fast decodes the shape Append writes; false sends the line to
+// json.Unmarshal. In and Out share one exact-size backing array.
+func (d *entryDecoder) fast(line []byte) (storeEntry, bool) {
+	d.scratch = d.scratch[:0]
+	rest, ok := bytes.CutPrefix(bytes.TrimSuffix(line, []byte{'\n'}), []byte(`{"in":`))
+	if ok {
+		rest, ok = d.array(rest)
+	}
+	n := len(d.scratch)
+	if ok {
+		rest, ok = bytes.CutPrefix(rest, []byte(`,"out":`))
+	}
+	if ok {
+		rest, ok = d.array(rest)
+	}
+	if !ok || string(rest) != "}" {
+		return storeEntry{}, false
+	}
+	syms := make([]string, len(d.scratch))
+	copy(syms, d.scratch)
+	return storeEntry{In: syms[:n:n], Out: syms[n:]}, true
+}
+
+// plain marks the bytes a symbol may hold on the hand-decoded path:
+// printable ASCII other than the quote and the backslash, which
+// encoding/json reads as themselves.
+var plain = func() (t [256]bool) {
+	for c := 0x20; c < 0x7f; c++ {
+		t[c] = c != '"' && c != '\\'
+	}
+	return t
+}()
+
+// array appends the strings of the array that opens b to d.scratch and
+// returns what follows it; false when b does not open with an array of
+// plain strings.
+func (d *entryDecoder) array(b []byte) ([]byte, bool) {
+	if len(b) < 2 || b[0] != '[' {
+		return nil, false
+	}
+	if b[1] == ']' {
+		return b[2:], true
+	}
+	for b = b[1:]; ; b = b[1:] {
+		if len(b) == 0 || b[0] != '"' {
+			return nil, false
+		}
+		end := 1
+		for end < len(b) && plain[b[end]] {
+			end++
+		}
+		if end == len(b) || b[end] != '"' {
+			return nil, false
+		}
+		sym, ok := d.syms[string(b[1:end])]
+		if !ok {
+			sym = string(b[1:end])
+			d.syms[sym] = sym
+		}
+		d.scratch = append(d.scratch, sym)
+		b = b[end+1:]
+		if len(b) > 0 && b[0] == ']' {
+			return b[1:], true
+		}
+		if len(b) == 0 || b[0] != ',' {
+			return nil, false
+		}
+	}
 }
 
 // Entries returns the number of logged queries (loaded plus appended).
@@ -172,14 +266,19 @@ func (s *Store) Reset() error {
 
 // SaveModel snapshots the learned hypothesis atomically (write to a
 // temporary file, then rename), so a reader never observes a half-written
-// model.
+// model. A snapshot that already holds the same bytes — every warm relearn
+// of an unchanged target — is left as it is.
 func (s *Store) SaveModel(m *automata.Mealy) error {
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return err
 	}
+	data = append(data, '\n')
+	if old, err := os.ReadFile(s.model); err == nil && bytes.Equal(old, data) {
+		return nil
+	}
 	tmp := s.model + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		return err
 	}
 	return os.Rename(tmp, s.model)

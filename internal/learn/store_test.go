@@ -3,15 +3,18 @@ package learn
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unicode/utf8"
 
 	"repro/internal/automata"
 )
@@ -552,5 +555,276 @@ func TestWarmLearnersMatchColdModels(t *testing.T) {
 				t.Fatalf("%s: warm-started learn diverged on %v", kind, ce)
 			}
 		}
+	}
+}
+
+// raceEnabled is set by race_test.go: the race detector allocates on its
+// own, so allocation pins hold for plain builds only.
+var raceEnabled bool
+
+// TestStoreTornWriteAtEveryOffset cuts a store log at every byte. Its
+// entries mix lines the hand decoder reads with lines only encoding/json
+// reads (escapes, HTML characters, non-ASCII). OpenStore must keep exactly
+// the complete entries before the cut, with their answers, and a fresh
+// append must read back after a reopen.
+func TestStoreTornWriteAtEveryOffset(t *testing.T) {
+	dir := t.TempDir()
+	words := [][]string{
+		{"SYN", "ACK"},
+		{`a"quoted"`, `back\slash`},
+		{"INITIAL(?,?)[CRYPTO]", "SHORT(?,?)[ACK,STREAM]", "FIN"},
+		{"<html>&"},
+		{"é", "RST"},
+		{"tab\there", "{}"},
+		{"HANDSHAKE(?,?)[ACK,HANDSHAKE_DONE]"},
+	}
+	outs := make([][]string, len(words))
+	st, err := OpenStore(dir, "full")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range words {
+		for j := range w {
+			outs[i] = append(outs[i], w[len(w)-1-j]+"/out")
+		}
+		if err := st.Append(w, outs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "full.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// ends[i] is the offset just past line i (0 is the header).
+	var ends []int
+	paths := map[bool]int{} // lines per decoder path: true is the hand decoder
+	for i, b := range data {
+		if b == '\n' {
+			if len(ends) > 0 {
+				d := entryDecoder{syms: map[string]string{}}
+				_, fast := d.fast(data[ends[len(ends)-1] : i+1])
+				paths[fast]++
+			}
+			ends = append(ends, i+1)
+		}
+	}
+	if len(ends) != 1+len(words) || paths[true] == 0 || paths[false] == 0 {
+		t.Fatalf("log has %d lines, %d hand-decoded and %d not; want %d lines on both paths",
+			len(ends), paths[true], paths[false], 1+len(words))
+	}
+	cutPath := filepath.Join(dir, "cut.log")
+	for cut := 0; cut <= len(data); cut++ {
+		if err := os.WriteFile(cutPath, data[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := OpenStore(dir, "cut")
+		if err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
+		}
+		records := 0 // whole entry lines before the cut
+		for records+1 < len(ends) && ends[records+1] <= cut {
+			records++
+		}
+		if got := st.Entries(); got != records {
+			t.Fatalf("cut %d: %d entries, want the %d complete ones", cut, got, records)
+		}
+		for i, w := range words {
+			out, ok := st.Answer(w)
+			if ok != (i < records) || (ok && !slices.Equal(out, outs[i])) {
+				t.Fatalf("cut %d: Answer(%q) = %q, %v; want %q, %v", cut, w, out, ok, outs[i], i < records)
+			}
+		}
+		fresh := []string{"fresh", fmt.Sprint(cut)}
+		if err := st.Append(fresh, []string{"z", "z"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		st, err = OpenStore(dir, "cut")
+		if err != nil {
+			t.Fatalf("cut %d: reopen: %v", cut, err)
+		}
+		out, ok := st.Answer(fresh)
+		if got := st.Entries(); got != records+1 || !ok || !slices.Equal(out, []string{"z", "z"}) {
+			t.Fatalf("cut %d: after an append, %d entries and Answer = %q, %v; want %d and [z z]", cut, got, out, ok, records+1)
+		}
+		st.Close()
+	}
+}
+
+// TestStoreLoadAllocs pins the warm open: replaying a log of QUIC-style
+// words costs a few allocations per entry (one array for the entry's
+// symbols plus amortised growth), not a reflective decode's dozens.
+func TestStoreLoadAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	inputs := []string{
+		"INITIAL(?,?)[CRYPTO]", "INITIAL(?,?)[ACK,HANDSHAKE_DONE]",
+		"HANDSHAKE(?,?)[ACK,CRYPTO]", "HANDSHAKE(?,?)[ACK,HANDSHAKE_DONE]",
+		"SHORT(?,?)[ACK,MAX_DATA,MAX_STREAM_DATA]", "SHORT(?,?)[ACK,STREAM]",
+		"SHORT(?,?)[ACK,HANDSHAKE_DONE]",
+	}
+	outputs := []string{
+		"{}", "{INITIAL(?,?)[ACK,CRYPTO],HANDSHAKE(?,?)[CRYPTO],HANDSHAKE(?,?)[CRYPTO]}",
+		"{SHORT(?,?)[ACK]}", "{SHORT(?,?)[ACK,STREAM]}", "{SHORT(?,?)[HANDSHAKE_DONE]}",
+	}
+	const entries = 1000
+	dir := t.TempDir()
+	st, err := OpenStore(dir, "allocs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < entries; i++ {
+		word, out := make([]string, 8), make([]string, 8)
+		for j := range word {
+			word[j], out[j] = inputs[rng.Intn(len(inputs))], outputs[rng.Intn(len(outputs))]
+		}
+		if err := st.Append(word, out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	loaded := 0
+	avg := testing.AllocsPerRun(5, func() {
+		st, err := OpenStore(dir, "allocs")
+		if err != nil {
+			t.Fatal(err)
+		}
+		loaded = st.Entries()
+		st.Close()
+	})
+	if loaded != entries {
+		t.Fatalf("loaded %d entries, want %d", loaded, entries)
+	}
+	per := avg / entries
+	t.Logf("%.2f allocations per entry", per)
+	if per > 4 {
+		t.Fatalf("opening the store allocates %.2f times per entry, want at most 4", per)
+	}
+}
+
+// FuzzStoreLine is the store decoder's differential fuzz gate, registered
+// in CI's fuzz-smoke. A line the hand decoder accepts must decode to the
+// same entry through json.Unmarshal, and a word Append writes, whatever
+// its symbols, must load back as encoding/json reads it: equal to the
+// word itself whenever its symbols are valid UTF-8 (json.Marshal writes
+// invalid bytes as U+FFFD).
+func FuzzStoreLine(f *testing.F) {
+	for _, seed := range []struct{ line, a, b string }{
+		{`{"in":["SYN","ACK"],"out":["SYN+ACK","NIL"]}` + "\n", "SYN", "ACK"},
+		{`{"in":[],"out":[]}`, "", ""},
+		{`{"in":null,"out":null}`, "null", "[]"},
+		{`{"out":["b"],"in":["a"]}`, `"quoted"`, `back\slash`},
+		{`{"in":["a\"b"],"out":["é"]}`, "<html>&", "é"},
+		{`{"in": ["a"], "out": ["b"]}` + "\r\n", "a\r\nb", "\xff\xfe"},
+		{`{"in":["a"],"out":["b"],"in":["c"]}`, "\x00", "\x7f"},
+		{`{"in":["a","b"],"out":["c"]}`, "SHORT(?,?)[ACK,STREAM]", "{}"},
+		{`{"in":["<é>"],"out":["` + "\xff" + `"]}`, " ", "tab\t"},
+	} {
+		f.Add([]byte(seed.line), seed.a, seed.b)
+	}
+	f.Fuzz(func(t *testing.T, line []byte, a, b string) {
+		d := entryDecoder{syms: map[string]string{}}
+		if fast, ok := d.fast(line); ok {
+			var slow storeEntry
+			if err := json.Unmarshal(line, &slow); err != nil {
+				t.Fatalf("hand decoder accepted %q, encoding/json rejects it: %v", line, err)
+			}
+			if !reflect.DeepEqual(fast, slow) {
+				t.Fatalf("%q: hand decoder read %#v, encoding/json %#v", line, fast, slow)
+			}
+		}
+		word, out := []string{a, b}, []string{b, a, a}
+		var want []string
+		raw, _ := json.Marshal(out[:len(word)])
+		if err := json.Unmarshal(raw, &want); err != nil {
+			t.Fatal(err)
+		}
+		if utf8.ValidString(a) && utf8.ValidString(b) && !slices.Equal(want, out[:len(word)]) {
+			t.Fatalf("encoding/json round trip changed %q to %q", out[:len(word)], want)
+		}
+		dir := t.TempDir()
+		st, err := OpenStore(dir, "fuzz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Append(word, out); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		st, err = OpenStore(dir, "fuzz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		if st.Entries() != 1 {
+			t.Fatalf("appended %q, reopen loaded %d entries", word, st.Entries())
+		}
+		st.mu.Lock()
+		got := st.entries[0]
+		st.mu.Unlock()
+		if !slices.Equal(got.In, []string{want[1], want[0]}) || !slices.Equal(got.Out, want) {
+			t.Fatalf("appended %q -> %q, reopen read %q -> %q", word, out[:len(word)], got.In, got.Out)
+		}
+	})
+}
+
+// TestSaveModelSkipsUnchangedSnapshot: saving the model the snapshot
+// already holds leaves the file alone, while a changed model still
+// replaces it atomically, through a temporary file renamed over it.
+func TestSaveModelSkipsUnchangedSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenStore(dir, "snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	path := filepath.Join(dir, "snap.model.json")
+	stat := func() os.FileInfo {
+		t.Helper()
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi
+	}
+	m := tcpModel()
+	if err := st.SaveModel(m); err != nil {
+		t.Fatal(err)
+	}
+	first := stat()
+	if err := st.SaveModel(m); err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(first, stat()) {
+		t.Fatal("saving an unchanged model rewrote the snapshot")
+	}
+	changed := tcpModel()
+	changed.SetTransition(changed.Initial(), "FIN", changed.Initial(), "NIL")
+	if err := st.SaveModel(changed); err != nil {
+		t.Fatal(err)
+	}
+	if os.SameFile(first, stat()) {
+		t.Fatal("a changed model was written in place, not renamed over the snapshot")
+	}
+	if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("temporary snapshot left behind: %v", err)
+	}
+	got, err := st.LoadModel()
+	if err != nil || got == nil {
+		t.Fatalf("LoadModel = %v, %v", got, err)
+	}
+	if eq, ce := got.Equivalent(changed); !eq {
+		t.Fatalf("snapshot differs from the changed model on %v", ce)
 	}
 }

@@ -32,8 +32,10 @@ type WpMethodOracle struct {
 // big machine. Phase 1 is state cover × W; phase 2 is
 // transition cover × middle words × W_target. The transition cover itself
 // contributes one symbol of depth, so middles extend only to Depth-1:
-// WpMethodOracle{Depth: d} detects the same fault class (up to d extra
-// states) as the W-method suite of depth d.
+// WpMethodOracle{Depth: d} detects the same fault class as the W-method
+// suite of depth d. That suite is state cover · Σ^≤d · W, which is Chow's
+// P · Σ^≤(d−1) · W with P the transition cover, so it finds every fault
+// that adds at most d−1 extra states.
 func (w *WpMethodOracle) Suite(hyp *automata.Mealy) [][]string {
 	access := hyp.AccessSequences()
 	wset := hyp.CharacterizingSet()
