@@ -3,9 +3,12 @@ package cli
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/testutil"
 )
 
 func lineageRecord(cell string, version int) LineageRecord {
@@ -112,6 +115,59 @@ func TestLineageDiscardsCorruptTail(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestLineageTornWriteAtEveryOffset cuts a journal at every byte:
+// OpenLineage must recover exactly the records complete before the cut,
+// and a fresh append must read back after a reopen.
+func TestLineageTornWriteAtEveryOffset(t *testing.T) {
+	dir := t.TempDir()
+	recs := []LineageRecord{lineageRecord("tcp", 1), lineageRecord("google", 1), lineageRecord("tcp", 2)}
+	recs[1].Drift, recs[1].Confirmed, recs[1].Witness = true, true, []string{"INITIAL(?,?)[CRYPTO]", `a"b`}
+	full := filepath.Join(dir, "full.jsonl")
+	lin, err := OpenLineage(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if err := lin.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := lin.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := func(cut int, path string) *Lineage {
+		t.Helper()
+		lin, err := OpenLineage(path)
+		if err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
+		}
+		return lin
+	}
+	fresh := lineageRecord("quiche", 1)
+	path := filepath.Join(dir, "cut.jsonl")
+	testutil.TornWrites(t, data, len(recs), path, func(cut, complete int) {
+		lin := open(cut, path)
+		if got := lin.Records(); len(got) != complete || (complete > 0 && !reflect.DeepEqual(got, recs[:complete])) {
+			t.Fatalf("cut %d: recovered %+v, want the %d complete records", cut, got, complete)
+		}
+		if err := lin.Append(fresh); err != nil {
+			t.Fatal(err)
+		}
+		if err := lin.Close(); err != nil {
+			t.Fatal(err)
+		}
+		lin = open(cut, path)
+		defer lin.Close()
+		if got, want := lin.Records(), append(append([]LineageRecord(nil), recs[:complete]...), fresh); !reflect.DeepEqual(got, want) {
+			t.Fatalf("cut %d: after an append and a reopen, recovered %+v, want %+v", cut, got, want)
+		}
+	})
 }
 
 // TestLineageResetsForeignFile: a journal carrying a foreign format or a

@@ -1,9 +1,10 @@
 // Package jsonlog implements the crash-tolerant, versioned JSONL log file
-// shared by the persistent query store (internal/learn) and the campaign
-// checkpoint (internal/lab): a header line naming the format and version,
-// followed by one JSON record per line. Appends are single complete-line
-// writes; recovery keeps the longest valid prefix and truncates the rest,
-// so a writer killed mid-append costs at most the line in flight.
+// shared by the query store (internal/learn), the campaign checkpoint
+// (internal/lab), the job queue (internal/server) and the lineage journal
+// (internal/cli): a header line naming the format and version, then one
+// JSON record per line. Appends are single complete-line writes; recovery
+// keeps the longest valid prefix and truncates the rest, so a writer
+// killed mid-append costs at most the line in flight.
 package jsonlog
 
 import (

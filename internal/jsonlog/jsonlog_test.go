@@ -1,6 +1,7 @@
 package jsonlog
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"os"
@@ -8,6 +9,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/testutil"
 )
 
 const (
@@ -72,43 +75,29 @@ func TestRecoverTornWriteAtEveryOffset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// ends[i] is the offset just past line i (0 is the header).
-	var ends []int
-	for i, b := range data {
-		if b == '\n' {
-			ends = append(ends, i+1)
-		}
-	}
-	if len(ends) != 1+len(records) {
-		t.Fatalf("log has %d lines, want %d", len(ends), 1+len(records))
-	}
+	headerEnd := bytes.IndexByte(data, '\n') + 1
 	extra := record{4444, "appended"}
-
-	for cut := 0; cut <= len(data); cut++ {
-		path := filepath.Join(dir, "cut.log")
-		if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
+	path := filepath.Join(dir, "cut.log")
+	testutil.TornWrites(t, data, len(records), path, func(cut, complete int) {
 		f, err := os.OpenFile(path, os.O_RDWR, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		complete := 0 // whole lines, header included, before the cut
-		for complete < len(ends) && ends[complete] <= cut {
-			complete++
-		}
+		defer f.Close()
 		ok, got := recoverRecords(t, f)
-		if ok != (complete >= 1) {
-			t.Fatalf("cut %d: headerOK = %v, want %v", cut, ok, complete >= 1)
+		if ok != (cut >= headerEnd) {
+			t.Fatalf("cut %d: headerOK = %v, want %v", cut, ok, cut >= headerEnd)
 		}
 		var want []record
 		if ok {
-			want = records[:complete-1]
+			want = records[:complete]
 			if !slices.Equal(got, want) {
 				t.Fatalf("cut %d: accepted %v, want %v", cut, got, want)
 			}
-			if st, _ := f.Stat(); st.Size() != int64(ends[complete-1]) {
-				t.Fatalf("cut %d: file size %d after Recover, want %d", cut, st.Size(), ends[complete-1])
+			// The valid prefix ends at the last newline before the cut.
+			valid := int64(bytes.LastIndexByte(data[:cut], '\n') + 1)
+			if st, _ := f.Stat(); st.Size() != valid {
+				t.Fatalf("cut %d: file size %d after Recover, want %d", cut, st.Size(), valid)
 			}
 		} else if err := Reset(f, testFormat, testVersion); err != nil {
 			t.Fatalf("cut %d: Reset: %v", cut, err)
@@ -119,8 +108,7 @@ func TestRecoverTornWriteAtEveryOffset(t *testing.T) {
 		if want = append(slices.Clone(want), extra); !ok || !slices.Equal(got, want) {
 			t.Fatalf("cut %d: after append, Recover = %v, %v; want true, %v", cut, ok, got, want)
 		}
-		f.Close()
-	}
+	})
 }
 
 // TestRecoverRejectsForeignHeaders checks that a foreign format and a

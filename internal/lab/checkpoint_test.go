@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/learn"
 	"repro/internal/netem"
+	"repro/internal/testutil"
 )
 
 // checkpointResults are three finished runs as the fleet merge files
@@ -113,28 +114,11 @@ func TestReadCheckpointTornWriteAtEveryOffset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// ends[i] is the offset just past line i (0 is the header).
-	var ends []int
-	for i, b := range data {
-		if b == '\n' {
-			ends = append(ends, i+1)
-		}
-	}
-	if len(ends) != 1+len(results) {
-		t.Fatalf("checkpoint has %d lines, want %d", len(ends), 1+len(results))
-	}
 	cutPath := filepath.Join(dir, "cut.ckpt")
-	for cut := 0; cut <= len(data); cut++ {
-		if err := os.WriteFile(cutPath, data[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
+	testutil.TornWrites(t, data, len(results), cutPath, func(cut, records int) {
 		done, err := ReadCheckpoint(cutPath)
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
-		}
-		records := 0 // whole record lines before the cut
-		for records+1 < len(ends) && ends[records+1] <= cut {
-			records++
 		}
 		if len(done) != records {
 			t.Fatalf("cut %d: restored %d runs, want the %d complete ones", cut, len(done), records)
@@ -146,5 +130,5 @@ func TestReadCheckpointTornWriteAtEveryOffset(t *testing.T) {
 			}
 			sameResult(t, r.Name, got, r.Result)
 		}
-	}
+	})
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/netem"
 	"repro/internal/quicsim"
 	"repro/internal/reference"
@@ -43,6 +44,33 @@ func TestCampaignLearnsGoogleUnderLoss(t *testing.T) {
 	}
 	if res.Result.Metrics().Guard.RetriedQueries == 0 || res.Result.Metrics().Guard.WastedVotes == 0 {
 		t.Fatalf("no guard effort recorded over a 5%%-loss link: %+v", res.Result.Metrics().Guard)
+	}
+}
+
+// TestAdaptiveGuardBeatsFixedFloorUnderLoss is the comparison the
+// adaptive guard exists for: on a 5%-loss link, scaling votes to the
+// observed flakiness must ask fewer live queries than provisioning every
+// query at the worst-case floor (MinVotes = 2·ModeVotes), and both must
+// learn the clean model. One worker and a fixed fault seed make both
+// counts deterministic.
+func TestAdaptiveGuardBeatsFixedFloorUnderLoss(t *testing.T) {
+	fixed := core.DefaultAdaptiveGuard()
+	fixed.MinVotes = 2 * fixed.ModeVotes
+	truth := quicsim.GroundTruth(quicsim.ProfileGoogle)
+	liveQueries := func(guard core.GuardConfig) int64 {
+		t.Helper()
+		res := learnT(t, TargetGoogle, WithSeed(13), WithPerfectEquivalence(), WithGuard(guard),
+			WithImpairment(netem.Config{LossClient: 0.05, LossServer: 0.05, Seed: 99}))
+		if res.Nondet != nil {
+			t.Fatalf("guard %+v gave up: %v", guard, res.Nondet)
+		}
+		if eq, ce := truth.Equivalent(res.Machine); !eq {
+			t.Fatalf("guard %+v: lossy learn diverged from the clean model on %v", guard, ce)
+		}
+		return res.Stats.Queries
+	}
+	if a, f := liveQueries(core.DefaultAdaptiveGuard()), liveQueries(fixed); a >= f {
+		t.Fatalf("adaptive guard asked %d live queries, the fixed worst-case floor %d; want fewer", a, f)
 	}
 }
 

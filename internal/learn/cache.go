@@ -33,8 +33,8 @@ type cacheShard struct {
 // prefix-closed (the outputs for a prefix of w are a prefix of the outputs
 // for w), caching a long query answers all of its prefixes for free. The
 // learning algorithms re-ask heavily overlapping queries, so the cache cuts
-// live traffic to the system under learning dramatically (ablated in the
-// benchmark suite).
+// live traffic to the system under learning dramatically (TestCacheAblation
+// measures it).
 //
 // Cache is safe for concurrent use: the tree is split into cacheShards
 // subtrees keyed by a word's first symbol, each behind its own lock, so

@@ -1,6 +1,7 @@
 package learn
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -17,6 +18,7 @@ import (
 	"unicode/utf8"
 
 	"repro/internal/automata"
+	"repro/internal/testutil"
 )
 
 // learnWithStore runs one DT learn of truth through a counting, cached,
@@ -598,35 +600,23 @@ func TestStoreTornWriteAtEveryOffset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// ends[i] is the offset just past line i (0 is the header).
-	var ends []int
-	paths := map[bool]int{} // lines per decoder path: true is the hand decoder
-	for i, b := range data {
-		if b == '\n' {
-			if len(ends) > 0 {
-				d := entryDecoder{syms: map[string]string{}}
-				_, fast := d.fast(data[ends[len(ends)-1] : i+1])
-				paths[fast]++
-			}
-			ends = append(ends, i+1)
+	// Both decoder paths must be exercised: true is the hand decoder.
+	paths := map[bool]int{}
+	for _, line := range bytes.SplitAfter(data, []byte("\n"))[1:] {
+		if len(line) > 0 {
+			d := entryDecoder{syms: map[string]string{}}
+			_, fast := d.fast(line)
+			paths[fast]++
 		}
 	}
-	if len(ends) != 1+len(words) || paths[true] == 0 || paths[false] == 0 {
-		t.Fatalf("log has %d lines, %d hand-decoded and %d not; want %d lines on both paths",
-			len(ends), paths[true], paths[false], 1+len(words))
+	if paths[true] == 0 || paths[false] == 0 {
+		t.Fatalf("%d entries hand-decoded and %d not; want both paths", paths[true], paths[false])
 	}
 	cutPath := filepath.Join(dir, "cut.log")
-	for cut := 0; cut <= len(data); cut++ {
-		if err := os.WriteFile(cutPath, data[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
+	testutil.TornWrites(t, data, len(words), cutPath, func(cut, records int) {
 		st, err := OpenStore(dir, "cut")
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
-		}
-		records := 0 // whole entry lines before the cut
-		for records+1 < len(ends) && ends[records+1] <= cut {
-			records++
 		}
 		if got := st.Entries(); got != records {
 			t.Fatalf("cut %d: %d entries, want the %d complete ones", cut, got, records)
@@ -653,7 +643,7 @@ func TestStoreTornWriteAtEveryOffset(t *testing.T) {
 			t.Fatalf("cut %d: after an append, %d entries and Answer = %q, %v; want %d and [z z]", cut, got, out, ok, records+1)
 		}
 		st.Close()
-	}
+	})
 }
 
 // TestStoreLoadAllocs pins the warm open: replaying a log of QUIC-style

@@ -3,8 +3,11 @@ package server
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
+
+	"repro/internal/testutil"
 )
 
 func learnSpec(target string) Spec {
@@ -113,6 +116,68 @@ func TestFSBackendSurvivesTruncatedTail(t *testing.T) {
 	if len(got) != 2 || got[1].ID != "j0002" {
 		t.Fatalf("post-recovery append lost: %+v", got)
 	}
+}
+
+// TestFSBackendTornWriteAtEveryOffset cuts a journal at every byte:
+// OpenFSBackend and Load must recover exactly the records complete before
+// the cut, and a fresh append must read back after a reopen.
+func TestFSBackendTornWriteAtEveryOffset(t *testing.T) {
+	full, cutDir := t.TempDir(), t.TempDir()
+	at := time.Unix(1700000000, 0).UTC()
+	spec := learnSpec("tcp")
+	recs := []Record{
+		{ID: "j0001", State: StatePending, Spec: &spec, At: at},
+		{ID: "j0001", State: StateRunning, At: at},
+		{ID: "j0002", State: StatePending, Spec: &spec, At: at},
+		{ID: "j0001", State: StateDone, Summary: &Summary{States: 4}, At: at},
+		{ID: "j0002", State: StateFailed, Error: `bad "target"`, At: at},
+	}
+	b, err := OpenFSBackend(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if err := b.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(full, "queue.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	load := func(cut int) ([]Record, *FSBackend) {
+		t.Helper()
+		b, err := OpenFSBackend(cutDir)
+		if err != nil {
+			t.Fatalf("cut %d: open: %v", cut, err)
+		}
+		got, err := b.Load()
+		if err != nil {
+			t.Fatalf("cut %d: load: %v", cut, err)
+		}
+		return got, b
+	}
+	fresh := Record{ID: "j0003", State: StatePending, Spec: &spec, At: at}
+	testutil.TornWrites(t, data, len(recs), filepath.Join(cutDir, "queue.log"), func(cut, complete int) {
+		got, b := load(cut)
+		if len(got) != complete || (complete > 0 && !reflect.DeepEqual(got, recs[:complete])) {
+			t.Fatalf("cut %d: loaded %+v, want the %d complete records", cut, got, complete)
+		}
+		if err := b.Append(fresh); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got, b = load(cut)
+		b.Close()
+		if want := append(append([]Record(nil), recs[:complete]...), fresh); !reflect.DeepEqual(got, want) {
+			t.Fatalf("cut %d: after an append and a reopen, loaded %+v, want %+v", cut, got, want)
+		}
+	})
 }
 
 // TestFSBackendResetsForeignJournal: an unrecognized header means some
