@@ -2,11 +2,31 @@ package cli
 
 import (
 	"context"
+	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/analysis"
 )
+
+// TestRegressGolden pins what `prognosis regress` prints for the default
+// manifest, cold at one worker: every cell's verdict and live-query
+// count, byte for byte. CI compares the binary's cold output with the
+// same file.
+func TestRegressGolden(t *testing.T) {
+	manifest := filepath.Join("..", "..", DefaultManifest)
+	got, err := capture(t, func() error { return Regress([]string{"-manifest", manifest}) })
+	if err != nil {
+		t.Fatalf("regress: %v\n%s", err, got)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "regress.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Fatalf("regress output differs from testdata/regress.txt\n got:\n%s\nwant:\n%s", got, want)
+	}
+}
 
 // TestManifestCellsLearnWithBothLearners learns every regress.json cell
 // with L* and with TTT, each under the manifest's own configuration

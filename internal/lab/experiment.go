@@ -444,9 +444,11 @@ func (e *Experiment) learn(ctx context.Context) (*automata.Mealy, *learn.Window,
 		rw.Workers = len(e.suls)
 		eq = rw
 		if cfg.conformance > 0 {
-			eq = learn.ChainOracle{rw, &learn.WpMethodOracle{
+			// Wp first: it refutes the early hypotheses in fewer live
+			// queries, and the final one meets both suites either way.
+			eq = learn.ChainOracle{&learn.WpMethodOracle{
 				Oracle: oracle, Inputs: e.sys.Alphabet, Depth: cfg.conformance, Workers: len(e.suls),
-			}}
+			}, rw}
 		}
 	}
 	run := func(eq learn.EquivalenceOracle) (*automata.Mealy, error) {

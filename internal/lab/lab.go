@@ -170,7 +170,11 @@ func newTCPVariant(seed int64, wrap func(reference.Transport) reference.Transpor
 
 // Remote wraps an SUL so that every reset and every step costs one
 // emulated network round-trip, turning an in-process simulator into a
-// latency-faithful stand-in for a containerised implementation.
+// stand-in for a containerised implementation. The round-trip is a
+// time.Sleep, so rtt is a floor, not the delay: the host's timer rounds
+// short sleeps up, and on a 2-core Linux host a 200µs sleep took
+// 1.1 ms on average (a 50µs sleep about 1.0 ms). Below about a
+// millisecond, an emulated link is slower than the rtt it names.
 func Remote(sul core.SUL, rtt time.Duration) core.SUL {
 	return &remoteSUL{inner: sul, rtt: rtt}
 }

@@ -77,6 +77,8 @@ func WithWorkers(n int) Option {
 // paper's deployment behaves (implementations live in containers behind
 // real sockets). Query latency — not CPU — then dominates learning time,
 // and the sharded pool hides it by keeping WithWorkers queries in flight.
+// The round-trip is slept (see Remote), so a sub-millisecond rtt is a
+// floor that the host's timer rounds up several-fold.
 func WithRTT(rtt time.Duration) Option {
 	return func(c *config) { c.rtt = rtt }
 }
@@ -122,7 +124,8 @@ func WithPerfectEquivalence() Option {
 // WithConformance strengthens the default equivalence search with a
 // Wp-method conformance pass of the given depth over the live (guarded)
 // target: any residual fault adding at most depth−1 extra states is found
-// (see learn.WpMethodOracle.Suite).
+// (see learn.WpMethodOracle.Suite). The pass runs before the random words,
+// which then check only hypotheses the suite passed.
 // Unlike WithPerfectEquivalence it needs no ground truth, so it works for
 // closed-box targets and under impairment — `prognosis diff` relies on it
 // to recover full models of both sides. Ignored when WithEquivalence or

@@ -123,8 +123,12 @@ func (m *ModelOracle) FindCounterexample(ctx context.Context, hyp *automata.Meal
 }
 
 // ChainOracle tries several equivalence oracles in order, returning the
-// first counterexample found. Typical use: cheap random testing first, then
-// the exhaustive Wp-method.
+// first counterexample found; a hypothesis passes only when every oracle
+// passes it. When each member's suite depends on the hypothesis alone,
+// as the Wp-method's and the fingerprint-seeded random words' do, the
+// order changes what the wrong hypotheses cost, never what the final one
+// is checked against. lab.Experiment asks the Wp-method first: it finds
+// early counterexamples in fewer queries than random words.
 type ChainOracle []EquivalenceOracle
 
 // FindCounterexample implements EquivalenceOracle.
@@ -143,22 +147,29 @@ func (c ChainOracle) FindCounterexample(ctx context.Context, hyp *automata.Mealy
 
 // checkWord queries the system on word and compares against the hypothesis,
 // returning the shortest failing prefix as a counterexample (trimming makes
-// later counterexample analysis cheaper).
+// later counterexample analysis cheaper). The hypothesis is stepped in
+// place rather than run into an output slice: every equivalence word
+// passes through here.
 func checkWord(ctx context.Context, o Oracle, hyp *automata.Mealy, word []string) ([]string, error) {
 	sys, err := query(ctx, o, word)
 	if err != nil {
 		return nil, err
 	}
-	hout, ok := hyp.Run(word)
-	if !ok {
-		// The hypothesis is partial where the system is not: the defined
-		// prefix plus one symbol already distinguishes.
-		return word[:len(hout)+1], nil
-	}
-	for i := range word {
-		if sys[i] != hout[i] {
+	s, first := hyp.Initial(), -1
+	for i, in := range word {
+		next, out, ok := hyp.Step(s, in)
+		if !ok {
+			// The hypothesis is partial where the system is not: the
+			// defined prefix plus one symbol already distinguishes.
 			return word[:i+1], nil
 		}
+		if first < 0 && sys[i] != out {
+			first = i
+		}
+		s = next
+	}
+	if first >= 0 {
+		return word[:first+1], nil
 	}
 	return nil, nil
 }

@@ -194,7 +194,9 @@ func findFirstCE(ctx context.Context, o Oracle, hyp *automata.Mealy, words [][]s
 	defer cancel()
 
 	best := int64(len(words)) // lowest failing index found so far
-	ces := make([][]string, len(words))
+	// Each stripe stops at its first failure, so it holds at most one
+	// counterexample; the winner is the one of stripe best%workers.
+	ces := make([][]string, workers)
 	var firstErr error
 	var errOnce sync.Once
 	stripe := func(start int) {
@@ -214,7 +216,7 @@ func findFirstCE(ctx context.Context, o Oracle, hyp *automata.Mealy, words [][]s
 				return
 			}
 			if ce != nil {
-				ces[i] = ce
+				ces[start] = ce
 				// Lower best monotonically to i.
 				for {
 					cur := atomic.LoadInt64(&best)
@@ -240,7 +242,7 @@ func findFirstCE(ctx context.Context, o Oracle, hyp *automata.Mealy, words [][]s
 		return nil, firstErr
 	}
 	if b := atomic.LoadInt64(&best); int(b) < len(words) {
-		return ces[b], nil
+		return ces[b%int64(workers)], nil
 	}
 	// A cancelled search proved nothing: report the cancellation rather
 	// than an (unverified) "no counterexample".

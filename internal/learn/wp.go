@@ -80,15 +80,15 @@ func (w *WpMethodOracle) Suite(hyp *automata.Mealy) [][]string {
 		middles = append(middles, next...)
 		frontier = next
 	}
+	var prefix []string
 	for _, state := range states {
 		acc := access[state]
 		for _, in := range w.Inputs {
 			if _, _, ok := hyp.Step(state, in); !ok {
 				continue
 			}
-			base := append(append([]string(nil), acc...), in)
 			for _, mid := range middles {
-				prefix := concat(base, mid, nil)
+				prefix = append(append(append(prefix[:0], acc...), in), mid...)
 				target, ok := hyp.StateAfter(prefix)
 				if !ok {
 					continue

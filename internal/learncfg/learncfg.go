@@ -128,7 +128,7 @@ func (c *Config) Register(fs *flag.FlagSet) {
 	fs.IntVar(&c.Workers, "workers", c.Workers, "membership-query concurrency: fan queries across this many independent SUL instances")
 	fs.IntVar(&c.Window, "window", c.Window,
 		"start the adaptive in-flight window at this size (AIMD between 1 and -workers; 0 keeps the fixed worker-count limit)")
-	fs.Var(&c.RTT, "rtt", "emulate a remote target by adding this round-trip to every exchange (e.g. 200us)")
+	fs.Var(&c.RTT, "rtt", "emulate a remote target by adding this round-trip to every exchange (e.g. 200us); it is slept, so a sub-millisecond value is a floor the host's timer rounds up, often to about 1ms")
 	fs.Float64Var(&c.Loss, "loss", c.Loss, "per-datagram loss probability injected in each direction of every worker's link")
 	fs.Float64Var(&c.Duplicate, "dup", c.Duplicate, "per-datagram probability of duplicating a response")
 	fs.Float64Var(&c.Reorder, "reorder", c.Reorder, "per-exchange probability of reordering adjacent response datagrams")

@@ -131,7 +131,11 @@ func (l *Link) Send(src string, datagram []byte) [][]byte {
 		return nil // the request never arrives; no response can exist
 	}
 	responses := l.inner.Send(src, datagram)
-	var out [][]byte
+	// Filter the responses in place: a kept response moves down over the
+	// dropped ones, never past one not yet read. Only a duplicate makes
+	// the burst longer than it arrived, so only a duplicate moves it to a
+	// new slice.
+	out, inPlace := responses[:0], true
 	for _, r := range responses {
 		l.stats.SentServer++
 		metricSentServer.Inc()
@@ -144,6 +148,9 @@ func (l *Link) Send(src string, datagram []byte) [][]byte {
 		if l.serverRNG.Float64() < l.cfg.Duplicate {
 			l.stats.Duplicated++
 			metricDuplicated.Inc()
+			if inPlace {
+				out, inPlace = append(make([][]byte, 0, len(responses)+1), out...), false
+			}
 			out = append(out, append([]byte(nil), r...))
 		}
 	}

@@ -191,3 +191,50 @@ func TestConfigEnabledAndLabel(t *testing.T) {
 		t.Fatalf("asymmetric label = %q", asym)
 	}
 }
+
+// TestSendFiltersInPlace pins the forwarding path at zero allocations:
+// dropped responses are filtered out of the burst the inner transport
+// returned, and only a drawn duplicate would need a new slice.
+func TestSendFiltersInPlace(t *testing.T) {
+	a, b, c := []byte("a"), []byte("b"), []byte("c")
+	var burst [][]byte
+	inner := reference.TransportFunc(func(string, []byte) [][]byte {
+		burst = append(burst[:0], a, b, c)
+		return burst
+	})
+	l := New(inner, Config{LossServer: 0.5, Reorder: 0.5, Seed: 1})
+	kept := 0
+	if avg := testing.AllocsPerRun(200, func() {
+		kept += len(l.Send("client", nil))
+	}); avg != 0 {
+		t.Fatalf("Send allocates %.1f allocs/op on a link without duplication, want 0", avg)
+	}
+	if st := l.Stats(); kept != st.SentServer-st.DroppedServer {
+		t.Fatalf("forwarded %d responses, stats say %d sent and %d dropped", kept, st.SentServer, st.DroppedServer)
+	}
+}
+
+// TestSendDuplicateKeepsOrder: a duplicate lands right after its
+// original and leaves the rest of the burst intact, wherever in the
+// burst it is drawn.
+func TestSendDuplicateKeepsOrder(t *testing.T) {
+	inner := reference.TransportFunc(func(string, []byte) [][]byte {
+		return [][]byte{[]byte("a"), []byte("b"), []byte("c")}
+	})
+	l := New(inner, Config{Duplicate: 0.3, Seed: 3})
+	for i := 0; i < 50; i++ {
+		var got []string
+		for _, d := range l.Send("client", nil) {
+			if n := len(got); n > 0 && got[n-1] == string(d) {
+				continue // a duplicate of the previous datagram
+			}
+			got = append(got, string(d))
+		}
+		if len(got) != 3 || got[0] != "a" || got[1] != "b" || got[2] != "c" {
+			t.Fatalf("exchange %d: forwarded %v, want a, b, c with duplicates adjacent", i, got)
+		}
+	}
+	if l.Stats().Duplicated == 0 {
+		t.Fatal("no duplicate drawn: the test is vacuous")
+	}
+}
