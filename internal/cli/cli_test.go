@@ -373,3 +373,20 @@ func TestMainDispatch(t *testing.T) {
 		t.Fatal("empty invocation must fail with usage")
 	}
 }
+
+// TestLearnHaltedGolden pins a halted learn: mvfst stops on the §5
+// nondeterminism witness, and the report lists its responses most
+// frequent first, so two runs print the same bytes.
+func TestLearnHaltedGolden(t *testing.T) {
+	got, err := capture(t, func() error { return Learn([]string{"-target", "mvfst"}) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/learn-mvfst.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Fatalf("output differs from testdata/learn-mvfst.txt:\n got:\n%s\nwant:\n%s", got, want)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 
 	"repro/internal/analysis"
@@ -61,8 +62,18 @@ func Learn(args []string) error {
 		fmt.Printf("target %s: learning paused — nondeterminism detected (§5 analysis)\n", *target)
 		fmt.Printf("  witness query: %v\n", res.Nondet.Word)
 		fmt.Printf("  %d distinct responses over %d repetitions:\n", len(res.Nondet.Observed), res.Nondet.Votes)
-		for out, n := range res.Nondet.Observed {
-			fmt.Printf("    x%-3d %s\n", n, out)
+		// Most frequent first, ties by text, so a halted run's report is
+		// stable from run to run.
+		outs := make([]string, 0, len(res.Nondet.Observed))
+		for out := range res.Nondet.Observed {
+			outs = append(outs, out)
+		}
+		sort.Slice(outs, func(i, j int) bool {
+			ni, nj := res.Nondet.Observed[outs[i]], res.Nondet.Observed[outs[j]]
+			return ni > nj || ni == nj && outs[i] < outs[j]
+		})
+		for _, out := range outs {
+			fmt.Printf("    x%-3d %s\n", res.Nondet.Observed[out], out)
 		}
 		return nil
 	}
@@ -83,6 +94,9 @@ func Learn(args []string) error {
 			rm.Faults.Duplicated, rm.Faults.Reordered)
 		fmt.Printf("  guard: %d flaky queries, %d escalations, %d votes beyond the floor\n",
 			rm.Guard.RetriedQueries, rm.Guard.Escalations, rm.Guard.WastedVotes)
+	}
+	if rm.Guard.Recasts > 0 {
+		fmt.Printf("  voided: %d executions with a late or cut-short response, each cast again\n", rm.Guard.Recasts)
 	}
 	fmt.Printf("  traces of length <=10 in model: %d (of %d possible over the alphabet)\n",
 		m.CountTraces(10), automata.TotalWords(len(m.Inputs()), 10))

@@ -29,10 +29,28 @@ type SUL interface {
 	Step(input string) (output string, err error)
 }
 
+// Finisher is an SUL that can judge an execution once its last step has
+// returned. An error voids the execution: Oracle returns it in place of
+// the outputs. A UDP replica voids an execution that a late response
+// datagram reached (learn.ErrLateResponse).
+type Finisher interface {
+	Finish() error
+}
+
+// Finish ends an execution on s: it calls s.Finish when s is a Finisher
+// and returns nil otherwise. SUL wrappers forward through it.
+func Finish(s SUL) error {
+	if f, ok := s.(Finisher); ok {
+		return f.Finish()
+	}
+	return nil
+}
+
 // Oracle adapts an SUL to the learning module's membership-query interface:
 // each query resets the system and replays the word symbol by symbol,
 // checking for cancellation between symbols so that aborting a run never
-// waits for a long word to finish.
+// waits for a long word to finish. An execution ends with Finish, so an
+// SUL that voids it fails the query.
 func Oracle(s SUL) learn.Oracle {
 	return learn.OracleFunc(func(ctx context.Context, word []string) ([]string, error) {
 		if err := ctx.Err(); err != nil {
@@ -51,6 +69,9 @@ func Oracle(s SUL) learn.Oracle {
 				return nil, fmt.Errorf("core: step %q: %w", in, err)
 			}
 			out = append(out, o)
+		}
+		if err := Finish(s); err != nil {
+			return nil, fmt.Errorf("core: finish: %w", err)
 		}
 		return out, nil
 	})
@@ -162,6 +183,11 @@ type GuardStats struct {
 	// WastedVotes counts votes beyond the MinVotes floor — the price of
 	// the link's flakiness (a clean link wastes none).
 	WastedVotes int64
+	// Recasts counts executions voided and cast again: those the SUL
+	// voided (learn.ErrLateResponse) and those another execution of the
+	// same query showed to be cut short (see WrapTimed). A voided
+	// execution is not a vote.
+	Recasts int64
 }
 
 // Snapshot returns a consistent copy safe to read while queries are in
@@ -172,6 +198,7 @@ func (s *GuardStats) Snapshot() GuardStats {
 		Escalations:    atomic.LoadInt64(&s.Escalations),
 		RetriedQueries: atomic.LoadInt64(&s.RetriedQueries),
 		WastedVotes:    atomic.LoadInt64(&s.WastedVotes),
+		Recasts:        atomic.LoadInt64(&s.Recasts),
 	}
 }
 
@@ -290,70 +317,192 @@ func (g *Guardian) observe(flaky bool) {
 //
 // The vote tally is derived from the observed executions, so a vote that
 // errors mid-retry can never leave the tally inconsistent: failed
-// executions simply are not votes. Underlying query errors are wrapped
-// with the query word (and errors.Is/As still see through the wrapping),
-// so a failure deep in a retry loop stays diagnosable.
-func (g *Guardian) Wrap(o learn.Oracle) learn.Oracle {
+// executions simply are not votes, and a voided one is cast again (see
+// ballot). Underlying query errors are wrapped with the query word (and
+// errors.Is/As still see through the wrapping), so a failure deep in a
+// retry loop stays diagnosable.
+func (g *Guardian) Wrap(o learn.Oracle) learn.Oracle { return g.WrapTimed(o, nil) }
+
+// WrapTimed is Wrap for a shard whose SUL t is Timed (nil for none): an
+// execution that another execution of the same query shows to have been
+// cut short is voided too (see ballot.strike).
+func (g *Guardian) WrapTimed(o learn.Oracle, t Timed) learn.Oracle {
 	return learn.OracleFunc(func(ctx context.Context, word []string) ([]string, error) {
+		b := &ballot{g: g, o: o, t: t, word: word}
 		if g.cfg.Adaptive {
-			return g.adaptiveQuery(ctx, o, word)
+			return g.adaptiveQuery(ctx, b)
 		}
-		return g.fixedQuery(ctx, o, word)
+		return g.fixedQuery(ctx, b)
 	})
 }
 
-// fixedQuery is the paper's §5 check: whole-word majority at Certainty.
-func (g *Guardian) fixedQuery(ctx context.Context, o learn.Oracle, word []string) ([]string, error) {
-	cfg := g.cfg
-	counts := make(map[string]int)
-	first := make(map[string][]string)
-	votes := 0
-	ask := func() error {
-		out, err := o.Query(ctx, word)
+// Timed is an SUL whose outputs rest on waits that can close too early,
+// such as a replica reached over UDP.
+type Timed interface {
+	// Short reports, for the execution that finished last, which steps
+	// ended on a wait short of its ceiling. What such a step heard is the
+	// target's whole answer, or an answer the wait cut short.
+	Short() []bool
+	// Truncates reports whether output a is output b with its last
+	// datagrams missing; silence truncates any answer.
+	Truncates(a, b string) bool
+	// Backoff lengthens the waits after one was shown to close too early.
+	Backoff()
+}
+
+// ballot holds one query's standing executions. A voided execution is no
+// vote and no failure: the guard casts it again, at most MaxVotes times
+// per query, counting each in GuardStats.Recasts.
+type ballot struct {
+	g       *Guardian
+	o       learn.Oracle
+	t       Timed
+	word    []string
+	execs   [][]string
+	short   [][]bool // per execution, from t.Short
+	recasts int
+}
+
+// cast runs executions until one stands, re-casting those the SUL voids
+// (learn.ErrLateResponse). It reports whether an earlier execution was
+// struck on the way.
+func (b *ballot) cast(ctx context.Context) (struck bool, err error) {
+	for {
+		out, err := b.o.Query(ctx, b.word)
 		if err != nil {
-			return fmt.Errorf("core: guard query %v after %d votes: %w", word, votes, err)
+			if !errors.Is(err, learn.ErrLateResponse) || b.recasts >= b.g.cfg.MaxVotes {
+				return struck, fmt.Errorf("core: guard query %v after %d votes: %w", b.word, len(b.execs), err)
+			}
+			b.void()
+		} else {
+			b.g.stats.addVotes(1)
+			b.execs = append(b.execs, out)
+			if b.t == nil {
+				return struck, nil
+			}
+			b.short = append(b.short, b.t.Short())
+			newest, older := b.strike()
+			struck = struck || older
+			if !newest {
+				return struck, nil
+			}
 		}
-		votes++
-		g.stats.addVotes(1)
-		key := strings.Join(out, "\x1e")
-		counts[key]++
-		if _, ok := first[key]; !ok {
-			first[key] = out
+		if err := ctx.Err(); err != nil {
+			return struck, err
 		}
-		return nil
 	}
-	accept := func(key string) []string {
-		g.stats.addWasted(int64(votes - cfg.MinVotes))
-		return first[key]
+}
+
+func (b *ballot) void() {
+	b.recasts++
+	b.g.stats.addRecasts(1)
+}
+
+// strike compares the newest execution with every standing one. Where
+// two differ first, one that heard only the start of what the other heard
+// (nothing at all, or a burst without its last datagrams), on a wait short
+// of its ceiling, is void: its wait closed too early, as if a late
+// datagram had reached it. Each struck execution backs the shard's waits
+// off and is cast again.
+func (b *ballot) strike() (newest, older bool) {
+	last := len(b.execs) - 1
+	keep := 0
+	for i := 0; i < last; i++ {
+		if b.recasts < b.g.cfg.MaxVotes {
+			if !newest && b.premature(last, i) {
+				newest = true
+				b.void()
+				b.t.Backoff()
+			}
+			if b.premature(i, last) {
+				older = true
+				b.void()
+				b.t.Backoff()
+				continue
+			}
+		}
+		b.execs[keep], b.short[keep] = b.execs[i], b.short[i]
+		keep++
 	}
-	for i := 0; i < cfg.MinVotes; i++ {
-		if err := ask(); err != nil {
+	if !newest {
+		b.execs[keep], b.short[keep] = b.execs[last], b.short[last]
+		keep++
+	}
+	b.execs, b.short = b.execs[:keep], b.short[:keep]
+	return newest, older
+}
+
+// premature reports whether, at the first step where executions i and j
+// differ, i heard on a wait short of its ceiling the start of what j
+// heard.
+func (b *ballot) premature(i, j int) bool {
+	a, c := b.execs[i], b.execs[j]
+	for p := range min(len(a), len(c)) {
+		if a[p] != c[p] {
+			return p < len(b.short[i]) && b.short[i][p] && b.t.Truncates(a[p], c[p])
+		}
+	}
+	return false
+}
+
+// unanimous reports whether every standing execution agrees.
+func (b *ballot) unanimous() bool {
+	for _, e := range b.execs[1:] {
+		if !slices.Equal(e, b.execs[0]) {
+			return false
+		}
+	}
+	return true
+}
+
+// fixedQuery is the paper's §5 check: whole-word majority at Certainty.
+func (g *Guardian) fixedQuery(ctx context.Context, b *ballot) ([]string, error) {
+	cfg := g.cfg
+	accept := func(out []string) []string {
+		g.stats.addWasted(int64(len(b.execs) - cfg.MinVotes))
+		return out
+	}
+	for len(b.execs) < cfg.MinVotes {
+		if _, err := b.cast(ctx); err != nil {
 			return nil, err
 		}
 	}
-	if len(counts) == 1 {
+	if b.unanimous() {
 		g.observe(false)
-		for k := range counts {
-			return accept(k), nil
-		}
+		return accept(b.execs[0]), nil
 	}
 	g.stats.addRetried(1)
 	g.observe(true)
-	for votes < cfg.MaxVotes {
+	counts := make(map[string]int)
+	for len(b.execs) < cfg.MaxVotes {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if err := ask(); err != nil {
+		if _, err := b.cast(ctx); err != nil {
 			return nil, err
 		}
-		for k, n := range counts {
-			if float64(n) >= cfg.Certainty*float64(votes) && votes >= cfg.MinVotes+2 {
-				return accept(k), nil
+		clear(counts)
+		for _, e := range b.execs {
+			counts[strings.Join(e, "\x1e")]++
+		}
+		votes := len(b.execs)
+		for _, e := range b.execs {
+			if n := counts[strings.Join(e, "\x1e")]; float64(n) >= cfg.Certainty*float64(votes) && votes >= cfg.MinVotes+2 {
+				return accept(e), nil
 			}
 		}
 	}
-	g.stats.addWasted(int64(votes - cfg.MinVotes))
-	return nil, &NondeterminismError{Word: word, Observed: counts, Votes: votes}
+	g.stats.addWasted(int64(len(b.execs) - cfg.MinVotes))
+	return nil, &NondeterminismError{Word: b.word, Observed: tally(b.execs), Votes: len(b.execs)}
+}
+
+// tally counts the distinct output words among execs.
+func tally(execs [][]string) map[string]int {
+	whole := make(map[string]int, len(execs))
+	for _, e := range execs {
+		whole[strings.Join(e, "\x1e")]++
+	}
+	return whole
 }
 
 // adaptiveQuery resolves a disagreeing query by positional consensus: the
@@ -366,52 +515,38 @@ func (g *Guardian) fixedQuery(ctx context.Context, o learn.Oracle, word []string
 // alternative is rarer still. The vote budget starts from the
 // disagreement EWMA and escalates (emitting learn.GuardEscalated) while
 // the query stays unresolved.
-func (g *Guardian) adaptiveQuery(ctx context.Context, o learn.Oracle, word []string) ([]string, error) {
+func (g *Guardian) adaptiveQuery(ctx context.Context, b *ballot) ([]string, error) {
 	cfg := g.cfg
-	var execs [][]string
-	votes := 0
-	cast := func() error {
-		out, err := o.Query(ctx, word)
-		if err != nil {
-			return fmt.Errorf("core: guard query %v after %d votes: %w", word, votes, err)
-		}
-		votes++
-		g.stats.addVotes(1)
-		execs = append(execs, out)
-		return nil
-	}
+	word := b.word
 	initial := g.InitialVotes()
-	for i := 0; i < initial; i++ {
-		if err := cast(); err != nil {
+	for len(b.execs) < initial {
+		if _, err := b.cast(ctx); err != nil {
 			return nil, err
 		}
 	}
-	unanimous := true
-	for _, e := range execs[1:] {
-		if !slices.Equal(e, execs[0]) {
-			unanimous = false
-			break
-		}
-	}
-	if unanimous {
+	if b.unanimous() {
 		g.observe(false)
-		g.stats.addWasted(int64(votes - cfg.MinVotes))
-		return execs[0], nil
+		g.stats.addWasted(int64(len(b.execs) - cfg.MinVotes))
+		return b.execs[0], nil
 	}
 	g.stats.addRetried(1)
 	g.observe(true)
 	budget := g.StartBudget()
+	accepted := make([]string, 0, len(word))
 	// alive[j]: execs[j] agrees with every accepted position so far, and
 	// therefore gets a vote on the next one.
-	alive := make([]bool, len(execs))
-	for j := range alive {
-		alive[j] = true
+	alive := make([]bool, len(b.execs))
+	refresh := func() {
+		alive = alive[:0]
+		for _, e := range b.execs {
+			alive = append(alive, slices.Equal(e[:len(accepted)], accepted))
+		}
 	}
-	accepted := make([]string, 0, len(word))
+	refresh()
 	for pos := range word {
 		for {
 			counts := make(map[string]int)
-			for j, e := range execs {
+			for j, e := range b.execs {
 				if alive[j] {
 					counts[e[pos]]++
 				}
@@ -431,19 +566,16 @@ func (g *Guardian) adaptiveQuery(ctx context.Context, o learn.Oracle, word []str
 			}
 			if counts[mode] >= cfg.ModeVotes && counts[mode] >= cfg.ModeLead*runner {
 				accepted = append(accepted, mode)
-				for j, e := range execs {
+				for j, e := range b.execs {
 					alive[j] = alive[j] && e[pos] == mode
 				}
 				break
 			}
+			votes := len(b.execs)
 			if votes >= budget {
 				if budget >= cfg.MaxVotes {
 					g.stats.addWasted(int64(votes - cfg.MinVotes))
-					whole := make(map[string]int, len(execs))
-					for _, e := range execs {
-						whole[strings.Join(e, "\x1e")]++
-					}
-					return nil, &NondeterminismError{Word: word, Observed: whole, Votes: votes}
+					return nil, &NondeterminismError{Word: word, Observed: tally(b.execs), Votes: votes}
 				}
 				// Escalate: double the budget (at least 4 more votes) up to
 				// the hard ceiling, and tell observers the link is biting.
@@ -464,15 +596,20 @@ func (g *Guardian) adaptiveQuery(ctx context.Context, o learn.Oracle, word []str
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			if err := cast(); err != nil {
+			struck, err := b.cast(ctx)
+			if err != nil {
 				return nil, err
+			}
+			if struck {
+				refresh()
+				continue
 			}
 			// The fresh execution votes only where it agrees with the
 			// consensus built so far.
-			alive = append(alive, slices.Equal(execs[len(execs)-1][:pos], accepted[:pos]))
+			alive = append(alive, slices.Equal(b.execs[len(b.execs)-1][:pos], accepted[:pos]))
 		}
 	}
-	g.stats.addWasted(int64(votes - cfg.MinVotes))
+	g.stats.addWasted(int64(len(b.execs) - cfg.MinVotes))
 	return accepted, nil
 }
 

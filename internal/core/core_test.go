@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -194,3 +195,98 @@ type fakeSUL struct {
 
 func (f *fakeSUL) Reset() error                   { return f.reset() }
 func (f *fakeSUL) Step(in string) (string, error) { return f.step(in) }
+
+// TestGuardRecastsVoidedExecutions: an execution the SUL voids with
+// learn.ErrLateResponse is cast again, not counted as a vote, and recorded
+// in GuardStats.Recasts; past MaxVotes re-casts the error surfaces.
+func TestGuardRecastsVoidedExecutions(t *testing.T) {
+	for _, adaptive := range []bool{false, true} {
+		voids := 3
+		base := learn.OracleFunc(func(ctx context.Context, w []string) ([]string, error) {
+			if voids > 0 {
+				voids--
+				return nil, fmt.Errorf("replica: %w", learn.ErrLateResponse)
+			}
+			return []string{"ok"}, nil
+		})
+		cfg := DefaultGuard()
+		if adaptive {
+			cfg = DefaultAdaptiveGuard()
+			cfg.PriorDisagreement = 0
+		}
+		var st GuardStats
+		out, err := NewGuardian(cfg, &st, nil).Wrap(base).Query(bg, []string{"a"})
+		if err != nil || len(out) != 1 || out[0] != "ok" {
+			t.Fatalf("adaptive=%v: out=%v err=%v", adaptive, out, err)
+		}
+		if st.Recasts != 3 || st.Votes != 2 || st.RetriedQueries != 0 {
+			t.Fatalf("adaptive=%v: stats %+v, want 3 recasts, 2 votes, no retries", adaptive, st)
+		}
+	}
+
+	always := learn.OracleFunc(func(ctx context.Context, w []string) ([]string, error) {
+		return nil, learn.ErrLateResponse
+	})
+	var st GuardStats
+	cfg := GuardConfig{MinVotes: 2, MaxVotes: 5, Certainty: 0.9}
+	if _, err := NewGuardian(cfg, &st, nil).Wrap(always).Query(bg, []string{"a"}); !errors.Is(err, learn.ErrLateResponse) {
+		t.Fatalf("err = %v, want ErrLateResponse after MaxVotes re-casts", err)
+	}
+	if st.Recasts != 5 {
+		t.Fatalf("recasts = %d, want MaxVotes (5)", st.Recasts)
+	}
+}
+
+// scriptedTimed replays a fixed script of executions, repeating its last
+// one: each one's outputs and which of its steps ended on a wait short of
+// its ceiling. An output truncates another that extends it with "+".
+type scriptedTimed struct {
+	outs     [][]string
+	short    [][]bool
+	n        int
+	backoffs int
+}
+
+func (s *scriptedTimed) Query(ctx context.Context, w []string) ([]string, error) {
+	s.n = min(s.n+1, len(s.outs))
+	return s.outs[s.n-1], nil
+}
+
+func (s *scriptedTimed) Short() []bool { return s.short[s.n-1] }
+func (s *scriptedTimed) Backoff()      { s.backoffs++ }
+func (s *scriptedTimed) Truncates(a, b string) bool {
+	return a == "" && b != "" || strings.HasPrefix(b, a+"+")
+}
+
+// TestGuardStrikesCutShortExecutions: where two executions first differ,
+// one that heard, on a wait short of its ceiling, only the start of what
+// the other heard (silence, or a burst without its tail) is struck, cast
+// again and counted as a re-cast; the waits back off. The same outputs
+// heard at the ceiling, or outputs that differ otherwise, are voted on.
+func TestGuardStrikesCutShortExecutions(t *testing.T) {
+	answer := []string{"A", "B+b", "C"}
+	short, ceiling := []bool{true, true, true}, []bool{false, false, false}
+	for _, tc := range []struct {
+		name   string
+		first  []string
+		short  []bool
+		struck bool
+	}{
+		{"silence on a short wait", []string{"A", "", "B+b"}, short, true},
+		{"burst without its tail", []string{"A", "B", "b+C"}, short, true},
+		{"silence at the ceiling", []string{"A", "", "B+b"}, ceiling, false},
+		{"a different answer", []string{"A", "D", "C"}, short, false},
+	} {
+		s := &scriptedTimed{outs: [][]string{tc.first, answer}, short: [][]bool{tc.short, short}}
+		var st GuardStats
+		out, err := NewGuardian(DefaultGuard(), &st, nil).WrapTimed(s, s).Query(bg, []string{"x", "y", "z"})
+		if err != nil || !slices.Equal(out, answer) {
+			t.Fatalf("%s: out=%v err=%v", tc.name, out, err)
+		}
+		struck := st.Recasts == 1 && st.RetriedQueries == 0 && st.WastedVotes == 0 && s.backoffs == 1
+		voted := st.Recasts == 0 && st.RetriedQueries == 1 && s.backoffs == 0
+		if tc.struck && !struck || !tc.struck && !voted {
+			t.Fatalf("%s: stats %+v, backoffs %d; want struck=%v", tc.name, st, s.backoffs, tc.struck)
+		}
+	}
+}

@@ -19,6 +19,8 @@ var (
 		"Queries that saw at least one disagreeing execution.")
 	metricGuardWasted = metrics.Default().Counter("prognosis_guard_wasted_votes_total",
 		"Votes spent beyond the MinVotes floor — the price of link flakiness.")
+	metricGuardRecasts = metrics.Default().Counter("prognosis_guard_recasts_total",
+		"Executions voided by a late or cut-short response and cast again; a voided execution is not a vote.")
 )
 
 // The addX helpers below are the single update path for guard cost
@@ -43,4 +45,9 @@ func (s *GuardStats) addRetried(n int64) {
 func (s *GuardStats) addWasted(n int64) {
 	atomic.AddInt64(&s.WastedVotes, n)
 	metricGuardWasted.Add(n)
+}
+
+func (s *GuardStats) addRecasts(n int64) {
+	atomic.AddInt64(&s.Recasts, n)
+	metricGuardRecasts.Add(n)
 }

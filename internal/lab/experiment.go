@@ -407,7 +407,7 @@ func (e *Experiment) learn(ctx context.Context) (*automata.Mealy, *learn.Window,
 	guardian := core.NewGuardian(cfg.guard, &e.guard, guardObs)
 	shards := make([]learn.Oracle, len(e.suls))
 	for i, s := range e.suls {
-		shards[i] = guardian.Wrap(learn.Counting(core.Oracle(s), &e.stats))
+		shards[i] = guardian.WrapTimed(learn.Counting(core.Oracle(s), &e.stats), timed(e.sys.SULs[i]))
 	}
 	pool := learn.NewPool(shards...)
 	if win != nil {
@@ -497,13 +497,26 @@ func (e *Experiment) learn(ctx context.Context) (*automata.Mealy, *learn.Window,
 	return model, win, nil
 }
 
+// timed returns the replica as a core.Timed when its silences rest on
+// socket waits (a QUIC replica over UDP), nil otherwise.
+func timed(s core.SUL) core.Timed {
+	if q, ok := s.(*QUICSetup); ok && q.Socket != nil {
+		return q
+	}
+	return nil
+}
+
 // Oracle returns a live membership oracle over the experiment's first
 // replica: every query resets the replica and replays the word over its
 // real transport — through any impairment link the experiment configured.
 // This is how witness words from the analysis plane replay against the
-// wire (analysis.Replay / analysis.ConfirmWitness). The oracle shares the
-// replica with Learn, so do not query it while a Learn is in flight.
-func (e *Experiment) Oracle() learn.Oracle { return core.Oracle(e.suls[0]) }
+// wire (analysis.Replay / analysis.ConfirmWitness). Each query is one
+// execution behind a one-vote guard, which casts an execution a late
+// response voided again. The oracle shares the replica with Learn, so do
+// not query it while a Learn is in flight.
+func (e *Experiment) Oracle() learn.Oracle {
+	return core.Guard(core.Oracle(e.suls[0]), core.GuardConfig{MinVotes: 1, MaxVotes: core.DefaultGuard().MaxVotes})
+}
 
 // StoreEntries returns the persistent query store's logged-query count
 // — the query-log version the monitor's lineage records tie model

@@ -13,16 +13,19 @@ package lab
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/automata"
 	"repro/internal/core"
+	"repro/internal/learn"
 	"repro/internal/quicsim"
 	"repro/internal/quicwire"
 	"repro/internal/reference"
 	"repro/internal/synth"
 	"repro/internal/tcpsim"
 	"repro/internal/tcpwire"
+	"repro/internal/transport"
 )
 
 // Target names registered by this package.
@@ -75,16 +78,68 @@ func QUICProfile(name string) (quicsim.Profile, error) {
 type QUICSetup struct {
 	Server *quicsim.Server
 	Client *reference.QUICClient
+	// Socket is the UDP client socket under Client's transport (and under
+	// any wrapping of it), nil in memory. It judges each execution.
+	Socket *transport.QUICClientTransport
+
+	short   []bool // per step of this execution: it ended on a short wait
+	foreign int    // Client.Foreign when this execution began
 }
 
 // Reset implements core.SUL.
 func (s *QUICSetup) Reset() error {
+	if s.Socket != nil {
+		s.Socket.BeginExecution()
+		s.short, s.foreign = s.short[:0], s.Client.Foreign()
+	}
 	s.Server.Reset()
 	return s.Client.Reset()
 }
 
+// Finish implements core.Finisher: over UDP, an execution that a late
+// response datagram reached fails with learn.ErrLateResponse. The socket
+// finds those its drains read; the client finds those that arrived
+// inside a wait but belong to an earlier connection. Such a datagram also
+// means the target handled an earlier execution's request after this
+// one's reset.
+func (s *QUICSetup) Finish() error {
+	if s.Socket == nil {
+		return nil
+	}
+	late := s.Socket.EndExecution()
+	foreign := s.Client.Foreign() - s.foreign
+	if late > 0 || foreign > 0 {
+		return fmt.Errorf("%w: %d late datagrams, %d packets for an earlier connection",
+			learn.ErrLateResponse, late, foreign)
+	}
+	return nil
+}
+
 // Step implements core.SUL.
-func (s *QUICSetup) Step(in string) (string, error) { return s.Client.Step(in) }
+func (s *QUICSetup) Step(in string) (string, error) {
+	if s.Socket == nil {
+		return s.Client.Step(in)
+	}
+	before, heard := s.Socket.Tally(), s.Client.Heard()
+	out, err := s.Client.Step(in)
+	after := s.Socket.Tally()
+	// A wait may have cut the step short if its exchange ended on a short
+	// wait and the client heard just what the socket did: a link between
+	// them that dropped or added datagrams explains a difference itself.
+	s.short = append(s.short, after.Cut > before.Cut &&
+		after.Datagrams-before.Datagrams == s.Client.Heard()-heard)
+	return out, err
+}
+
+// Short implements core.Timed over UDP: the steps of the execution that
+// finished last which a wait short of its ceiling may have cut short.
+func (s *QUICSetup) Short() []bool { return slices.Clone(s.short) }
+
+// Truncates implements core.Timed.
+func (s *QUICSetup) Truncates(a, b string) bool { return s.Client.Truncates(a, b) }
+
+// Backoff implements core.Timed over UDP.
+func (s *QUICSetup) Backoff() { s.Socket.Backoff() }
 
 // QUICOptions tune NewQUIC.
 type QUICOptions struct {
@@ -193,6 +248,8 @@ func (r *remoteSUL) Step(in string) (string, error) {
 	time.Sleep(r.rtt)
 	return r.inner.Step(in)
 }
+
+func (r *remoteSUL) Finish() error { return core.Finish(r.inner) }
 
 // CollectSDBTrace runs one concrete word against a fresh connection and
 // returns its synthesis trace for the Issue 4 experiment and the refinement

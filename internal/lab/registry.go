@@ -265,6 +265,7 @@ func registerQUIC(name string, profile quicsim.Profile) {
 		}
 		for i := 0; i < spec.Replicas; i++ {
 			srv := quicsim.NewServer(quicsim.Config{Profile: profile, Seed: seed})
+			setup := &QUICSetup{Server: srv}
 			tr := reference.ServerTransport(srv)
 			if spec.Transport == TransportUDP {
 				// One real socket pair per replica: a loopback-hosted
@@ -278,10 +279,10 @@ func registerQUIC(name string, profile quicsim.Profile) {
 				sys.AddCloser(hosted.Close)
 				sock := transport.NewQUICClientTransport(hosted.Addr())
 				sys.AddCloser(sock.Close)
-				tr = sock
+				tr, setup.Socket = sock, sock
 			}
-			cli := reference.NewQUICClient(reference.QUICClientConfig{Seed: seed + 4}, spec.wrapFor(i)(tr))
-			sys.SULs = append(sys.SULs, &QUICSetup{Server: srv, Client: cli})
+			setup.Client = reference.NewQUICClient(reference.QUICClientConfig{Seed: seed + 4}, spec.wrapFor(i)(tr))
+			sys.SULs = append(sys.SULs, setup)
 		}
 		return sys, nil
 	})

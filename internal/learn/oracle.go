@@ -50,6 +50,12 @@ type EquivalenceOracle interface {
 // symbols than input symbols, which violates the Mealy query contract.
 var ErrIncompleteOutput = errors.New("learn: oracle returned short output word")
 
+// ErrLateResponse voids one execution: a response datagram reached it
+// after the wait for it had closed, so the outputs it produced are not a
+// complete observation. The voting guard casts the execution again rather
+// than count it as a vote.
+var ErrLateResponse = errors.New("learn: execution voided by a late response")
+
 // Stats counts oracle traffic. All fields are safe for concurrent update.
 type Stats struct {
 	Queries int64 // membership queries issued to the underlying oracle

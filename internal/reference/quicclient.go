@@ -97,6 +97,8 @@ type QUICClient struct {
 	fcRaises     int
 	streamSent   uint64
 	reqCount     int
+	heard        int // response datagrams the transport handed back
+	foreign      int // server packets addressed to another connection
 
 	// Scratch for the packet path, reused by every step: sc protects
 	// packets, payload and tx hold the frames and the packet being sent
@@ -165,6 +167,27 @@ func (c *QUICClient) Reset() error {
 	c.streamSent = 0
 	c.reqCount = 0
 	return nil
+}
+
+// Heard counts the response datagrams the client's transport has handed
+// back since the client was built.
+func (c *QUICClient) Heard() int { return c.heard }
+
+// Foreign counts the server packets, since the client was built, that
+// were addressed to another connection: late answers to an earlier
+// execution, which a UDP path can deliver after its wait has closed.
+func (c *QUICClient) Foreign() int { return c.foreign }
+
+// Truncates reports whether output a is output b with its last packets
+// missing: b lists every packet a lists, in order, and more. Silence ("{}")
+// truncates any answer. Outputs are the client's step labels, "{" and the
+// packets' symbols joined by "," and "}"; a symbol ends in "]".
+func (c *QUICClient) Truncates(a, b string) bool {
+	if a == "{}" {
+		return b != a
+	}
+	head, ok := strings.CutSuffix(a, "}")
+	return ok && len(b) > len(head) && strings.HasPrefix(b, head) && b[len(head)] == ','
 }
 
 // clientSeedBytes derives n pseudo-random bytes from the seed, the attempt
@@ -380,6 +403,7 @@ func (c *QUICClient) buildFrame(space int, name string) quicwire.Frame {
 // client connection state along the way, and records their concrete
 // packets in ex unless ex is nil.
 func (c *QUICClient) processResponses(datagrams [][]byte, ex *Exchange) string {
+	c.heard += len(datagrams)
 	c.label = append(c.label[:0], '{')
 	for _, dgram := range datagrams {
 		for rest := dgram; len(rest) > 0; {
@@ -429,6 +453,12 @@ func (c *QUICClient) processPacket(data []byte, ex *Exchange) int {
 			c.emit(ex, quicwire.PacketStatelessReset, 0, nil)
 		}
 		return len(data)
+	}
+	if !bytes.Equal(hdr.DCID, c.scid) && !(hdr.Type == quicwire.PacketShort && c.looksLikeReset(data)) {
+		// Addressed to another connection: a late answer to an earlier
+		// execution, which no key of this one could open.
+		c.foreign++
+		return hdr.PayloadEnd
 	}
 	switch hdr.Type {
 	case quicwire.PacketRetry:

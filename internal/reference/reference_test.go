@@ -352,3 +352,57 @@ func TestTCPDeterministicAcrossResets(t *testing.T) {
 		}
 	}
 }
+
+// TestQUICForeignPacketsCounted: a server packet addressed to an earlier
+// connection — a late answer to an earlier execution — is counted and
+// abstracts to nothing, since no key of the current connection opens it.
+func TestQUICForeignPacketsCounted(t *testing.T) {
+	srv := quicsim.NewServer(quicsim.Config{Profile: quicsim.ProfileGoogle, Seed: 7})
+	inner := reference.ServerTransport(srv)
+	var last [][]byte
+	replay := false
+	cli := reference.NewQUICClient(reference.QUICClientConfig{Seed: 11},
+		reference.TransportFunc(func(src string, d []byte) [][]byte {
+			if replay {
+				return last
+			}
+			last = inner.Send(src, d)
+			return last
+		}))
+	srv.Reset()
+	cli.Reset()
+	if out, _ := cli.Step(quicsim.SymInitialCrypto); out == "{}" || cli.Foreign() != 0 {
+		t.Fatalf("first connection: out %q, foreign %d", out, cli.Foreign())
+	}
+	srv.Reset()
+	cli.Reset()
+	replay = true // the next step hears only the first connection's answer
+	if out, _ := cli.Step(quicsim.SymInitialCrypto); out != "{}" {
+		t.Fatalf("stale answer abstracted to %q, want {}", out)
+	}
+	if cli.Foreign() != len(last) {
+		t.Fatalf("foreign = %d, want %d", cli.Foreign(), len(last))
+	}
+}
+
+// TestQUICTruncates pins which outputs are another cut short: a strict
+// prefix of its packet list, never a packet that merely starts the same.
+func TestQUICTruncates(t *testing.T) {
+	cli := reference.NewQUICClient(reference.QUICClientConfig{Seed: 11}, nil)
+	for _, tc := range []struct {
+		a, b string
+		want bool
+	}{
+		{"{}", "{SHORT(?,?)[ACK]}", true},
+		{"{}", "{}", false},
+		{"{SHORT(?,?)[CRYPTO]}", "{SHORT(?,?)[CRYPTO],SHORT(?,?)[HANDSHAKE_DONE]}", true},
+		{"{SHORT(?,?)[ACK]}", "{SHORT(?,?)[ACK,STREAM]}", false},
+		{"{SHORT(?,?)[ACK]}", "{SHORT(?,?)[ACK]}", false},
+		{"{SHORT(?,?)[ACK],SHORT(?,?)[ACK]}", "{SHORT(?,?)[ACK]}", false},
+		{"{HANDSHAKE(?,?)[CRYPTO]}", "{SHORT(?,?)[CRYPTO],HANDSHAKE(?,?)[CRYPTO]}", false},
+	} {
+		if got := cli.Truncates(tc.a, tc.b); got != tc.want {
+			t.Errorf("Truncates(%q, %q) = %v, want %v", tc.a, tc.b, got, tc.want)
+		}
+	}
+}

@@ -76,10 +76,9 @@ const serverWindowScale = 7
 type Server struct {
 	mu  sync.Mutex
 	cfg Config
-	rng *rand.Rand
 
 	state  connState
-	iss    uint32 // our initial send sequence number
+	iss    uint32 // our initial send sequence number, drawn once from the seed
 	sndNxt uint32 // next sequence number we will send
 	rcvNxt uint32 // next sequence number we expect
 
@@ -95,19 +94,17 @@ func NewServer(cfg Config) *Server {
 	if cfg.Window == 0 {
 		cfg.Window = 65535
 	}
-	s := &Server{cfg: cfg}
+	s := &Server{cfg: cfg, iss: rand.New(rand.NewSource(cfg.Seed)).Uint32()}
 	s.Reset()
 	return s
 }
 
-// Reset returns the endpoint to LISTEN with a fresh initial sequence
+// Reset returns the endpoint to LISTEN with its seeded initial sequence
 // number, implementing Adapter property (3) of §3.2.
 func (s *Server) Reset() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.rng = rand.New(rand.NewSource(s.cfg.Seed))
 	s.state = StateListen
-	s.iss = s.rng.Uint32()
 	s.sndNxt = s.iss
 	s.rcvNxt = 0
 	s.sackOK = false

@@ -57,6 +57,9 @@ func newBatchImpl(conn *net.UDPConn, connected bool) BatchConn {
 
 func (c *mmsgConn) Batched() bool { return true }
 
+// yield gives this thread's CPU to any other runnable thread (sched_yield).
+func yield() { syscall.Syscall(syscall.SYS_SCHED_YIELD, 0, 0, 0) }
+
 func (c *mmsgConn) ReadBatch(ms []Message) (int, error)    { return c.readBatch(ms, false) }
 func (c *mmsgConn) TryReadBatch(ms []Message) (int, error) { return c.readBatch(ms, true) }
 

@@ -112,33 +112,82 @@ func TestBatchConnDeadline(t *testing.T) {
 	}
 }
 
-// TestSrttTrackerWaits pins the adaptive-wait clamps: cold start falls back
-// to the fixed quiet window, fast loopback samples hit the floors, and the
-// ceiling never exceeds quiet.
+// TestSrttTrackerWaits pins the RFC 6298 waits: the estimator's arithmetic
+// on a fixed sample sequence for both waits, backoff doubling up to the
+// quiet ceiling, and the decay back after clean exchanges.
 func TestSrttTrackerWaits(t *testing.T) {
 	var s srttTracker
 	if s.firstWait() != quiet || s.quietWait() != quiet {
 		t.Fatalf("cold tracker waits = %v/%v, want %v", s.firstWait(), s.quietWait(), quiet)
 	}
-	s.observe(100 * time.Microsecond)
-	if got := s.firstWait(); got != 5*time.Millisecond {
-		t.Fatalf("firstWait after 100µs sample = %v, want 5ms floor", got)
+	// SRTT = R, RTTVAR = R/2 on the first sample; then RTTVAR = (3·RTTVAR +
+	// |SRTT − R|)/4 and SRTT = (7·SRTT + R)/8. The wait is SRTT + max(G,
+	// 4·RTTVAR), so G floors it while the deviation is small.
+	for _, step := range []struct {
+		sample, srtt, rttvar, wait time.Duration
+	}{
+		{100 * time.Microsecond, 100_000, 50_000, 1_100_000},
+		{200 * time.Microsecond, 112_500, 62_500, 1_112_500},
+		{2 * time.Millisecond, 348_437, 518_750, 2_423_437},
+	} {
+		s.first.observe(step.sample)
+		if s.first.srtt != step.srtt || s.first.rttvar != step.rttvar || s.firstWait() != step.wait {
+			t.Fatalf("after %v: srtt %d rttvar %d wait %d, want %d %d %d", step.sample,
+				s.first.srtt, s.first.rttvar, s.firstWait(), step.srtt, step.rttvar, step.wait)
+		}
 	}
-	if got := s.quietWait(); got != time.Millisecond {
-		t.Fatalf("quietWait after 100µs sample = %v, want 1ms floor", got)
+	base := s.firstWait()
+
+	// The quiet wait is the same estimator over bursts' spreads: G while
+	// bursts arrive whole, more once one spreads out, and back to G as
+	// whole bursts follow.
+	s.spread.observe(0)
+	if got := s.quietWait(); got != granularity {
+		t.Fatalf("quietWait after a whole burst = %v, want %v", got, granularity)
 	}
+	s.spread.observe(2 * time.Millisecond) // srtt 250µs, rttvar 500µs
+	if got, want := s.quietWait(), 2_250*time.Microsecond; got != want {
+		t.Fatalf("quietWait after a 2ms spread = %v, want %v", got, want)
+	}
+	for i := 0; i < 200 && s.quietWait() != granularity; i++ {
+		s.spread.observe(0)
+	}
+	if got := s.quietWait(); got != granularity {
+		t.Fatalf("quietWait after 200 whole bursts = %v, want %v", got, granularity)
+	}
+
+	// Each late datagram doubles both waits, up to the quiet ceiling.
+	for i, want := range []time.Duration{2 * base, 4 * base, 8 * base, quiet, quiet} {
+		s.late(1)
+		if got := s.firstWait(); got != want {
+			t.Fatalf("firstWait after %d late datagrams = %v, want %v", i+1, got, want)
+		}
+	}
+	if got := s.quietWait(); got != quiet {
+		t.Fatalf("quietWait backed off = %v, want %v", got, quiet)
+	}
+	s.late(100)
+	if s.backoff != maxBackoff {
+		t.Fatalf("backoff = %d, want it capped at %d", s.backoff, maxBackoff)
+	}
+	// Clean exchanges undo one doubling each.
+	for i := 0; i < maxBackoff; i++ {
+		s.clean()
+	}
+	if s.firstWait() != base || s.quietWait() != granularity {
+		t.Fatalf("waits after %d clean exchanges = %v/%v, want %v/%v", maxBackoff, s.firstWait(), s.quietWait(), base, granularity)
+	}
+	s.clean()
+	if s.backoff != 0 {
+		t.Fatalf("backoff went below zero: %d", s.backoff)
+	}
+
+	// Pathological samples never exceed the ceiling.
 	for i := 0; i < 64; i++ {
-		s.observe(time.Second) // pathological samples must not exceed the ceiling
+		s.first.observe(time.Second)
+		s.spread.observe(time.Second)
 	}
 	if s.firstWait() != quiet || s.quietWait() != quiet {
 		t.Fatalf("waits after huge samples = %v/%v, want %v ceiling", s.firstWait(), s.quietWait(), quiet)
-	}
-	s = srttTracker{}
-	s.observe(1 * time.Millisecond)
-	if got := s.firstWait(); got != 16*time.Millisecond {
-		t.Fatalf("firstWait after 1ms sample = %v, want 16ms", got)
-	}
-	if got := s.quietWait(); got != 8*time.Millisecond {
-		t.Fatalf("quietWait after 1ms sample = %v, want 8ms", got)
 	}
 }

@@ -20,7 +20,14 @@ var (
 		"Syscalls avoided by multi-message batching (messages beyond the first in each recvmmsg/sendmmsg).")
 	metricBatchSize = metrics.Default().Histogram("prognosis_transport_batch_size",
 		"Datagrams per non-empty batch operation.", []float64{1, 2, 4, 8, 16, 32})
+	metricLateVoided = metrics.Default().CounterWith("prognosis_transport_late_datagrams_total",
+		lateHelp, []string{"execution"}, []string{"voided"})
+	metricLateReturned = metrics.Default().CounterWith("prognosis_transport_late_datagrams_total",
+		lateHelp, []string{"execution"}, []string{"returned"})
 )
+
+const lateHelp = "Response datagrams that arrived after their exchange's wait had closed: " +
+	"voided when found while their execution ran, returned when found only after it had returned."
 
 // measuredConn decorates a BatchConn with metrics-plane accounting.
 type measuredConn struct {
