@@ -3,7 +3,6 @@ package analysis
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/automata"
@@ -21,63 +20,24 @@ type TestSuite struct {
 // Len returns the number of test cases.
 func (s *TestSuite) Len() int { return len(s.Words) }
 
-// WMethodSuite generates Chow's W-method test suite with the given extra
-// depth: access · middle · characterizing-word for all combinations, with
-// middles of up to depth symbols. That is state cover · Σ^≤depth · W, or
-// Chow's P · Σ^≤(depth−1) · W with P the transition cover: it subsumes
-// transition coverage and detects any fault that does not add more than
-// depth−1 extra states.
+// WMethodSuite returns Chow's W-method test suite with the given extra
+// depth: the distinct words of learn.ConformanceSuite of kind SuiteW that
+// m defines, each with m's expected outputs. That is state cover ·
+// Σ^≤depth · W, or Chow's P · Σ^≤(depth−1) · W with P the transition
+// cover: it subsumes transition coverage and detects any fault that does
+// not add more than depth−1 extra states.
 func WMethodSuite(m *automata.Mealy, depth int) *TestSuite {
 	s := &TestSuite{}
-	access := m.AccessSequences()
-	wset := m.CharacterizingSet()
-	if len(wset) == 0 {
-		wset = [][]string{{}}
-	}
-	middles := [][]string{{}}
-	frontier := [][]string{{}}
-	for d := 0; d < depth; d++ {
-		var next [][]string
-		for _, mid := range frontier {
-			for _, in := range m.Inputs() {
-				next = append(next, append(append([]string(nil), mid...), in))
-			}
-		}
-		middles = append(middles, next...)
-		frontier = next
-	}
-	// Iterate states in numeric order: access is a map, and ranging over
-	// it directly randomises which duplicate word survives the dedup below,
-	// making the suite size vary run to run.
-	states := make([]automata.State, 0, len(access))
-	for st := range access {
-		states = append(states, st)
-	}
-	sort.Slice(states, func(i, j int) bool { return states[i] < states[j] })
 	seen := map[string]bool{}
-	for _, st := range states {
-		acc := access[st]
-		for _, mid := range middles {
-			for _, w := range wset {
-				word := make([]string, 0, len(acc)+len(mid)+len(w))
-				word = append(word, acc...)
-				word = append(word, mid...)
-				word = append(word, w...)
-				if len(word) == 0 {
-					continue
-				}
-				key := strings.Join(word, "\x1f")
-				if seen[key] {
-					continue
-				}
-				seen[key] = true
-				exp, ok := m.Run(word)
-				if !ok {
-					continue
-				}
-				s.Words = append(s.Words, word)
-				s.Expected = append(s.Expected, exp)
-			}
+	for _, word := range learn.ConformanceSuite(m, m.Inputs(), depth, learn.SuiteW) {
+		key := strings.Join(word, "\x1f")
+		if seen[key] {
+			continue
+		}
+		seen[key] = true
+		if exp, ok := m.Run(word); ok {
+			s.Words = append(s.Words, word)
+			s.Expected = append(s.Expected, exp)
 		}
 	}
 	return s

@@ -3,6 +3,7 @@ package automata
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode/utf8"
@@ -125,7 +126,7 @@ func ParseDOT(data []byte) (*Mealy, error) {
 			if !ok {
 				continue // style annotation line
 			}
-			if _, found := m.inputIdx[in]; !found {
+			if !slices.Contains(inputs, in) {
 				return nil, fmt.Errorf("automata: edge input %q not in declared alphabet", in)
 			}
 			m.SetTransition(State(e.from), in, State(e.to), out)

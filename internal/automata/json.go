@@ -3,6 +3,7 @@ package automata
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 )
 
 // mealyJSON is the serialized form of a Mealy machine: a portable record of
@@ -93,7 +94,7 @@ func (m *Mealy) UnmarshalJSON(data []byte) error {
 		if int(t.From) >= in.States || int(t.To) >= in.States || t.From < 0 || t.To < 0 {
 			return fmt.Errorf("automata: transition %v out of range", t)
 		}
-		if _, ok := n.inputIdx[t.Input]; !ok {
+		if !slices.Contains(in.Inputs, t.Input) {
 			return fmt.Errorf("automata: transition input %q not in alphabet", t.Input)
 		}
 		n.SetTransition(t.From, t.Input, t.To, t.Output)

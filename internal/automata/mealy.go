@@ -7,6 +7,7 @@ package automata
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -33,20 +34,12 @@ type Mealy struct {
 	// trans[s][i] and out[s][i] index by state and input position.
 	trans [][]State
 	out   [][]string
-
-	inputIdx map[string]int
 }
 
 // NewMealy returns an empty machine over the given input alphabet with a
 // single initial state 0 and no transitions defined.
 func NewMealy(inputs []string) *Mealy {
-	m := &Mealy{
-		inputs:   append([]string(nil), inputs...),
-		inputIdx: make(map[string]int, len(inputs)),
-	}
-	for i, in := range m.inputs {
-		m.inputIdx[in] = i
-	}
+	m := &Mealy{inputs: append([]string(nil), inputs...)}
 	m.AddState()
 	return m
 }
@@ -92,8 +85,8 @@ func (m *Mealy) AddState() State {
 // It panics if the input is not in the alphabet or a state is out of range,
 // since that is always a programming error in the caller.
 func (m *Mealy) SetTransition(from State, input string, to State, output string) {
-	i, ok := m.inputIdx[input]
-	if !ok {
+	i := slices.Index(m.inputs, input)
+	if i < 0 {
 		panic(fmt.Sprintf("automata: input %q not in alphabet", input))
 	}
 	if int(from) >= len(m.trans) || int(to) >= len(m.trans) || from < 0 || to < 0 {
@@ -106,8 +99,8 @@ func (m *Mealy) SetTransition(from State, input string, to State, output string)
 // Step returns the successor state and output for (from, input).
 // ok is false if the transition is undefined or the input unknown.
 func (m *Mealy) Step(from State, input string) (to State, output string, ok bool) {
-	i, found := m.inputIdx[input]
-	if !found || int(from) >= len(m.trans) || from < 0 {
+	i := slices.Index(m.inputs, input)
+	if i < 0 || int(from) >= len(m.trans) || from < 0 {
 		return Invalid, "", false
 	}
 	to = m.trans[from][i]
@@ -327,23 +320,23 @@ func (m *Mealy) Equivalent(other *Mealy) (equal bool, ce []string) {
 	return true, nil
 }
 
-// AccessSequences returns, for every reachable state, a shortest input word
-// leading from the initial state to it (BFS order).
-func (m *Mealy) AccessSequences() map[State][]string {
-	acc := map[State][]string{m.initial: {}}
+// AccessSequences returns, indexed by state, a shortest input word leading
+// from the initial state to it (BFS order). The initial state's word is
+// empty but not nil; an unreachable state's is nil.
+func (m *Mealy) AccessSequences() [][]string {
+	acc := make([][]string, len(m.trans))
+	acc[m.initial] = []string{}
 	queue := []State{m.initial}
 	for len(queue) > 0 {
 		s := queue[0]
 		queue = queue[1:]
 		for i, in := range m.inputs {
 			t := m.trans[s][i]
-			if t == Invalid {
+			if t == Invalid || acc[t] != nil {
 				continue
 			}
-			if _, ok := acc[t]; !ok {
-				acc[t] = append(append([]string(nil), acc[s]...), in)
-				queue = append(queue, t)
-			}
+			acc[t] = append(append([]string(nil), acc[s]...), in)
+			queue = append(queue, t)
 		}
 	}
 	return acc
@@ -351,8 +344,9 @@ func (m *Mealy) AccessSequences() map[State][]string {
 
 // CharacterizingSet returns a set W of input words such that any two
 // distinct states of the (assumed minimal, total) machine produce different
-// output words on at least one member of W. Used by the W-method
-// equivalence oracle and model-based test generation.
+// output words on at least one member of W. ConformanceSuite in
+// internal/learn builds the W and Wp suites, and the warm discrimination
+// tree, from it.
 func (m *Mealy) CharacterizingSet() [][]string {
 	n := m.NumStates()
 	if n <= 1 {

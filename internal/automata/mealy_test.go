@@ -134,12 +134,16 @@ func TestAccessSequences(t *testing.T) {
 	}
 	for s, word := range acc {
 		got, ok := m.StateAfter(word)
-		if !ok || got != s {
+		if !ok || got != State(s) {
 			t.Fatalf("access sequence %v leads to %d, want %d", word, got, s)
 		}
 	}
 	if len(acc[2]) != 2 {
 		t.Fatalf("access to s2 has length %d, want 2", len(acc[2]))
+	}
+	m.AddState()
+	if acc := m.AccessSequences(); len(acc) != 4 || acc[3] != nil || acc[0] == nil {
+		t.Fatalf("access sequences %q: want a nil word for the unreachable s3 and an empty one for s0", acc)
 	}
 }
 

@@ -135,7 +135,7 @@ func (d *DTLearner) siftAll(ctx context.Context, words [][]string) ([]*dtNode, b
 		for i, n := range nodes {
 			if !n.leaf() {
 				idxs = append(idxs, i)
-				qs = append(qs, concat(words[i], n.suffix, nil))
+				qs = append(qs, concat(words[i], n.suffix))
 			}
 		}
 		if len(idxs) == 0 {
@@ -354,7 +354,7 @@ func (d *DTLearner) splitOnce(ctx context.Context, hyp *automata.Mealy, ce []str
 	// The two signature probes of the split are independent; emit them as
 	// one batch.
 	pairOuts, err := queryAll(ctx, d.oracle, [][]string{
-		concat(leaf.access, v, nil), concat(newAccess, v, nil),
+		concat(leaf.access, v), concat(newAccess, v),
 	})
 	if err != nil {
 		return err
@@ -364,7 +364,7 @@ func (d *DTLearner) splitOnce(ctx context.Context, hyp *automata.Mealy, ce []str
 	if sigOld == sigNew {
 		return inconsistent(
 			fmt.Sprintf("discriminator %v fails to split %v from %v", v, leaf.access, newAccess),
-			concat(leaf.access, v, nil), concat(newAccess, v, nil))
+			concat(leaf.access, v), concat(newAccess, v))
 	}
 	oldLeaf := &dtNode{access: leaf.access}
 	newLeaf := &dtNode{access: newAccess}

@@ -124,7 +124,7 @@ func (l *LStar) ensureRows(ctx context.Context, prefixes [][]string) error {
 		}
 		scheduled[k] = true
 		for i, suf := range l.suffixes {
-			words = append(words, concat(p, suf, nil))
+			words = append(words, concat(p, suf))
 			cells = append(cells, cell{key: k, idx: i, plen: len(p)})
 		}
 	}

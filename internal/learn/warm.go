@@ -3,6 +3,7 @@ package learn
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -43,10 +44,11 @@ func compatibleAlphabet(inputs, warmInputs []string) bool {
 // sequences are prefix-closed: each state's sequence extends its BFS
 // parent's by one symbol.
 func sortedAccess(prev *automata.Mealy) [][]string {
-	acc := prev.AccessSequences()
-	out := make([][]string, 0, len(acc))
-	for _, a := range acc {
-		out = append(out, a)
+	var out [][]string
+	for _, a := range prev.AccessSequences() {
+		if a != nil {
+			out = append(out, a)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if len(out[i]) != len(out[j]) {
@@ -82,35 +84,31 @@ func (l *LStar) seedWarm(prev *automata.Mealy) {
 	}
 }
 
-// warmTree rebuilds a discrimination tree equivalent to prev without any
-// oracle traffic: states are split recursively by the suffixes of prev's
-// characterizing set, with each inner node's child signatures computed by
-// running prev itself. Sifting a leaf's access word through the resulting
-// tree asks the live oracle exactly the access·discriminator words whose
-// answers the seal pass logged (store.go), so an unchanged target
-// reconstructs its old hypothesis entirely from cache.
-func warmTree(prev *automata.Mealy) *dtNode {
-	access := prev.AccessSequences()
-	states := make([]automata.State, 0, len(access))
-	for s := range access {
-		states = append(states, s)
-	}
-	sort.Slice(states, func(i, j int) bool { return states[i] < states[j] })
-	wset := prev.CharacterizingSet()
-	var split func(group []automata.State, wIdx int) *dtNode
-	split = func(group []automata.State, wIdx int) *dtNode {
-		if len(group) == 1 {
-			return &dtNode{access: append([]string(nil), access[group[0]]...)}
-		}
-		for ; wIdx < len(wset); wIdx++ {
+// splitStates separates m's reachable states by the words of wset and
+// returns the result read two ways: as a discrimination tree, and as each
+// state's identification set W_s, the suffixes on the path from the root
+// to its leaf. A group splits on the first remaining word its states
+// disagree on, with each inner node's child signatures computed by running
+// m itself, so W_s holds exactly the words of wset, in order, that separate
+// s from some state no earlier word separated it from. A state with an empty path (the
+// only state) gets the empty word, so its transition words are still
+// checked.
+//
+// Sifting a leaf's access word through the tree asks the live oracle
+// exactly the access·discriminator words whose answers the seal pass
+// logged (store.go), so a warm learner over an unchanged target rebuilds
+// its old hypothesis entirely from cache, without any oracle traffic to
+// build the tree itself.
+func splitStates(m *automata.Mealy, access, wset [][]string) (*dtNode, [][][]string) {
+	ids := make([][][]string, len(access))
+	var split func(group []automata.State, wIdx int, path [][]string) *dtNode
+	split = func(group []automata.State, wIdx int, path [][]string) *dtNode {
+		for ; len(group) > 1 && wIdx < len(wset); wIdx++ {
 			w := wset[wIdx]
-			if len(w) == 0 {
-				continue
-			}
 			parts := make(map[string][]automata.State)
 			order := make([]string, 0, 2)
 			for _, s := range group {
-				out, ok := prev.RunFrom(s, w)
+				out, ok := m.RunFrom(s, w)
 				if !ok {
 					// A partial machine can leave a state undefined on w;
 					// give those states their own signature class.
@@ -126,17 +124,31 @@ func warmTree(prev *automata.Mealy) *dtNode {
 				continue // w does not split this group; try the next suffix
 			}
 			n := &dtNode{suffix: append([]string(nil), w...), children: make(map[string]*dtNode, len(parts))}
+			path = append(slices.Clip(path), w)
 			for _, sig := range order {
-				n.children[sig] = split(parts[sig], wIdx+1)
+				n.children[sig] = split(parts[sig], wIdx+1, path)
 			}
 			return n
 		}
-		// The characterizing set failed to separate the group — possible
-		// only for a non-minimal warm hypothesis. Collapse to one leaf; the
-		// MAT loop re-discovers the distinction if the system still has it.
+		// One state is left, or the characterizing set failed to separate
+		// the group, possible only for a non-minimal machine. Collapse to
+		// one leaf; the MAT loop re-discovers the distinction if the system
+		// still has it.
+		if len(path) == 0 {
+			path = [][]string{{}}
+		}
+		for _, s := range group {
+			ids[s] = path
+		}
 		return &dtNode{access: append([]string(nil), access[group[0]]...)}
 	}
-	return split(states, 0)
+	var states []automata.State
+	for s, acc := range access {
+		if acc != nil {
+			states = append(states, automata.State(s))
+		}
+	}
+	return split(states, 0, nil), ids
 }
 
 // seedWarm replaces the single-leaf start tree with one rebuilt from a
@@ -145,7 +157,7 @@ func (d *DTLearner) seedWarm(prev *automata.Mealy) {
 	if prev == nil || !compatibleAlphabet(d.inputs, prev.Inputs()) {
 		return
 	}
-	d.root = warmTree(prev)
+	d.root, _ = splitStates(prev, prev.AccessSequences(), prev.CharacterizingSet())
 }
 
 // maxSealQueries bounds the seal simulation below. The warm rebuild of an

@@ -2,18 +2,99 @@ package learn
 
 import (
 	"context"
-	"sort"
-	"strings"
 
 	"repro/internal/automata"
 )
+
+// SuiteKind selects the identifier ConformanceSuite appends to each
+// transition-cover word.
+type SuiteKind int
+
+const (
+	// SuiteW appends the whole characterizing set W: Chow's W-method.
+	SuiteW SuiteKind = iota
+	// SuiteWp appends only the target state's identification set
+	// W_s ⊆ W: the Wp-method of Fujiwara et al.
+	SuiteWp
+)
+
+// ConformanceSuite materialises the checking suite of hyp, in the order
+// the equivalence search ranks its failures. Phase 1 is state cover × W,
+// in state order. Phase 2 runs only when depth ≥ 1: it is transition cover
+// × Σ^≤(depth−1) × the target state's identifier, over inputs. The
+// transition cover itself contributes one symbol of depth, so the suite
+// of depth d holds the words of state cover · Σ^≤d · W that hyp defines,
+// Chow's P · Σ^≤(d−1) · W with P the transition cover: both kinds find
+// every fault that adds at most d−1 extra states. SuiteWp gives that
+// guarantee with substantially fewer words.
+//
+// The suite is O(|Q|·|Σ|^depth·|W|) words, fine at this repo's hypothesis
+// sizes and shallow depths; a streaming generator would be worth it
+// before pointing a large depth at a big machine.
+func ConformanceSuite(hyp *automata.Mealy, inputs []string, depth int, kind SuiteKind) [][]string {
+	access := hyp.AccessSequences()
+	wset := hyp.CharacterizingSet()
+	if len(wset) == 0 {
+		wset = [][]string{{}}
+	}
+	var suite [][]string
+	for _, acc := range access {
+		for _, suf := range wset {
+			if acc != nil && len(acc)+len(suf) > 0 {
+				suite = append(suite, concat(acc, suf))
+			}
+		}
+	}
+	if depth < 1 {
+		return suite
+	}
+	var ids [][][]string
+	if kind == SuiteWp {
+		_, ids = splitStates(hyp, access, wset)
+	}
+	middles := [][]string{{}}
+	frontier := [][]string{{}}
+	for d := 0; d < depth-1; d++ {
+		var next [][]string
+		for _, mid := range frontier {
+			for _, in := range inputs {
+				next = append(next, concat(mid, []string{in}))
+			}
+		}
+		middles = append(middles, next...)
+		frontier = next
+	}
+	var prefix []string
+	for _, acc := range access {
+		if acc == nil {
+			continue // unreachable state
+		}
+		for _, in := range inputs {
+			for _, mid := range middles {
+				prefix = append(append(append(prefix[:0], acc...), in), mid...)
+				target, ok := hyp.StateAfter(prefix)
+				if !ok {
+					continue
+				}
+				id := wset
+				if ids != nil {
+					id = ids[target]
+				}
+				for _, suf := range id {
+					suite = append(suite, concat(prefix, suf))
+				}
+			}
+		}
+	}
+	return suite
+}
 
 // WpMethodOracle implements the Wp-method (Fujiwara et al.), the partial-W
 // refinement of Chow's W-method: the first phase tests state identification
 // with the full characterizing set W, while the second (transition) phase
 // only uses each target state's identification set W_i ⊆ W. It gives the
 // same fault-detection guarantee as the W-method with substantially fewer
-// tests — the difference is measured in the benchmark harness.
+// tests; BenchmarkConformance in the root bench_test.go measures both.
 type WpMethodOracle struct {
 	Oracle Oracle
 	Inputs []string
@@ -25,81 +106,10 @@ type WpMethodOracle struct {
 	Workers int
 }
 
-// Suite materialises the full Wp test suite for a hypothesis, in the order
-// the search ranks its failures. The suite is O(|Q|·|Σ|^Depth·|W|)
-// words, fine at this repo's hypothesis sizes and shallow depths; a
-// streaming generator would be worth it before pointing large Depth at a
-// big machine. Phase 1 is state cover × W; phase 2 is
-// transition cover × middle words × W_target. The transition cover itself
-// contributes one symbol of depth, so middles extend only to Depth-1:
-// WpMethodOracle{Depth: d} detects the same fault class as the W-method
-// suite of depth d. That suite is state cover · Σ^≤d · W, which is Chow's
-// P · Σ^≤(d−1) · W with P the transition cover, so it finds every fault
-// that adds at most d−1 extra states.
+// Suite materialises the Wp suite of depth w.Depth for a hypothesis:
+// ConformanceSuite of kind SuiteWp over w.Inputs.
 func (w *WpMethodOracle) Suite(hyp *automata.Mealy) [][]string {
-	access := hyp.AccessSequences()
-	wset := hyp.CharacterizingSet()
-	if len(wset) == 0 {
-		wset = [][]string{{}}
-	}
-	idSets := identificationSets(hyp, wset)
-
-	// Iterate states in numeric order so the suite — and therefore the
-	// counterexample the search returns — is reproducible run to run
-	// (access is a map; ranging over it directly would randomise the
-	// order).
-	states := make([]automata.State, 0, len(access))
-	for s := range access {
-		states = append(states, s)
-	}
-	sort.Slice(states, func(i, j int) bool { return states[i] < states[j] })
-
-	var suite [][]string
-	// Phase 1: state cover × W.
-	for _, s := range states {
-		acc := access[s]
-		for _, suf := range wset {
-			word := concat(acc, nil, suf)
-			if len(word) == 0 {
-				continue
-			}
-			suite = append(suite, word)
-		}
-	}
-
-	// Phase 2: transition cover × middle words × W_target.
-	middles := [][]string{{}}
-	frontier := [][]string{{}}
-	for d := 0; d < w.Depth-1; d++ {
-		var next [][]string
-		for _, mid := range frontier {
-			for _, in := range w.Inputs {
-				next = append(next, append(append([]string(nil), mid...), in))
-			}
-		}
-		middles = append(middles, next...)
-		frontier = next
-	}
-	var prefix []string
-	for _, state := range states {
-		acc := access[state]
-		for _, in := range w.Inputs {
-			if _, _, ok := hyp.Step(state, in); !ok {
-				continue
-			}
-			for _, mid := range middles {
-				prefix = append(append(append(prefix[:0], acc...), in), mid...)
-				target, ok := hyp.StateAfter(prefix)
-				if !ok {
-					continue
-				}
-				for _, suf := range idSets[target] {
-					suite = append(suite, concat(prefix, nil, suf))
-				}
-			}
-		}
-	}
-	return suite
+	return ConformanceSuite(hyp, w.Inputs, w.Depth, SuiteWp)
 }
 
 // FindCounterexample implements EquivalenceOracle.
@@ -107,53 +117,6 @@ func (w *WpMethodOracle) FindCounterexample(ctx context.Context, hyp *automata.M
 	return findFirstCE(ctx, w.Oracle, hyp, w.Suite(hyp), w.Workers)
 }
 
-// identificationSets computes, per state, a minimal subset of W that
-// distinguishes it from every other state.
-func identificationSets(m *automata.Mealy, wset [][]string) map[automata.State][][]string {
-	out := make(map[automata.State][][]string, m.NumStates())
-	n := m.NumStates()
-	response := func(s automata.State, word []string) string {
-		o, _ := m.RunFrom(s, word)
-		return strings.Join(o, "\x1f")
-	}
-	for s := 0; s < n; s++ {
-		var set [][]string
-		remaining := make(map[automata.State]bool)
-		for o := 0; o < n; o++ {
-			if o != s {
-				remaining[automata.State(o)] = true
-			}
-		}
-		for _, word := range wset {
-			if len(remaining) == 0 {
-				break
-			}
-			mine := response(automata.State(s), word)
-			separated := false
-			for o := range remaining {
-				if response(o, word) != mine {
-					delete(remaining, o)
-					separated = true
-				}
-			}
-			if separated {
-				set = append(set, word)
-			}
-		}
-		if len(set) == 0 {
-			// A state needing no distinguishing suffix (e.g. the only
-			// state) still needs the transition word itself checked.
-			set = [][]string{{}}
-		}
-		out[automata.State(s)] = set
-	}
-	return out
-}
-
-func concat(a, b, c []string) []string {
-	out := make([]string, 0, len(a)+len(b)+len(c))
-	out = append(out, a...)
-	out = append(out, b...)
-	out = append(out, c...)
-	return out
+func concat(a, b []string) []string {
+	return append(append(make([]string, 0, len(a)+len(b)), a...), b...)
 }

@@ -1,6 +1,10 @@
 package learn
 
 import (
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/automata"
@@ -52,36 +56,59 @@ func TestWpMethodUsableAsLearningOracle(t *testing.T) {
 	}
 }
 
-// TestIdentificationSetsSeparateAllStates validates the W_i construction.
+// TestIdentificationSetsSeparateAllStates validates the W_s construction
+// on every model golden and on a one-state machine: W_s separates s from
+// every other state, and following it down the warm tree from the root
+// reaches s's own leaf, since both are read from one splitting.
 func TestIdentificationSetsSeparateAllStates(t *testing.T) {
-	m := tcpModel()
-	wset := m.CharacterizingSet()
-	ids := identificationSets(m, wset)
-	for s := 0; s < m.NumStates(); s++ {
-		for o := 0; o < m.NumStates(); o++ {
-			if s == o {
-				continue
-			}
-			separated := false
-			for _, word := range ids[automata.State(s)] {
-				a, _ := m.RunFrom(automata.State(s), word)
-				b, _ := m.RunFrom(automata.State(o), word)
-				if join(a) != join(b) {
-					separated = true
-					break
+	paths, err := filepath.Glob(filepath.Join("..", "analysis", "testdata", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := automata.NewMealy([]string{"a"})
+	one.SetTransition(0, "a", 0, "x")
+	machines := map[string]*automata.Mealy{"one state": one}
+	for _, p := range paths {
+		if filepath.Base(p) == "regress.json" {
+			continue
+		}
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if machines[p], err = automata.Decode(data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(machines) < 8 {
+		t.Fatalf("found %d model goldens, want 7", len(machines)-1)
+	}
+	sig := func(m *automata.Mealy, s automata.State, word []string) string {
+		out, _ := m.RunFrom(s, word)
+		return strings.Join(out, "\x1f")
+	}
+	for name, m := range machines {
+		access := m.AccessSequences()
+		root, ids := splitStates(m, access, m.CharacterizingSet())
+		for s := range automata.State(m.NumStates()) {
+			for o := range automata.State(m.NumStates()) {
+				if s != o && !slices.ContainsFunc(ids[s], func(w []string) bool { return sig(m, s, w) != sig(m, o, w) }) {
+					t.Fatalf("%s: W_%d %v does not separate state %d from %d", name, s, ids[s], s, o)
 				}
 			}
-			if !separated {
-				t.Fatalf("W_%d does not separate state %d from %d", s, s, o)
+			node := root
+			for _, w := range ids[s] {
+				if len(w) == 0 {
+					continue // the one-state identifier: no split to follow
+				}
+				if node == nil || node.leaf() || !slices.Equal(node.suffix, w) {
+					t.Fatalf("%s: W_%d %v leaves the warm tree's path at %v", name, s, ids[s], w)
+				}
+				node = node.children[sig(m, s, w)]
+			}
+			if node == nil || !node.leaf() || !slices.Equal(node.access, access[s]) {
+				t.Fatalf("%s: W_%d %v does not end at the leaf %v", name, s, ids[s], access[s])
 			}
 		}
 	}
-}
-
-func join(ss []string) string {
-	out := ""
-	for _, s := range ss {
-		out += s + "\x1f"
-	}
-	return out
 }
