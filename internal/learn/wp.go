@@ -22,11 +22,11 @@ const (
 // the equivalence search ranks its failures. Phase 1 is state cover × W,
 // in state order. Phase 2 runs only when depth ≥ 1: it is transition cover
 // × Σ^≤(depth−1) × the target state's identifier, over inputs. The
-// transition cover itself contributes one symbol of depth, so the suite
-// of depth d holds the words of state cover · Σ^≤d · W that hyp defines,
-// Chow's P · Σ^≤(d−1) · W with P the transition cover: both kinds find
-// every fault that adds at most d−1 extra states. SuiteWp gives that
-// guarantee with substantially fewer words.
+// transition cover itself contributes one symbol of depth, so the SuiteW
+// suite of depth d holds the words of state cover · Σ^≤d · W that hyp
+// defines, Chow's P · Σ^≤(d−1) · W with P the transition cover. Both
+// kinds find every fault that adds at most d−1 extra states; SuiteWp
+// does it with substantially fewer words.
 //
 // The suite is O(|Q|·|Σ|^depth·|W|) words, fine at this repo's hypothesis
 // sizes and shallow depths; a streaming generator would be worth it

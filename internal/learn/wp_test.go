@@ -91,6 +91,9 @@ func TestIdentificationSetsSeparateAllStates(t *testing.T) {
 		access := m.AccessSequences()
 		root, ids := splitStates(m, access, m.CharacterizingSet())
 		for s := range automata.State(m.NumStates()) {
+			if len(ids[s]) == 0 {
+				t.Fatalf("%s: W_%d is empty, so its transition words would go unchecked", name, s)
+			}
 			for o := range automata.State(m.NumStates()) {
 				if s != o && !slices.ContainsFunc(ids[s], func(w []string) bool { return sig(m, s, w) != sig(m, o, w) }) {
 					t.Fatalf("%s: W_%d %v does not separate state %d from %d", name, s, ids[s], s, o)
