@@ -103,6 +103,8 @@ func TestParseDOTRejectsMalformed(t *testing.T) {
 		"digraph \"x\" {\n  /* alphabet: notjson */\n  __start -> s0;\n}\n",
 		"digraph \"x\" {\n  __start -> s0;\n  s5000000 [label=\"x\"]\n}\n",                               // id beyond the ids named
 		"digraph \"x\" {\n  __start -> s0;\n  s0 [label=\"s0\"];\n  s0 -> s0 [label=\"a / \xff\"];\n}\n", // not UTF-8
+		// A repeated symbol in the declared alphabet.
+		"digraph \"x\" {\n  /* alphabet: [\"a\",\"a\"] */\n  __start -> s0;\n  s0 [label=\"s0\"];\n  s0 -> s0 [label=\"a / x\"];\n}\n",
 	}
 	for _, c := range cases {
 		if _, err := ParseDOT([]byte(c)); err == nil {

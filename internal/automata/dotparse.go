@@ -56,6 +56,9 @@ func ParseDOT(data []byte) (*Mealy, error) {
 			if err := json.Unmarshal([]byte(strings.TrimSpace(body)), &inputs); err != nil {
 				return nil, fmt.Errorf("automata: line %d: bad alphabet comment: %w", ln+1, err)
 			}
+			if err := checkAlphabet(inputs); err != nil {
+				return nil, err
+			}
 			haveAlph = true
 		case strings.HasPrefix(line, "__start ->"):
 			s, err := parseStateID(strings.TrimSuffix(strings.TrimSpace(strings.TrimPrefix(line, "__start ->")), ";"))

@@ -40,6 +40,19 @@ func checkSize(states, inputs, n int) error {
 	return nil
 }
 
+// checkAlphabet rejects an alphabet that names a symbol twice: the
+// second column could never be set, so the machine could not be total.
+func checkAlphabet(inputs []string) error {
+	seen := make(map[string]bool, len(inputs))
+	for _, in := range inputs {
+		if seen[in] {
+			return fmt.Errorf("automata: input %q repeated in the alphabet", in)
+		}
+		seen[in] = true
+	}
+	return nil
+}
+
 // MarshalJSON implements json.Marshaler.
 func (m *Mealy) MarshalJSON() ([]byte, error) {
 	out := mealyJSON{
@@ -80,6 +93,9 @@ func (m *Mealy) UnmarshalJSON(data []byte) error {
 		return fmt.Errorf("automata: %d states declared but only %d state ids mentioned", in.States, len(ids))
 	}
 	if err := checkSize(in.States, len(in.Inputs), len(data)); err != nil {
+		return err
+	}
+	if err := checkAlphabet(in.Inputs); err != nil {
 		return err
 	}
 	if int(in.Initial) < 0 || int(in.Initial) >= in.States {

@@ -33,6 +33,8 @@ func TestJSONRejectsMalformed(t *testing.T) {
 		`{"inputs":["a"],"states":2,"initial":0,"transitions":[{"from":0,"input":"a","to":9,"output":"x"}]}`,
 		`not json`,
 		`{"inputs":["a"],"states":5000000,"initial":0,"transitions":[]}`, // count beyond the ids named
+		// A repeated symbol: the second column could never be set.
+		`{"inputs":["a","a"],"states":1,"initial":0,"transitions":[{"from":0,"input":"a","to":0,"output":"x"}]}`,
 	}
 	for _, c := range cases {
 		var m Mealy
