@@ -92,8 +92,8 @@ func Learn(args []string) error {
 		fmt.Printf("  impaired link (%s): dropped %d->/%d<- datagrams, %d duplicated, %d reordered\n",
 			impair.Label(), rm.Faults.DroppedClient, rm.Faults.DroppedServer,
 			rm.Faults.Duplicated, rm.Faults.Reordered)
-		fmt.Printf("  guard: %d flaky queries, %d escalations, %d votes beyond the floor\n",
-			rm.Guard.RetriedQueries, rm.Guard.Escalations, rm.Guard.WastedVotes)
+		fmt.Printf("  guard: %d flaky queries, %d escalations, %d votes beyond the floor, %d answers settled at the floor by their prediction\n",
+			rm.Guard.RetriedQueries, rm.Guard.Escalations, rm.Guard.WastedVotes, rm.Guard.Predicted)
 	}
 	if rm.Guard.Recasts > 0 {
 		fmt.Printf("  voided: %d executions with a late or cut-short response, each cast again\n", rm.Guard.Recasts)

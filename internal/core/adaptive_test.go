@@ -225,3 +225,126 @@ func TestGuardianSharedAcrossShards(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAdaptiveGuardPredictedAtFloor: a query whose executions reproduce
+// its prediction is settled at the MinVotes floor even while the
+// pessimistic prior asks every other query for more.
+func TestAdaptiveGuardPredictedAtFloor(t *testing.T) {
+	cfg := DefaultAdaptiveGuard()
+	var stats GuardStats
+	g := NewGuardian(cfg, &stats, nil)
+	if g.InitialVotes() <= cfg.MinVotes {
+		t.Fatalf("pessimistic prior ignored: initial votes %d", g.InitialVotes())
+	}
+	word := []string{"a", "b", "c"}
+	ctx := learn.WithPrediction(context.Background(), echo(word, 0))
+	out, err := g.Wrap(newScripted(echo)).Query(ctx, word)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Join(out, " ") != "a b c" {
+		t.Fatalf("out = %v", out)
+	}
+	if got := stats.Snapshot(); got.Votes != int64(cfg.MinVotes) || got.Predicted != 1 || got.WastedVotes != 0 {
+		t.Fatalf("predicted query cost more than the floor: %+v", got)
+	}
+}
+
+// TestAdaptiveGuardWrongPredictionLoses: a prediction wrong at one
+// position must not win it, even when the link noise sometimes forges
+// exactly the predicted output there; the positions it predicts right
+// are still answered correctly.
+func TestAdaptiveGuardWrongPredictionLoses(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	word := []string{"a", "b", "c", "d"}
+	pred := []string{"a", "x", "c", "d"} // wrong at position 1
+	// 30% of executions corrupt one position; "x" is one of the six
+	// corruptions, so the noise forges the wrong prediction now and then.
+	flaky := newScripted(func(word []string, _ int) []string {
+		out := echo(word, 0)
+		if rng.Float64() < 0.3 {
+			if k := rng.Intn(6); k == 0 {
+				out[rng.Intn(len(out))] = "x"
+			} else {
+				out[rng.Intn(len(out))] = fmt.Sprintf("corrupt-%d", k)
+			}
+		}
+		return out
+	})
+	var stats GuardStats
+	oracle := NewGuardian(DefaultAdaptiveGuard(), &stats, nil).Wrap(flaky)
+	ctx := learn.WithPrediction(context.Background(), pred)
+	for i := 0; i < 40; i++ {
+		out, err := oracle.Query(ctx, word)
+		if err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+		if strings.Join(out, " ") != "a b c d" {
+			t.Fatalf("query %d: the wrong prediction or the noise won: %v", i, out)
+		}
+	}
+	if st := stats.Snapshot(); st.Predicted != 0 {
+		t.Fatalf("%d queries settled on a prediction no execution could reproduce cleanly", st.Predicted)
+	}
+}
+
+// TestAdaptiveGuardPredictionDoesNotHideCoinFlip: a genuine coin flip
+// ends in NondeterminismError within MaxVotes whichever side the
+// prediction takes.
+func TestAdaptiveGuardPredictionDoesNotHideCoinFlip(t *testing.T) {
+	for _, side := range []string{"a", "heads"} {
+		coin := newScripted(func(word []string, nth int) []string {
+			out := echo(word, 0)
+			if nth%2 == 1 { // strict alternation: no answer can ever lead 3x
+				out[0] = "heads"
+			}
+			return out
+		})
+		cfg := DefaultAdaptiveGuard()
+		cfg.MaxVotes = 24
+		var stats GuardStats
+		ctx := learn.WithPrediction(context.Background(), []string{side})
+		_, err := NewGuardian(cfg, &stats, nil).Wrap(coin).Query(ctx, []string{"a"})
+		nd, ok := IsNondeterminism(err)
+		if !ok {
+			t.Fatalf("prediction %q: want nondeterminism, got %v", side, err)
+		}
+		if nd.Votes > cfg.MaxVotes {
+			t.Fatalf("prediction %q: guard cast %d votes, ceiling %d", side, nd.Votes, cfg.MaxVotes)
+		}
+	}
+}
+
+// TestFixedGuardIgnoresPrediction: the fixed guard's answers and vote
+// counts do not depend on whether a query carries a prediction.
+func TestFixedGuardIgnoresPrediction(t *testing.T) {
+	run := func(predict bool) (answers []string, stats GuardStats) {
+		rng := rand.New(rand.NewSource(3))
+		flaky := newScripted(func(word []string, _ int) []string {
+			out := echo(word, 0)
+			if rng.Float64() < 0.2 {
+				out[rng.Intn(len(out))] = "noise"
+			}
+			return out
+		})
+		oracle := NewGuardian(DefaultGuard(), &stats, nil).Wrap(flaky)
+		for i := 0; i < 40; i++ {
+			word := []string{"a", fmt.Sprint(i % 5), "c"}
+			ctx := context.Background()
+			if predict {
+				ctx = learn.WithPrediction(ctx, echo(word, 0))
+			}
+			out, err := oracle.Query(ctx, word)
+			answers = append(answers, fmt.Sprint(out, err))
+		}
+		return answers, stats.Snapshot()
+	}
+	plain, plainStats := run(false)
+	predicted, predictedStats := run(true)
+	if strings.Join(plain, "\n") != strings.Join(predicted, "\n") {
+		t.Fatalf("answers differ:\nplain:\n%s\npredicted:\n%s", strings.Join(plain, "\n"), strings.Join(predicted, "\n"))
+	}
+	if plainStats != predictedStats || plainStats.RetriedQueries == 0 {
+		t.Fatalf("stats differ or no query retried: plain %+v, predicted %+v", plainStats, predictedStats)
+	}
+}

@@ -188,6 +188,10 @@ type GuardStats struct {
 	// same query showed to be cut short (see WrapTimed). A voided
 	// execution is not a vote.
 	Recasts int64
+	// Predicted counts queries settled at the MinVotes floor because
+	// their executions reproduced the hypothesis's prediction (adaptive
+	// guard only; see learn.WithPrediction).
+	Predicted int64
 }
 
 // Snapshot returns a consistent copy safe to read while queries are in
@@ -199,6 +203,7 @@ func (s *GuardStats) Snapshot() GuardStats {
 		RetriedQueries: atomic.LoadInt64(&s.RetriedQueries),
 		WastedVotes:    atomic.LoadInt64(&s.WastedVotes),
 		Recasts:        atomic.LoadInt64(&s.Recasts),
+		Predicted:      atomic.LoadInt64(&s.Predicted),
 	}
 }
 
@@ -515,9 +520,33 @@ func tally(execs [][]string) map[string]int {
 // alternative is rarer still. The vote budget starts from the
 // disagreement EWMA and escalates (emitting learn.GuardEscalated) while
 // the query stays unresolved.
+//
+// A query that carries the hypothesis's prediction (learn.WithPrediction)
+// is accepted once MinVotes executions agree with each other and with it.
+// Otherwise it takes the path above, where a position whose modal output
+// is the predicted one, after an accepted prefix that is predicted too,
+// needs only MinVotes votes (still with the ModeLead lead): a link fault
+// must forge the predicted output in every vote it counts, while a wrong
+// prediction keeps the full ModeVotes bar for the true output.
 func (g *Guardian) adaptiveQuery(ctx context.Context, b *ballot) ([]string, error) {
 	cfg := g.cfg
 	word := b.word
+	pred := learn.Prediction(ctx)
+	if len(pred) != len(word) {
+		pred = nil
+	}
+	if pred != nil {
+		for len(b.execs) < cfg.MinVotes {
+			if _, err := b.cast(ctx); err != nil {
+				return nil, err
+			}
+		}
+		if b.unanimous() && slices.Equal(b.execs[0], pred) {
+			g.observe(false)
+			g.stats.addPredicted(1)
+			return b.execs[0], nil
+		}
+	}
 	initial := g.InitialVotes()
 	for len(b.execs) < initial {
 		if _, err := b.cast(ctx); err != nil {
@@ -533,6 +562,8 @@ func (g *Guardian) adaptiveQuery(ctx context.Context, b *ballot) ([]string, erro
 	g.observe(true)
 	budget := g.StartBudget()
 	accepted := make([]string, 0, len(word))
+	// vouched: the accepted prefix is the predicted one.
+	vouched := pred != nil
 	// alive[j]: execs[j] agrees with every accepted position so far, and
 	// therefore gets a vote on the next one.
 	alive := make([]bool, len(b.execs))
@@ -564,8 +595,13 @@ func (g *Guardian) adaptiveQuery(ctx context.Context, b *ballot) ([]string, erro
 					runner = n
 				}
 			}
-			if counts[mode] >= cfg.ModeVotes && counts[mode] >= cfg.ModeLead*runner {
+			need := cfg.ModeVotes
+			if vouched && mode == pred[pos] {
+				need = cfg.MinVotes
+			}
+			if counts[mode] >= need && counts[mode] >= cfg.ModeLead*runner {
 				accepted = append(accepted, mode)
+				vouched = vouched && mode == pred[pos]
 				for j, e := range b.execs {
 					alive[j] = alive[j] && e[pos] == mode
 				}

@@ -21,6 +21,8 @@ var (
 		"Votes spent beyond the MinVotes floor — the price of link flakiness.")
 	metricGuardRecasts = metrics.Default().Counter("prognosis_guard_recasts_total",
 		"Executions voided by a late or cut-short response and cast again; a voided execution is not a vote.")
+	metricGuardPredicted = metrics.Default().Counter("prognosis_guard_predicted_total",
+		"Queries settled at the MinVotes floor because their executions reproduced the hypothesis's prediction.")
 )
 
 // The addX helpers below are the single update path for guard cost
@@ -50,4 +52,9 @@ func (s *GuardStats) addWasted(n int64) {
 func (s *GuardStats) addRecasts(n int64) {
 	atomic.AddInt64(&s.Recasts, n)
 	metricGuardRecasts.Add(n)
+}
+
+func (s *GuardStats) addPredicted(n int64) {
+	atomic.AddInt64(&s.Predicted, n)
+	metricGuardPredicted.Add(n)
 }

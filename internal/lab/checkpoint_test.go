@@ -24,6 +24,7 @@ func checkpointResults() []RunResult {
 			&core.NondeterminismError{Word: []string{"a", "b"}, Observed: map[string]int{"x": 3, "y": 2}, Votes: 5},
 			Metrics{Guard: core.GuardStats{Votes: 5, RetriedQueries: 1}})},
 		{Name: "lossy", Result: RestoreResult(TargetGoogle, LearnerTTT, m, nil, Metrics{
+			Guard:  core.GuardStats{Votes: 9, WastedVotes: 3, Predicted: 2},
 			Faults: netem.Stats{SentClient: 4, DroppedClient: 1}, Duration: 1500,
 		})},
 	}
@@ -71,7 +72,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 
 // TestReadCheckpointLegacyRecord: a record exactly as earlier releases
 // wrote it (guard and fault counters as the top-level "guard"/"faults"
-// objects) still restores, its counters read through Metrics().
+// objects, without the later Recasts and Predicted guard counters) still
+// restores, its counters read through Metrics().
 func TestReadCheckpointLegacyRecord(t *testing.T) {
 	legacy := filepath.Join(t.TempDir(), "legacy.ckpt")
 	if err := os.WriteFile(legacy, []byte(`{"format":"prognosis-campaign-checkpoint","version":1}

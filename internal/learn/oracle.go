@@ -37,6 +37,25 @@ func (f OracleFunc) Query(ctx context.Context, word []string) ([]string, error) 
 	return f(ctx, word)
 }
 
+// predictionKey is the context key of a query's predicted outputs.
+type predictionKey struct{}
+
+// WithPrediction returns a context that carries out, the outputs the
+// current hypothesis predicts for the word about to be queried with it.
+// Equivalence words carry one (checkWord); the caches and the pool pass
+// it through unchanged, and the adaptive voting guard settles a query
+// whose executions reproduce it at its vote floor. Learner queries carry
+// none.
+func WithPrediction(ctx context.Context, out []string) context.Context {
+	return context.WithValue(ctx, predictionKey{}, out)
+}
+
+// Prediction returns the predicted outputs ctx carries, nil when none.
+func Prediction(ctx context.Context) []string {
+	out, _ := ctx.Value(predictionKey{}).([]string)
+	return out
+}
+
 // EquivalenceOracle searches for an input word on which the hypothesis and
 // the system under learning disagree. A nil counterexample with nil error
 // means no disagreement was found (the heuristic guarantee of §4.1: absence
