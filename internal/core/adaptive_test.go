@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/automata"
 	"repro/internal/learn"
 )
 
@@ -38,6 +39,21 @@ func (s *scriptedOracle) Query(ctx context.Context, word []string) ([]string, er
 // echo answers every symbol with itself — a deterministic target.
 func echo(word []string, _ int) []string {
 	return append([]string(nil), word...)
+}
+
+// predicting returns a one-state hypothesis over inputs that answers each
+// input with out[input], or with the input itself (as echo does) when out
+// names none.
+func predicting(inputs []string, out map[string]string) *automata.Mealy {
+	m := automata.NewMealy(inputs)
+	for _, in := range inputs {
+		o, ok := out[in]
+		if !ok {
+			o = in
+		}
+		m.SetTransition(m.Initial(), in, m.Initial(), o)
+	}
+	return m
 }
 
 func TestAdaptiveGuardCheapWhenClean(t *testing.T) {
@@ -237,7 +253,7 @@ func TestAdaptiveGuardPredictedAtFloor(t *testing.T) {
 		t.Fatalf("pessimistic prior ignored: initial votes %d", g.InitialVotes())
 	}
 	word := []string{"a", "b", "c"}
-	ctx := learn.WithPrediction(context.Background(), echo(word, 0))
+	ctx := learn.WithPrediction(context.Background(), predicting(word, nil))
 	out, err := g.Wrap(newScripted(echo)).Query(ctx, word)
 	if err != nil {
 		t.Fatal(err)
@@ -257,7 +273,7 @@ func TestAdaptiveGuardPredictedAtFloor(t *testing.T) {
 func TestAdaptiveGuardWrongPredictionLoses(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	word := []string{"a", "b", "c", "d"}
-	pred := []string{"a", "x", "c", "d"} // wrong at position 1
+	pred := predicting(word, map[string]string{"b": "x"}) // wrong at position 1
 	// 30% of executions corrupt one position; "x" is one of the six
 	// corruptions, so the noise forges the wrong prediction now and then.
 	flaky := newScripted(func(word []string, _ int) []string {
@@ -303,7 +319,7 @@ func TestAdaptiveGuardPredictionDoesNotHideCoinFlip(t *testing.T) {
 		cfg := DefaultAdaptiveGuard()
 		cfg.MaxVotes = 24
 		var stats GuardStats
-		ctx := learn.WithPrediction(context.Background(), []string{side})
+		ctx := learn.WithPrediction(context.Background(), predicting([]string{"a"}, map[string]string{"a": side}))
 		_, err := NewGuardian(cfg, &stats, nil).Wrap(coin).Query(ctx, []string{"a"})
 		nd, ok := IsNondeterminism(err)
 		if !ok {
@@ -332,7 +348,7 @@ func TestFixedGuardIgnoresPrediction(t *testing.T) {
 			word := []string{"a", fmt.Sprint(i % 5), "c"}
 			ctx := context.Background()
 			if predict {
-				ctx = learn.WithPrediction(ctx, echo(word, 0))
+				ctx = learn.WithPrediction(ctx, predicting([]string{"a", "0", "1", "2", "3", "4", "c"}, nil))
 			}
 			out, err := oracle.Query(ctx, word)
 			answers = append(answers, fmt.Sprint(out, err))

@@ -531,10 +531,7 @@ func tally(execs [][]string) map[string]int {
 func (g *Guardian) adaptiveQuery(ctx context.Context, b *ballot) ([]string, error) {
 	cfg := g.cfg
 	word := b.word
-	pred := learn.Prediction(ctx)
-	if len(pred) != len(word) {
-		pred = nil
-	}
+	pred := learn.Prediction(ctx, word)
 	if pred != nil {
 		for len(b.execs) < cfg.MinVotes {
 			if _, err := b.cast(ctx); err != nil {

@@ -147,27 +147,29 @@ func (c ChainOracle) FindCounterexample(ctx context.Context, hyp *automata.Mealy
 
 // checkWord queries the system on word and compares against the hypothesis,
 // returning the shortest failing prefix as a counterexample (trimming makes
-// later counterexample analysis cheaper). The query carries the
-// hypothesis's outputs as its prediction (WithPrediction) when the
-// hypothesis is defined on the whole word.
+// later counterexample analysis cheaper). The hypothesis is stepped in
+// place rather than run into an output slice: every equivalence word
+// passes through here.
 func checkWord(ctx context.Context, o Oracle, hyp *automata.Mealy, word []string) ([]string, error) {
-	pred, total := hyp.Run(word)
-	if total {
-		ctx = WithPrediction(ctx, pred)
-	}
 	sys, err := query(ctx, o, word)
 	if err != nil {
 		return nil, err
 	}
-	if !total {
-		// The hypothesis is partial where the system is not: the
-		// defined prefix plus one symbol already distinguishes.
-		return word[:len(pred)+1], nil
-	}
-	for i := range pred {
-		if sys[i] != pred[i] {
+	s, first := hyp.Initial(), -1
+	for i, in := range word {
+		next, out, ok := hyp.Step(s, in)
+		if !ok {
+			// The hypothesis is partial where the system is not: the
+			// defined prefix plus one symbol already distinguishes.
 			return word[:i+1], nil
 		}
+		if first < 0 && sys[i] != out {
+			first = i
+		}
+		s = next
+	}
+	if first >= 0 {
+		return word[:first+1], nil
 	}
 	return nil, nil
 }

@@ -40,19 +40,27 @@ func (f OracleFunc) Query(ctx context.Context, word []string) ([]string, error) 
 // predictionKey is the context key of a query's predicted outputs.
 type predictionKey struct{}
 
-// WithPrediction returns a context that carries out, the outputs the
-// current hypothesis predicts for the word about to be queried with it.
-// Equivalence words carry one (checkWord); the caches and the pool pass
-// it through unchanged, and the adaptive voting guard settles a query
-// whose executions reproduce it at its vote floor. Learner queries carry
-// none.
-func WithPrediction(ctx context.Context, out []string) context.Context {
-	return context.WithValue(ctx, predictionKey{}, out)
+// WithPrediction returns a context whose queries carry the outputs hyp
+// predicts for them. The equivalence oracles query their words under one
+// (findFirstCE); the cache and the pool pass it through unchanged, and
+// the adaptive voting guard settles a query whose executions reproduce
+// the prediction at its vote floor. Learner queries carry none.
+func WithPrediction(ctx context.Context, hyp *automata.Mealy) context.Context {
+	return context.WithValue(ctx, predictionKey{}, hyp)
 }
 
-// Prediction returns the predicted outputs ctx carries, nil when none.
-func Prediction(ctx context.Context) []string {
-	out, _ := ctx.Value(predictionKey{}).([]string)
+// Prediction returns the outputs that the hypothesis ctx carries predicts
+// for word: nil when ctx carries none or it is undefined on word. Only a
+// query that reaches the guard pays for the run.
+func Prediction(ctx context.Context, word []string) []string {
+	hyp, _ := ctx.Value(predictionKey{}).(*automata.Mealy)
+	if hyp == nil {
+		return nil
+	}
+	out, ok := hyp.Run(word)
+	if !ok {
+		return nil
+	}
 	return out
 }
 

@@ -183,6 +183,7 @@ func (p *Pool) QueryBatch(ctx context.Context, words [][]string) ([][]string, er
 // best failing index seen so far, so every index below the winner is fully
 // checked. The derived context cancels in-flight work on error, and
 // cancelling the caller's ctx aborts the whole search with ctx.Err().
+// Every word is queried with hyp's prediction attached (WithPrediction).
 func findFirstCE(ctx context.Context, o Oracle, hyp *automata.Mealy, words [][]string, workers int) ([]string, error) {
 	if workers > len(words) {
 		workers = len(words)
@@ -190,7 +191,7 @@ func findFirstCE(ctx context.Context, o Oracle, hyp *automata.Mealy, words [][]s
 	if workers < 1 {
 		workers = 1
 	}
-	ctx, cancel := context.WithCancel(ctx)
+	ctx, cancel := context.WithCancel(WithPrediction(ctx, hyp))
 	defer cancel()
 
 	best := int64(len(words)) // lowest failing index found so far
