@@ -12,7 +12,8 @@ import (
 // its §5 job over five seeds, at one worker, so each seed's run is
 // deterministic: mvfst's stateless-RESET coin halts the learn on a 2%-loss
 // link, and tcp through 5% loss each way, with the conformance-2 chain,
-// learns its golden. Equivalence words settle at the vote floor when
+// learns its golden, settling some queries by their prediction
+// (GuardStats.Predicted). Equivalence words settle at the vote floor when
 // their executions reproduce the hypothesis's prediction, so a guard
 // that trusted predictions too far would either hide the coin or learn a
 // wrong tcp model here.
@@ -32,6 +33,9 @@ func TestGuardUnderLossAcrossSeeds(t *testing.T) {
 		if res.Nondet != nil {
 			t.Errorf("seed %d: tcp at 5%% loss halted: %v", seed, res.Nondet)
 			continue
+		}
+		if res.Metrics().Guard.Predicted == 0 {
+			t.Errorf("seed %d: no tcp query was settled by its prediction: %+v", seed, res.Metrics().Guard)
 		}
 		drift, err := analysis.CompareGolden(res.Model(), golden, 1)
 		if err != nil {
