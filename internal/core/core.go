@@ -353,6 +353,12 @@ type Timed interface {
 	Truncates(a, b string) bool
 	// Backoff lengthens the waits after one was shown to close too early.
 	Backoff()
+	// Expect hands the next execution, the one the next reset starts, the
+	// outputs it is expected to give, nil for none (see ballot.expected).
+	// The SUL may end a step as soon as it heard the expected output,
+	// instead of waiting out its waits; a step so ended counts as short.
+	// The expectation never becomes an output.
+	Expect(want []string)
 }
 
 // ballot holds one query's standing executions. A voided execution is no
@@ -366,6 +372,51 @@ type ballot struct {
 	execs   [][]string
 	short   [][]bool // per execution, from t.Short
 	recasts int
+
+	pred      []string // learn.Prediction of word, once predicted is set
+	predicted bool
+}
+
+// prediction returns the outputs ctx's hypothesis predicts for the word
+// (learn.Prediction), running it at most once per query.
+func (b *ballot) prediction(ctx context.Context) []string {
+	if !b.predicted {
+		b.pred, b.predicted = learn.Prediction(ctx, b.word), true
+	}
+	return b.pred
+}
+
+// expected returns the outputs the next execution is expected to give:
+// for the first the prediction, when there is one, and for a re-vote the
+// output most standing executions heard at each position. A step the SUL
+// ended on its expected output counts as short, so strike voids it where
+// another execution heard more, and a datagram of its answer that
+// arrives later voids its execution. Once an execution of the query is
+// voided, its executions expect nothing, so a wrong expectation cannot
+// void them again and again.
+func (b *ballot) expected(ctx context.Context) []string {
+	if b.recasts > 0 {
+		return nil
+	}
+	switch len(b.execs) {
+	case 0:
+		return b.prediction(ctx)
+	case 1:
+		return b.execs[0]
+	default:
+		want := make([]string, len(b.word))
+		counts := make(map[string]int)
+		for p := range want {
+			clear(counts)
+			best := 0
+			for _, e := range b.execs {
+				if counts[e[p]]++; counts[e[p]] > best {
+					best, want[p] = counts[e[p]], e[p]
+				}
+			}
+		}
+		return want
+	}
 }
 
 // cast runs executions until one stands, re-casting those the SUL voids
@@ -373,6 +424,9 @@ type ballot struct {
 // struck on the way.
 func (b *ballot) cast(ctx context.Context) (struck bool, err error) {
 	for {
+		if b.t != nil {
+			b.t.Expect(b.expected(ctx))
+		}
 		out, err := b.o.Query(ctx, b.word)
 		if err != nil {
 			if !errors.Is(err, learn.ErrLateResponse) || b.recasts >= b.g.cfg.MaxVotes {
@@ -531,7 +585,7 @@ func tally(execs [][]string) map[string]int {
 func (g *Guardian) adaptiveQuery(ctx context.Context, b *ballot) ([]string, error) {
 	cfg := g.cfg
 	word := b.word
-	pred := learn.Prediction(ctx, word)
+	pred := b.prediction(ctx)
 	if pred != nil {
 		for len(b.execs) < cfg.MinVotes {
 			if _, err := b.cast(ctx); err != nil {

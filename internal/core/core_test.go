@@ -252,8 +252,9 @@ func (s *scriptedTimed) Query(ctx context.Context, w []string) ([]string, error)
 	return s.outs[s.n-1], nil
 }
 
-func (s *scriptedTimed) Short() []bool { return s.short[s.n-1] }
-func (s *scriptedTimed) Backoff()      { s.backoffs++ }
+func (s *scriptedTimed) Short() []bool   { return s.short[s.n-1] }
+func (s *scriptedTimed) Backoff()        { s.backoffs++ }
+func (s *scriptedTimed) Expect([]string) {}
 func (s *scriptedTimed) Truncates(a, b string) bool {
 	return a == "" && b != "" || strings.HasPrefix(b, a+"+")
 }
@@ -287,6 +288,77 @@ func TestGuardStrikesCutShortExecutions(t *testing.T) {
 		voted := st.Recasts == 0 && st.RetriedQueries == 1 && s.backoffs == 0
 		if tc.struck && !struck || !tc.struck && !voted {
 			t.Fatalf("%s: stats %+v, backoffs %d; want struck=%v", tc.name, st, s.backoffs, tc.struck)
+		}
+	}
+}
+
+// expectScript replays a script of executions, each an output word or,
+// where it is nil, a void (learn.ErrLateResponse), repeating its last
+// one, and records the expectation each execution was handed. It is a
+// Timed SUL whose steps never end short.
+type expectScript struct {
+	outs   [][]string
+	n      int
+	next   []string
+	expect [][]string
+}
+
+func (s *expectScript) Expect(want []string) { s.next = want }
+
+func (s *expectScript) Query(ctx context.Context, w []string) ([]string, error) {
+	s.expect, s.next = append(s.expect, s.next), nil
+	s.n = min(s.n+1, len(s.outs))
+	if s.outs[s.n-1] == nil {
+		return nil, learn.ErrLateResponse
+	}
+	return s.outs[s.n-1], nil
+}
+
+func (s *expectScript) Short() []bool              { return nil }
+func (s *expectScript) Backoff()                   {}
+func (s *expectScript) Truncates(a, b string) bool { return false }
+
+// TestGuardHandsExecutionsTheirExpectation: on a Timed SUL the first
+// execution expects the prediction and each re-vote the output most
+// standing executions heard at each position; once an execution is
+// voided the query's executions expect nothing; and a guard over an SUL
+// that is not Timed hands out no expectation at all.
+func TestGuardHandsExecutionsTheirExpectation(t *testing.T) {
+	word := []string{"x", "y", "z"}
+	ctx := learn.WithPrediction(bg, predicting(word, map[string]string{"x": "P", "y": "P", "z": "P"}))
+	abc, adc := []string{"A", "B", "C"}, []string{"A", "D", "C"}
+
+	s := &expectScript{outs: [][]string{abc, adc, adc}}
+	if out, err := NewGuardian(DefaultGuard(), nil, nil).WrapTimed(s, s).Query(ctx, word); err != nil || !slices.Equal(out, adc) {
+		t.Fatalf("out=%v err=%v, want %v", out, err, adc)
+	}
+	// The third expects the first-heard of a tie; from the fourth on, D
+	// leads at the middle position.
+	want := [][]string{{"P", "P", "P"}, abc, abc, adc}
+	if len(s.expect) < len(want) {
+		t.Fatalf("%d executions, want at least %d", len(s.expect), len(want))
+	}
+	for i, w := range want {
+		if !slices.Equal(s.expect[i], w) {
+			t.Fatalf("execution %d expected %v, want %v", i+1, s.expect[i], w)
+		}
+	}
+
+	s = &expectScript{outs: [][]string{abc, nil, abc}}
+	if _, err := NewGuardian(DefaultGuard(), nil, nil).WrapTimed(s, s).Query(ctx, word); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.expect) != 3 || s.expect[1] == nil || s.expect[2] != nil {
+		t.Fatalf("expectations %v: want one for the voided execution and none after it", s.expect)
+	}
+
+	s = &expectScript{outs: [][]string{abc}}
+	if _, err := NewGuardian(DefaultAdaptiveGuard(), nil, nil).Wrap(s).Query(ctx, word); err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range s.expect {
+		if e != nil {
+			t.Fatalf("execution %d on an SUL that is not Timed expected %v", i+1, e)
 		}
 	}
 }

@@ -81,20 +81,44 @@ type QUICSetup struct {
 	// Socket is the UDP client socket under Client's transport (and under
 	// any wrapping of it), nil in memory. It judges each execution.
 	Socket *transport.QUICClientTransport
+	// Host is the UDP socket that serves Server, nil when nothing hosts
+	// it. Reset resets Server through it.
+	Host *transport.QUICServer
 
-	short   []bool // per step of this execution: it ended on a short wait
-	foreign int    // Client.Foreign when this execution began
+	short   []bool   // per step of this execution: it ended on a short wait
+	foreign int      // Client.Foreign when this execution began
+	next    []string // the next execution's expected outputs (Expect)
+	expect  []string // this execution's expected outputs
+	want    string   // the expected output of the step in flight
+	// answers is the stop test Step gives the socket: the datagrams heard
+	// so far abstract to want.
+	answers func(heard [][]byte) bool
 }
 
-// Reset implements core.SUL.
+// Reset implements core.SUL. Over UDP the host discards the requests still
+// queued for the server, so no request of an earlier execution reaches it
+// after the reset.
 func (s *QUICSetup) Reset() error {
 	if s.Socket != nil {
 		s.Socket.BeginExecution()
 		s.short, s.foreign = s.short[:0], s.Client.Foreign()
 	}
-	s.Server.Reset()
+	s.expect, s.next = s.next, nil
+	if s.Host != nil {
+		s.Host.Reset()
+	} else {
+		s.Server.Reset()
+	}
 	return s.Client.Reset()
 }
+
+// Expect implements core.Timed over UDP: each step of the next execution
+// whose expected output is not silence ends as soon as the datagrams the
+// socket heard, opened with the client's current keys, abstract to it.
+// The socket hears the target's whole burst before any wrapping of it
+// (netem, middleware) sees a datagram, so an impaired link draws the same
+// faults either way. An expected silence still waits the full first wait.
+func (s *QUICSetup) Expect(want []string) { s.next = want }
 
 // Finish implements core.Finisher: over UDP, an execution that a late
 // response datagram reached fails with learn.ErrLateResponse. The socket
@@ -120,16 +144,30 @@ func (s *QUICSetup) Step(in string) (string, error) {
 	if s.Socket == nil {
 		return s.Client.Step(in)
 	}
+	// Every step sets the stop test: a request the link drops never
+	// reaches the socket to clear it.
+	var until func(heard [][]byte) bool
+	if step := len(s.short); step < len(s.expect) && s.expect[step] != silence {
+		if s.answers == nil {
+			s.answers = func(heard [][]byte) bool { return s.Client.Answers(heard, s.want) }
+		}
+		s.want, until = s.expect[step], s.answers
+	}
+	s.Socket.Until(until)
 	before, heard := s.Socket.Tally(), s.Client.Heard()
 	out, err := s.Client.Step(in)
 	after := s.Socket.Tally()
 	// A wait may have cut the step short if its exchange ended on a short
-	// wait and the client heard just what the socket did: a link between
-	// them that dropped or added datagrams explains a difference itself.
-	s.short = append(s.short, after.Cut > before.Cut &&
-		after.Datagrams-before.Datagrams == s.Client.Heard()-heard)
+	// wait, or on its expected answer, and the client heard just what the
+	// socket did: a link between them that dropped or added datagrams
+	// explains a difference itself.
+	ended := after.Cut > before.Cut || after.Early > before.Early
+	s.short = append(s.short, ended && after.Datagrams-before.Datagrams == s.Client.Heard()-heard)
 	return out, err
 }
+
+// silence is the client's output for a step that heard nothing.
+const silence = "{}"
 
 // Short implements core.Timed over UDP: the steps of the execution that
 // finished last which a wait short of its ceiling may have cut short.

@@ -279,7 +279,7 @@ func registerQUIC(name string, profile quicsim.Profile) {
 				sys.AddCloser(hosted.Close)
 				sock := transport.NewQUICClientTransport(hosted.Addr())
 				sys.AddCloser(sock.Close)
-				tr, setup.Socket = sock, sock
+				tr, setup.Socket, setup.Host = sock, sock, hosted
 			}
 			setup.Client = reference.NewQUICClient(reference.QUICClientConfig{Seed: seed + 4}, spec.wrapFor(i)(tr))
 			sys.SULs = append(sys.SULs, setup)

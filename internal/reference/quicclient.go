@@ -399,10 +399,27 @@ func (c *QUICClient) buildFrame(space int, name string) quicwire.Frame {
 	}
 }
 
-// processResponses abstracts the server's datagrams (property 5), updating
-// client connection state along the way, and records their concrete
-// packets in ex unless ex is nil.
-func (c *QUICClient) processResponses(datagrams [][]byte, ex *Exchange) string {
+// Answers reports whether datagrams, heard as the response to the step in
+// flight, abstract to the output want. It opens them with the client's
+// current keys and leaves the client's state as it found it, so a
+// transport can ask it of the datagrams heard so far before it hands the
+// whole response back.
+func (c *QUICClient) Answers(datagrams [][]byte, want string) bool {
+	saved := *c
+	c.abstract(datagrams, nil)
+	ok := string(c.label) == want
+	// Restore everything a response changes, but keep the scratch the
+	// packet path grew.
+	rx, label, frames := c.rx, c.label, c.rxFrames
+	*c = saved
+	c.rx, c.label, c.rxFrames = rx, label, frames
+	return ok
+}
+
+// abstract builds the abstract output of the server's datagrams in
+// c.label (property 5), updating client connection state along the way,
+// and records their concrete packets in ex unless ex is nil.
+func (c *QUICClient) abstract(datagrams [][]byte, ex *Exchange) {
 	c.heard += len(datagrams)
 	c.label = append(c.label[:0], '{')
 	for _, dgram := range datagrams {
@@ -415,6 +432,12 @@ func (c *QUICClient) processResponses(datagrams [][]byte, ex *Exchange) string {
 		}
 	}
 	c.label = append(c.label, '}')
+}
+
+// processResponses abstracts the server's datagrams and returns the
+// interned output.
+func (c *QUICClient) processResponses(datagrams [][]byte, ex *Exchange) string {
+	c.abstract(datagrams, ex)
 	if out, ok := c.outputs[string(c.label)]; ok {
 		return out
 	}
@@ -464,7 +487,9 @@ func (c *QUICClient) processPacket(data []byte, ex *Exchange) int {
 	case quicwire.PacketRetry:
 		// Token is everything except the 16-byte integrity tag.
 		if len(hdr.Token) > 16 {
-			c.retryToken = append(c.retryToken[:0], hdr.Token[:len(hdr.Token)-16]...)
+			// A fresh slice: Answers restores the token it saved by its
+			// slice header alone.
+			c.retryToken = bytes.Clone(hdr.Token[:len(hdr.Token)-16])
 		}
 		if c.cfg.RetryFromNewPort {
 			// Issue 3: reopen the socket on a new port before retrying.

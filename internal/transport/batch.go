@@ -2,6 +2,7 @@ package transport
 
 import (
 	"net"
+	"sync"
 	"time"
 )
 
@@ -42,8 +43,20 @@ type BatchConn interface {
 // NewBatchConn wraps conn in the best BatchConn available on this
 // platform. Connected sockets (DialUDP) send without addresses; unconnected
 // ones (ListenUDP) use Message.Addr.
-func NewBatchConn(conn *net.UDPConn) BatchConn {
-	return &measuredConn{inner: newBatchImpl(conn, conn.RemoteAddr() != nil)}
+func NewBatchConn(conn *net.UDPConn) BatchConn { return newMeasuredConn(conn) }
+
+// batchImpl is a platform BatchConn with the two reads the QUIC server
+// loop needs to discard a queue at reset.
+type batchImpl interface {
+	BatchConn
+	// readLocked is ReadBatch that holds mu while it looks at the socket
+	// and returns with mu still held when it read any datagram (err is
+	// nil). So a goroutine holding mu finds every datagram either queued
+	// or in the hands of a reader that holds mu itself.
+	readLocked(ms []Message, mu *sync.Mutex) (int, error)
+	// discard drops every queued datagram without waiting, even while
+	// another goroutine waits in a read.
+	discard()
 }
 
 // tryPoll is how long the fallback's TryReadBatch waits for queued data.
@@ -59,6 +72,20 @@ type simpleConn struct {
 }
 
 func (c *simpleConn) Batched() bool { return false }
+
+// readLocked takes mu only once its read returns: the portable net API
+// offers no look at the socket under a lock.
+func (c *simpleConn) readLocked(ms []Message, mu *sync.Mutex) (int, error) {
+	n, err := c.ReadBatch(ms)
+	if err == nil {
+		mu.Lock()
+	}
+	return n, err
+}
+
+// discard drops nothing: a second read would wait behind the one in
+// progress.
+func (c *simpleConn) discard() {}
 
 func (c *simpleConn) ReadBatch(ms []Message) (int, error) {
 	if len(ms) == 0 {

@@ -47,7 +47,7 @@ type mmsgConn struct {
 	wnames [][syscall.SizeofSockaddrAny]byte
 }
 
-func newBatchImpl(conn *net.UDPConn, connected bool) BatchConn {
+func newBatchImpl(conn *net.UDPConn, connected bool) batchImpl {
 	rc, err := conn.SyscallConn()
 	if err != nil {
 		return &simpleConn{conn: conn, connected: connected}
@@ -60,10 +60,30 @@ func (c *mmsgConn) Batched() bool { return true }
 // yield gives this thread's CPU to any other runnable thread (sched_yield).
 func yield() { syscall.Syscall(syscall.SYS_SCHED_YIELD, 0, 0, 0) }
 
-func (c *mmsgConn) ReadBatch(ms []Message) (int, error)    { return c.readBatch(ms, false) }
-func (c *mmsgConn) TryReadBatch(ms []Message) (int, error) { return c.readBatch(ms, true) }
+func (c *mmsgConn) ReadBatch(ms []Message) (int, error)    { return c.readBatch(ms, false, nil) }
+func (c *mmsgConn) TryReadBatch(ms []Message) (int, error) { return c.readBatch(ms, true, nil) }
 
-func (c *mmsgConn) readBatch(ms []Message, dontwait bool) (int, error) {
+func (c *mmsgConn) readLocked(ms []Message, mu *sync.Mutex) (int, error) {
+	return c.readBatch(ms, false, mu)
+}
+
+// discard reads outside the runtime poller, which a waiting reader holds,
+// straight from the non-blocking socket.
+func (c *mmsgConn) discard() {
+	var buf [1]byte
+	c.rc.Control(func(fd uintptr) {
+		for {
+			_, _, err := syscall.Recvfrom(int(fd), buf[:], syscall.MSG_DONTWAIT)
+			if err != nil && err != syscall.EINTR {
+				return
+			}
+		}
+	})
+}
+
+// readBatch reads into ms, holding mu (when not nil) over each recvmmsg
+// and keeping it when one returns datagrams.
+func (c *mmsgConn) readBatch(ms []Message, dontwait bool, mu *sync.Mutex) (int, error) {
 	if len(ms) == 0 {
 		return 0, nil
 	}
@@ -87,6 +107,9 @@ func (c *mmsgConn) readBatch(ms []Message, dontwait bool) (int, error) {
 	var count int
 	var opErr error
 	err := c.rc.Read(func(fd uintptr) bool {
+		if mu != nil {
+			mu.Lock()
+		}
 		for {
 			// MSG_DONTWAIT always: on EAGAIN we either report "empty"
 			// (try mode) or park on the runtime poller, which honours
@@ -105,6 +128,9 @@ func (c *mmsgConn) readBatch(ms []Message, dontwait bool) (int, error) {
 					count = 0
 					return true
 				}
+				if mu != nil {
+					mu.Unlock()
+				}
 				return false
 			default:
 				opErr = errno
@@ -116,6 +142,9 @@ func (c *mmsgConn) readBatch(ms []Message, dontwait bool) (int, error) {
 		return 0, err
 	}
 	if opErr != nil {
+		if mu != nil {
+			mu.Unlock()
+		}
 		return 0, opErr
 	}
 	for i := 0; i < count; i++ {

@@ -9,7 +9,7 @@ import (
 
 // newBatchImpl falls back to one-datagram-per-syscall on platforms without
 // a wired-up recvmmsg/sendmmsg implementation.
-func newBatchImpl(conn *net.UDPConn, connected bool) BatchConn {
+func newBatchImpl(conn *net.UDPConn, connected bool) batchImpl {
 	return &simpleConn{conn: conn, connected: connected}
 }
 

@@ -1,6 +1,11 @@
 package transport
 
-import "repro/internal/metrics"
+import (
+	"net"
+	"sync"
+
+	"repro/internal/metrics"
+)
 
 // Process-wide transport metric families. Instrumentation lives in a
 // decorator around the platform BatchConn (see NewBatchConn), so the
@@ -24,6 +29,8 @@ var (
 		lateHelp, []string{"execution"}, []string{"voided"})
 	metricLateReturned = metrics.Default().CounterWith("prognosis_transport_late_datagrams_total",
 		lateHelp, []string{"execution"}, []string{"returned"})
+	metricEarlyEnds = metrics.Default().Counter("prognosis_transport_early_ends_total",
+		"Exchanges ended as soon as what they heard was the expected answer, without a quiet wait.")
 )
 
 const lateHelp = "Response datagrams that arrived after their exchange's wait had closed: " +
@@ -31,7 +38,11 @@ const lateHelp = "Response datagrams that arrived after their exchange's wait ha
 
 // measuredConn decorates a BatchConn with metrics-plane accounting.
 type measuredConn struct {
-	inner BatchConn
+	inner batchImpl
+}
+
+func newMeasuredConn(conn *net.UDPConn) *measuredConn {
+	return &measuredConn{inner: newBatchImpl(conn, conn.RemoteAddr() != nil)}
 }
 
 func (m *measuredConn) Batched() bool { return m.inner.Batched() }
@@ -66,6 +77,14 @@ func (m *measuredConn) TryReadBatch(ms []Message) (int, error) {
 	m.record(true, n)
 	return n, err
 }
+
+func (m *measuredConn) readLocked(ms []Message, mu *sync.Mutex) (int, error) {
+	n, err := m.inner.readLocked(ms, mu)
+	m.record(true, n)
+	return n, err
+}
+
+func (m *measuredConn) discard() { m.inner.discard() }
 
 func (m *measuredConn) WriteBatch(ms []Message) (int, error) {
 	n, err := m.inner.WriteBatch(ms)

@@ -5,8 +5,11 @@
 //
 // There is one datagram path. The server loop and the client exchange both
 // move datagrams through a BatchConn — recvmmsg/sendmmsg where available —
-// with preallocated message rings, and the client ends each exchange on
-// RTT-adaptive response deadlines.
+// with preallocated message rings. The client ends each exchange on
+// RTT-adaptive response deadlines, or as soon as what it heard is the
+// answer its caller expects (QUICClientTransport.Until). The server
+// discards the requests still queued when it is reset (QUICServer.Reset),
+// so no request of an earlier execution reaches the reset target.
 package transport
 
 import (
@@ -117,9 +120,13 @@ func (s *srttTracker) clean() { s.backoff = max(s.backoff-1, 0) }
 
 // QUICServer hosts a quicsim server on a UDP socket.
 type QUICServer struct {
-	conn *net.UDPConn
-	srv  *quicsim.Server
-	wg   sync.WaitGroup
+	conn  *net.UDPConn
+	bconn *measuredConn
+	srv   *quicsim.Server
+	wg    sync.WaitGroup
+	// mu is held by the loop from the moment it takes requests off the
+	// socket until it has sent their answers, and by Reset.
+	mu sync.Mutex
 }
 
 // ListenQUIC binds addr (e.g. "127.0.0.1:0") and serves the QUIC simulator
@@ -133,7 +140,7 @@ func ListenQUIC(addr string, srv *quicsim.Server) (*QUICServer, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &QUICServer{conn: conn, srv: srv}
+	s := &QUICServer{conn: conn, bconn: newMeasuredConn(conn), srv: srv}
 	s.wg.Add(1)
 	go s.loop()
 	return s, nil
@@ -149,13 +156,30 @@ func (s *QUICServer) Close() error {
 	return err
 }
 
+// Reset resets the simulator and discards every request still queued on
+// the socket: a request an earlier execution sent, which the loop has not
+// taken yet, would otherwise reach the reset simulator and open that
+// execution's connection there. A request the loop did take was answered
+// before Reset returns. (The portable fallback of BatchConn cannot look
+// at a queue the loop waits on, so there Reset discards nothing.)
+func (s *QUICServer) Reset() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.resetLocked()
+}
+
+func (s *QUICServer) resetLocked() {
+	s.bconn.discard()
+	s.srv.Reset()
+}
+
 func (s *QUICServer) loop() {
 	defer s.wg.Done()
-	bconn := NewBatchConn(s.conn)
+	bconn := s.bconn
 	rms := ring(batchSize)
 	wms := make([]Message, 0, batchSize)
 	for {
-		n, err := bconn.ReadBatch(rms)
+		n, err := bconn.readLocked(rms, &s.mu)
 		if err != nil {
 			return
 		}
@@ -169,9 +193,11 @@ func (s *QUICServer) loop() {
 			}
 		}
 		if len(wms) > 0 {
-			if _, err := bconn.WriteBatch(wms); err != nil {
-				return
-			}
+			_, err = bconn.WriteBatch(wms)
+		}
+		s.mu.Unlock()
+		if err != nil {
+			return
 		}
 	}
 }
@@ -192,6 +218,7 @@ type QUICClientTransport struct {
 	lastSrc string
 	rtt     srttTracker
 	rms     []Message
+	until   func(heard [][]byte) bool // the next exchange's stop test
 
 	late     int  // late datagrams that void the current execution
 	returned bool // the next drain is the first since an execution returned
@@ -208,6 +235,11 @@ type Tally struct {
 	// the wait cut short; only a comparison with another execution can
 	// tell which.
 	Cut int
+	// Early counts the exchanges that ended as soon as what they heard
+	// was the answer the caller expected (see Until), without a quiet
+	// wait. Like a cut one, such an exchange may have ended before the
+	// target's whole answer was in.
+	Early int
 }
 
 // NewQUICClientTransport returns a transport that dials the given server
@@ -244,11 +276,26 @@ func (t *QUICClientTransport) rebind(src string) bool {
 	return true
 }
 
+// Until gives the next exchange a stop test: once done reports that the
+// datagrams heard so far are the whole expected answer, the exchange ends
+// without waiting out its quiet wait. The test decides only when to stop
+// listening; Send returns what it heard either way. A datagram of the
+// answer that arrives after such an end is late, as after a wait that
+// closed too early. Without a stop test, or while it reports false, the
+// exchange ends on its waits.
+func (t *QUICClientTransport) Until(done func(heard [][]byte) bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.until = done
+}
+
 // Send implements reference.Transport: it drains late datagrams from a
 // prior exchange, sends datagram and collects the response burst.
 func (t *QUICClientTransport) Send(src string, datagram []byte) [][]byte {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	done := t.until
+	t.until = nil
 	if !t.rebind(src) {
 		return nil
 	}
@@ -259,10 +306,10 @@ func (t *QUICClientTransport) Send(src string, datagram []byte) [][]byte {
 	}
 	var out [][]byte
 	var first, last time.Time
-	wait := t.rtt.firstWait()
-	for ; ; wait = t.rtt.quietWait() {
+	wait, answered := t.rtt.firstWait(), false
+	for {
 		n, err := t.read(wait)
-		if n == 0 {
+		if n == 0 && !answered {
 			// Before calling the exchange over, give up the CPU once and
 			// look again: the datagram may be queued already (an expired
 			// deadline fails a read without looking), or its sender may
@@ -281,12 +328,23 @@ func (t *QUICClientTransport) Send(src string, datagram []byte) [][]byte {
 		for i := 0; i < n; i++ {
 			out = append(out, append([]byte(nil), t.rms[i].Buf[:t.rms[i].N]...))
 		}
+		// Heard the expected answer: look once more without waiting, in
+		// case the burst goes on, and end there.
+		answered = done != nil && done(out)
+		wait = t.rtt.quietWait()
+		if answered {
+			wait = 0
+		}
 	}
 	if out != nil {
 		t.rtt.spread.observe(last.Sub(first))
 	}
 	t.tally.Datagrams += len(out)
-	if wait < quiet {
+	switch {
+	case answered:
+		t.tally.Early++
+		metricEarlyEnds.Inc()
+	case wait < quiet:
 		t.tally.Cut++
 	}
 	return out

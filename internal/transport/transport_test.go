@@ -1,7 +1,9 @@
 package transport
 
 import (
+	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -205,4 +207,143 @@ func TestLateDatagramsVoidExecution(t *testing.T) {
 	}
 	tr.Send("src", []byte("q3"))
 	check("late after its execution returned", 1, v0+1, r0+1, 1)
+}
+
+// TestUntilEndsAtExpectedAnswer drives exchanges with a stop test against
+// a peer the test answers for. The exchange goes on listening while what
+// it heard is short of the expected answer and ends at the batch that
+// completes it; an answer heard past the expectation in one look falls
+// back to the quiet wait; and a datagram of the answer that arrives after
+// an early end is late and voids the execution.
+func TestUntilEndsAtExpectedAnswer(t *testing.T) {
+	peer, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	tr := NewQUICClientTransport(peer.LocalAddr().String())
+	defer tr.Close()
+	buf := make([]byte, 64)
+	var client *net.UDPAddr
+	// answer reads the request the socket sent and answers it with one
+	// datagram.
+	answer := func(d string) {
+		peer.SetReadDeadline(time.Now().Add(time.Second))
+		n, addr, err := peer.ReadFromUDP(buf)
+		if err == nil && string(buf[:n]) != "q" {
+			err = fmt.Errorf("request %q", buf[:n])
+		}
+		if err == nil {
+			client = addr
+			_, err = peer.WriteToUDP([]byte(d), addr)
+		}
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	send := func(d string) {
+		if _, err := peer.WriteToUDP([]byte(d), client); err != nil {
+			t.Error(err)
+		}
+	}
+	heard := func(got [][]byte) string {
+		var s []string
+		for _, d := range got {
+			s = append(s, string(d))
+		}
+		return strings.Join(s, ",")
+	}
+	expecting := func(want string) func([][]byte) bool {
+		return func(h [][]byte) bool { return heard(h) == want }
+	}
+	exchange := func(name string, until func([][]byte) bool, serve func(), want string, early, cut int) {
+		t.Helper()
+		before := tr.Tally()
+		done := make(chan struct{})
+		go func() { defer close(done); serve() }()
+		tr.Until(until)
+		got := heard(tr.Send("src", []byte("q")))
+		<-done
+		after := tr.Tally()
+		if got != want || after.Early-before.Early != early || after.Cut-before.Cut != cut {
+			t.Fatalf("%s: heard %q, %d early, %d cut; want %q, %d, %d",
+				name, got, after.Early-before.Early, after.Cut-before.Cut, want, early, cut)
+		}
+	}
+	early0 := metricEarlyEnds.Value()
+	tr.BeginExecution()
+
+	// The first batch is short of the expectation: the stop test, asked
+	// about it, has the peer send the rest, and the exchange ends there.
+	more := make(chan struct{})
+	exchange("completed in a second batch", func(h [][]byte) bool {
+		if heard(h) == "a" {
+			close(more)
+		}
+		return heard(h) == "a,b"
+	}, func() { answer("a"); <-more; send("b") }, "a,b", 1, 0)
+
+	// The expectation is "c", but the peer sends "d" as well before the
+	// exchange's look without waiting: it waits on, on a quiet wait short
+	// of the ceiling now that the waits are warm.
+	sent := make(chan struct{})
+	exchange("extended answer", func(h [][]byte) bool {
+		<-sent
+		return heard(h) == "c"
+	}, func() { answer("c"); send("d"); close(sent) }, "c,d", 0, 1)
+
+	// No stop test: the exchange ends on its waits, as before.
+	exchange("no expectation", nil, func() { answer("e") }, "e", 0, 1)
+	if n := tr.EndExecution(); n != 0 {
+		t.Fatalf("%d late datagrams in a clean execution", n)
+	}
+
+	// The expectation is a truncation of the answer: the exchange ends
+	// early, and the rest of the answer voids the execution.
+	tr.BeginExecution()
+	exchange("truncated expectation", expecting("f"), func() { answer("f") }, "f", 1, 0)
+	send("g")
+	if n := tr.EndExecution(); n != 1 {
+		t.Fatalf("%d late datagrams after an early end, want 1", n)
+	}
+	if n := metricEarlyEnds.Value() - early0; n != 2 {
+		t.Fatalf("prognosis_transport_early_ends_total grew by %d, want 2", n)
+	}
+}
+
+// TestServerResetDiscardsQueuedRequests queues a stale Initial on the
+// server socket, which the loop cannot take while the test holds the
+// host's lock, and resets the host under it. The next execution's
+// Initial is answered with the handshake, and no late datagram or packet
+// for an earlier connection reaches it.
+func TestServerResetDiscardsQueuedRequests(t *testing.T) {
+	srv := quicsim.NewServer(quicsim.Config{Profile: quicsim.ProfileQuiche, Seed: 7})
+	host, err := ListenQUIC(Loopback(), srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer host.Close()
+	tr := NewQUICClientTransport(host.Addr())
+	defer tr.Close()
+	cli := reference.NewQUICClient(reference.QUICClientConfig{Seed: 11}, tr)
+	want, _ := quicsim.GroundTruth(quicsim.ProfileQuiche).Run([]string{quicsim.SymInitialCrypto})
+
+	host.mu.Lock()
+	tr.BeginExecution()
+	cli.Reset()
+	if out, _ := cli.Step(quicsim.SymInitialCrypto); out != "{}" {
+		host.mu.Unlock()
+		t.Fatalf("a server that cannot read answered %q", out)
+	}
+	tr.EndExecution()
+	host.resetLocked()
+	host.mu.Unlock()
+
+	tr.BeginExecution()
+	cli.Reset()
+	out, _ := cli.Step(quicsim.SymInitialCrypto)
+	if late := tr.EndExecution(); out != want[0] || late != 0 || cli.Foreign() != 0 {
+		t.Fatalf("after the reset: heard %q, %d late datagrams, %d packets for an earlier connection; want %q, 0, 0",
+			out, late, cli.Foreign(), want[0])
+	}
 }
