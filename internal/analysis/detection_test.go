@@ -351,7 +351,7 @@ func measureDetection(t *testing.T, name string, b *strings.Builder) {
 		s, in := automata.State(pick.Intn(g.NumStates())), ins[pick.Intn(len(ins))]
 		out := check(t, g, func() learn.Oracle {
 			sys := &flakyTransition{mu: mu, s: s, in: in, p: nondetRate, rng: rand.New(rand.NewSource(int64(trial)))}
-			return core.NewGuardian(core.DefaultGuard(), &core.GuardStats{}, nil).Wrap(sys)
+			return core.NewGuardian(core.DefaultGuard(), 0, &core.GuardStats{}, nil).Wrap(sys)
 		}, false)
 		for c, o := range out {
 			switch o {

@@ -195,8 +195,8 @@ func (progressObserver) OnEvent(e learn.Event) {
 		fmt.Fprintf(os.Stderr, "nondeterminism: %d alternatives after %d votes on %v\n",
 			ev.Alternatives, ev.Votes, ev.Word)
 	case learn.GuardEscalated:
-		fmt.Fprintf(os.Stderr, "guard: escalated to %d votes after %d (disagreement %.2f) on %v\n",
-			ev.Budget, ev.Votes, ev.EWMA, ev.Word)
+		fmt.Fprintf(os.Stderr, "guard: escalated to %d votes after %d (fault rate %.3f) on %v\n",
+			ev.Budget, ev.Votes, ev.FaultRate, ev.Word)
 	case learn.WindowResized:
 		fmt.Fprintf(os.Stderr, "window: %d -> %d in flight (srtt %v)\n", ev.From, ev.To, ev.SRTT)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -56,11 +57,15 @@ func predicting(inputs []string, out map[string]string) *automata.Mealy {
 	return m
 }
 
+// lossy is the fault rate of a link known to drop 5% of datagrams each
+// way, the floor a guard over such a link never goes below
+// (netem.Config.FaultRate).
+const lossy = 1 - 0.95*0.95
+
 func TestAdaptiveGuardCheapWhenClean(t *testing.T) {
-	cfg := DefaultAdaptiveGuard()
-	cfg.PriorDisagreement = 0 // a link known clean
+	cfg := DefaultGuard()
 	var stats GuardStats
-	g := NewGuardian(cfg, &stats, nil)
+	g := NewGuardian(cfg, 0, &stats, nil)
 	oracle := g.Wrap(newScripted(echo))
 	word := []string{"a", "b", "c"}
 	out, err := oracle.Query(context.Background(), word)
@@ -76,14 +81,12 @@ func TestAdaptiveGuardCheapWhenClean(t *testing.T) {
 }
 
 // TestAdaptiveGuardEscalatesOnDisagreement: injected flakiness must raise
-// the vote budget, emit GuardEscalated events, and still resolve to the
-// majority answer.
+// the vote budget, emit GuardEscalated events, raise the measured fault
+// rate, and still resolve to the majority answer.
 func TestAdaptiveGuardEscalatesOnDisagreement(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	// 30% of executions corrupt the final output symbol, each with a
-	// different fault pattern — aggressive but outvotable link noise.
-	// (A single 30%-likely alternative would rightly read as genuine
-	// nondeterminism: it never falls ModeLead behind the clean answer.)
+	// 30% of executions corrupt the final output symbol, each with one of
+	// six fault patterns — aggressive but outvotable link noise.
 	flaky := newScripted(func(word []string, _ int) []string {
 		out := echo(word, 0)
 		if rng.Float64() < 0.3 {
@@ -91,11 +94,10 @@ func TestAdaptiveGuardEscalatesOnDisagreement(t *testing.T) {
 		}
 		return out
 	})
-	cfg := DefaultAdaptiveGuard()
-	cfg.PriorDisagreement = 0
+	cfg := DefaultGuard()
 	var stats GuardStats
 	var events []learn.GuardEscalated
-	g := NewGuardian(cfg, &stats, learn.ObserverFunc(func(e learn.Event) {
+	g := NewGuardian(cfg, lossy, &stats, learn.ObserverFunc(func(e learn.Event) {
 		if ge, ok := e.(learn.GuardEscalated); ok {
 			events = append(events, ge)
 		}
@@ -119,53 +121,75 @@ func TestAdaptiveGuardEscalatesOnDisagreement(t *testing.T) {
 		t.Fatalf("escalations %d inconsistent with %d events", st.Escalations, len(events))
 	}
 	for _, ev := range events {
-		if ev.Budget > cfg.MaxVotes || ev.Budget <= ev.Votes {
+		if ev.Budget > cfg.MaxVotes || ev.Budget <= ev.Votes || ev.FaultRate < lossy {
 			t.Fatalf("bad escalation event: %+v", ev)
 		}
 	}
-	if g.Disagreement() == 0 {
-		t.Fatal("disagreement EWMA never moved")
+	if g.FaultRate() <= lossy {
+		t.Fatalf("measured fault rate %f never rose above the floor", g.FaultRate())
 	}
 }
 
-// TestAdaptiveGuardDecaysOnCleanStreak: after the link heals, the EWMA —
-// and with it the per-query sampling — must fall back to the MinVotes
-// floor.
-func TestAdaptiveGuardDecaysOnCleanStreak(t *testing.T) {
-	cfg := DefaultAdaptiveGuard()
-	var stats GuardStats
-	g := NewGuardian(cfg, &stats, nil)
-	if g.InitialVotes() <= cfg.MinVotes {
-		t.Fatalf("pessimistic prior ignored: initial votes %d", g.InitialVotes())
+// twoFaults echoes the word, except that the second and fourth executions
+// of each word are corrupted.
+func twoFaults(word []string, nth int) []string {
+	out := echo(word, 0)
+	if nth == 1 || nth == 3 {
+		out[0] = "corrupt"
 	}
-	oracle := g.Wrap(newScripted(echo))
-	for i := 0; i < 60; i++ {
-		if _, err := oracle.Query(context.Background(), []string{"a"}); err != nil {
+	return out
+}
+
+// TestAdaptiveGuardDecaysOnCleanStreak: after the link heals, the measured
+// fault rate — and with it the votes a query costs — must fall back to the
+// link's floor.
+func TestAdaptiveGuardDecaysOnCleanStreak(t *testing.T) {
+	var stats GuardStats
+	g := NewGuardian(DefaultGuard(), lossy, &stats, nil)
+	flaky := g.Wrap(newScripted(twoFaults))
+	if _, err := flaky.Query(context.Background(), []string{"x"}); err != nil {
+		t.Fatal(err)
+	}
+	if g.FaultRate() <= lossy {
+		t.Fatalf("a fault in %d votes left the fault rate at %f", stats.Snapshot().Votes, g.FaultRate())
+	}
+	clean := g.Wrap(newScripted(echo))
+	cost := func() int64 {
+		before := stats.Snapshot().Votes
+		if _, err := clean.Query(context.Background(), []string{"a"}); err != nil {
 			t.Fatal(err)
 		}
+		return stats.Snapshot().Votes - before
 	}
-	if g.Disagreement() > 0.01 {
-		t.Fatalf("EWMA did not decay on a clean streak: %f", g.Disagreement())
+	first := cost()
+	for i := 0; i < 60; i++ {
+		cost()
 	}
-	if g.InitialVotes() != cfg.MinVotes {
-		t.Fatalf("initial votes %d did not return to the floor %d", g.InitialVotes(), cfg.MinVotes)
+	if g.FaultRate() != lossy {
+		t.Fatalf("fault rate %f did not return to the floor %f on a clean streak", g.FaultRate(), lossy)
+	}
+	floor := NewGuardian(DefaultGuard(), lossy, nil, nil)
+	s := floor.test()
+	if last := cost(); last >= first || last != int64(s.votes(DefaultGuard().MinVotes)) {
+		t.Fatalf("clean query cost %d votes after the streak, %d before it; want the floor's %d", last, first, s.votes(2))
 	}
 }
 
 // TestAdaptiveGuardNeverExceedsMaxVotes: a genuine coin flip must end in
-// NondeterminismError within the MaxVotes ceiling, never beyond it.
+// NondeterminismError within the MaxVotes ceiling, never beyond it, even
+// on a link known to drop datagrams.
 func TestAdaptiveGuardNeverExceedsMaxVotes(t *testing.T) {
 	coin := newScripted(func(word []string, nth int) []string {
 		out := echo(word, 0)
-		if nth%2 == 1 { // strict alternation: no answer can ever lead 3x
+		if nth%2 == 1 { // strict alternation: no answer ever leads
 			out[0] = "heads"
 		}
 		return out
 	})
-	cfg := DefaultAdaptiveGuard()
+	cfg := DefaultGuard()
 	cfg.MaxVotes = 24
 	var stats GuardStats
-	g := NewGuardian(cfg, &stats, nil)
+	g := NewGuardian(cfg, lossy, &stats, nil)
 	_, err := g.Wrap(coin).Query(context.Background(), []string{"a"})
 	nd, ok := IsNondeterminism(err)
 	if !ok {
@@ -196,8 +220,7 @@ func TestAdaptiveGuardPositionalConsensus(t *testing.T) {
 		}
 		return out
 	})
-	cfg := DefaultAdaptiveGuard()
-	g := NewGuardian(cfg, nil, nil)
+	g := NewGuardian(DefaultGuard(), lossy, nil, nil)
 	oracle := g.Wrap(flaky)
 	word := []string{"a", "b", "c", "d", "e", "f"}
 	for i := 0; i < 25; i++ {
@@ -212,57 +235,59 @@ func TestAdaptiveGuardPositionalConsensus(t *testing.T) {
 }
 
 // TestGuardianSharedAcrossShards: one Guardian wrapping several shard
-// oracles shares its EWMA — disagreements seen by one shard raise the
-// sampling of all.
+// oracles shares its measure of the link — disagreements seen by one shard
+// raise the votes every shard casts.
 func TestGuardianSharedAcrossShards(t *testing.T) {
-	cfg := DefaultAdaptiveGuard()
-	cfg.PriorDisagreement = 0
-	g := NewGuardian(cfg, nil, nil)
-	nth := 0
-	flakyOnce := g.Wrap(newScripted(func(word []string, n int) []string {
-		out := echo(word, 0)
-		nth++
-		if nth == 2 {
-			out[0] = "corrupt"
-		}
-		return out
-	}))
+	var stats GuardStats
+	g := NewGuardian(DefaultGuard(), lossy, &stats, nil)
+	flaky := g.Wrap(newScripted(twoFaults))
 	clean := g.Wrap(newScripted(echo))
-	if _, err := flakyOnce.Query(context.Background(), []string{"a"}); err != nil {
+	if _, err := flaky.Query(context.Background(), []string{"a"}); err != nil {
 		t.Fatal(err)
 	}
-	if g.Disagreement() == 0 {
+	if g.FaultRate() <= lossy {
 		t.Fatal("shard 0's disagreement not recorded")
 	}
-	if g.InitialVotes() <= cfg.MinVotes {
-		t.Fatal("shard 1 does not see the raised sampling")
-	}
+	before := stats.Snapshot().Votes
 	if _, err := clean.Query(context.Background(), []string{"b"}); err != nil {
 		t.Fatal(err)
 	}
+	floor := NewGuardian(DefaultGuard(), lossy, nil, nil).test()
+	if votes := stats.Snapshot().Votes - before; votes <= int64(floor.votes(DefaultGuard().MinVotes)) {
+		t.Fatalf("shard 1 cast %d votes, no more than a fresh guard on the same link", votes)
+	}
 }
 
-// TestAdaptiveGuardPredictedAtFloor: a query whose executions reproduce
-// its prediction is settled at the MinVotes floor even while the
-// pessimistic prior asks every other query for more.
+// TestAdaptiveGuardPredictedAtFloor: once the run has seen predictions
+// hold, a query whose executions reproduce its prediction is settled at
+// the MinVotes floor, while the same query without a prediction costs
+// more on the same link.
 func TestAdaptiveGuardPredictedAtFloor(t *testing.T) {
-	cfg := DefaultAdaptiveGuard()
+	cfg := DefaultGuard()
 	var stats GuardStats
-	g := NewGuardian(cfg, &stats, nil)
-	if g.InitialVotes() <= cfg.MinVotes {
-		t.Fatalf("pessimistic prior ignored: initial votes %d", g.InitialVotes())
-	}
+	oracle := NewGuardian(cfg, lossy, &stats, nil).Wrap(newScripted(echo))
 	word := []string{"a", "b", "c"}
+	cost := func(ctx context.Context) int64 {
+		before := stats.Snapshot().Votes
+		out, err := oracle.Query(ctx, word)
+		if err != nil || strings.Join(out, " ") != "a b c" {
+			t.Fatalf("out=%v err=%v", out, err)
+		}
+		return stats.Snapshot().Votes - before
+	}
 	ctx := learn.WithPrediction(context.Background(), predicting(word, nil))
-	out, err := g.Wrap(newScripted(echo)).Query(ctx, word)
-	if err != nil {
-		t.Fatal(err)
+	var costs []int64
+	for len(costs) < 10 && (len(costs) == 0 || costs[len(costs)-1] > int64(cfg.MinVotes)) {
+		costs = append(costs, cost(ctx))
 	}
-	if strings.Join(out, " ") != "a b c" {
-		t.Fatalf("out = %v", out)
+	if costs[0] == int64(cfg.MinVotes) || costs[len(costs)-1] != int64(cfg.MinVotes) {
+		t.Fatalf("predicted queries cost %v votes: want the floor only once predictions have held", costs)
 	}
-	if got := stats.Snapshot(); got.Votes != int64(cfg.MinVotes) || got.Predicted != 1 || got.WastedVotes != 0 {
-		t.Fatalf("predicted query cost more than the floor: %+v", got)
+	if st := stats.Snapshot(); st.Predicted != 1 {
+		t.Fatalf("%d queries counted as settled by their prediction, want 1", st.Predicted)
+	}
+	if c := cost(context.Background()); c <= int64(cfg.MinVotes) {
+		t.Fatalf("the query without its prediction cost %d votes, the floor", c)
 	}
 }
 
@@ -276,9 +301,6 @@ func TestAdaptiveGuardWrongPredictionLoses(t *testing.T) {
 	pred := predicting(word, map[string]string{"b": "x"}) // wrong at position 1
 	// 30% of executions corrupt one position; "x" is one of the six
 	// corruptions, so the noise forges the wrong prediction now and then.
-	// Consensus must outvote those forgeries. Two executions that both
-	// forge it (1/80 each, so 1/6400 per query) are accepted at the floor:
-	// that is the rule's error rate, not a failure of it.
 	flaky := newScripted(func(word []string, _ int) []string {
 		out := echo(word, 0)
 		if rng.Float64() < 0.3 {
@@ -291,7 +313,7 @@ func TestAdaptiveGuardWrongPredictionLoses(t *testing.T) {
 		return out
 	})
 	var stats GuardStats
-	oracle := NewGuardian(DefaultAdaptiveGuard(), &stats, nil).Wrap(flaky)
+	oracle := NewGuardian(DefaultGuard(), lossy, &stats, nil).Wrap(flaky)
 	ctx := learn.WithPrediction(context.Background(), pred)
 	for i := 0; i < 40; i++ {
 		out, err := oracle.Query(ctx, word)
@@ -314,16 +336,15 @@ func TestAdaptiveGuardPredictionDoesNotHideCoinFlip(t *testing.T) {
 	for _, side := range []string{"a", "heads"} {
 		coin := newScripted(func(word []string, nth int) []string {
 			out := echo(word, 0)
-			if nth%2 == 1 { // strict alternation: no answer can ever lead 3x
+			if nth%2 == 1 { // strict alternation: no answer ever leads
 				out[0] = "heads"
 			}
 			return out
 		})
-		cfg := DefaultAdaptiveGuard()
+		cfg := DefaultGuard()
 		cfg.MaxVotes = 24
-		var stats GuardStats
 		ctx := learn.WithPrediction(context.Background(), predicting([]string{"a"}, map[string]string{"a": side}))
-		_, err := NewGuardian(cfg, &stats, nil).Wrap(coin).Query(ctx, []string{"a"})
+		_, err := NewGuardian(cfg, lossy, nil, nil).Wrap(coin).Query(ctx, []string{"a"})
 		nd, ok := IsNondeterminism(err)
 		if !ok {
 			t.Fatalf("prediction %q: want nondeterminism, got %v", side, err)
@@ -334,19 +355,19 @@ func TestAdaptiveGuardPredictionDoesNotHideCoinFlip(t *testing.T) {
 	}
 }
 
-// TestFixedGuardIgnoresPrediction: the fixed guard's answers and vote
-// counts do not depend on whether a query carries a prediction.
-func TestFixedGuardIgnoresPrediction(t *testing.T) {
+// TestCleanGuardIgnoresPrediction: on a clean link the guard's answers
+// and vote counts do not depend on whether a query carries a prediction.
+func TestCleanGuardIgnoresPrediction(t *testing.T) {
 	run := func(predict bool) (answers []string, stats GuardStats) {
 		rng := rand.New(rand.NewSource(3))
 		flaky := newScripted(func(word []string, _ int) []string {
 			out := echo(word, 0)
-			if rng.Float64() < 0.2 {
+			if rng.Float64() < 0.05 {
 				out[rng.Intn(len(out))] = "noise"
 			}
 			return out
 		})
-		oracle := NewGuardian(DefaultGuard(), &stats, nil).Wrap(flaky)
+		oracle := NewGuardian(DefaultGuard(), 0, &stats, nil).Wrap(flaky)
 		for i := 0; i < 40; i++ {
 			word := []string{"a", fmt.Sprint(i % 5), "c"}
 			ctx := context.Background()
@@ -365,5 +386,57 @@ func TestFixedGuardIgnoresPrediction(t *testing.T) {
 	}
 	if plainStats != predictedStats || plainStats.RetriedQueries == 0 {
 		t.Fatalf("stats differ or no query retried: plain %+v, predicted %+v", plainStats, predictedStats)
+	}
+}
+
+// TestGuardRetestsAcceptedPrefix: a burst of identical faults early in a
+// query can make a wrong output modal at a position: here 7 of the first
+// 9 executions are silent at position 1, and their suffixes split between
+// two outputs. Later executions are dominated by the true answer. The
+// guard judges every position again at every vote, so it gives the silent
+// prefix up and returns the true answer instead of halting on the split.
+func TestGuardRetestsAcceptedPrefix(t *testing.T) {
+	truth := []string{"H", "A", "B", "C"}
+	silent := func(nth int) []string {
+		return []string{"H", "", fmt.Sprintf("X%d", nth%2), fmt.Sprintf("Y%d", nth%2)}
+	}
+	burst := map[int]bool{0: true, 1: true, 2: true, 3: true, 5: true, 6: true, 7: true}
+	oracle := newScripted(func(word []string, nth int) []string {
+		switch {
+		case nth < 9 && burst[nth], nth >= 9 && nth%5 == 0:
+			return silent(nth)
+		default:
+			return append([]string(nil), truth...)
+		}
+	})
+	var stats GuardStats
+	out, err := NewGuardian(DefaultGuard(), lossy, &stats, nil).Wrap(oracle).Query(context.Background(), []string{"i0", "i1", "i2", "i3"})
+	if err != nil || !slices.Equal(out, truth) {
+		t.Fatalf("out=%v err=%v after %d votes; want %v", out, err, stats.Snapshot().Votes, truth)
+	}
+}
+
+// TestGuardHaltsCoinOnCleanLink: the witness pattern of the mvfst
+// stateless-RESET coin (learn-mvfst.txt), 16 RESETs and 4 silences at one
+// position over 20 executions. On a link measured clean no fault explains
+// a disagreement, so the split ends in a NondeterminismError within 20
+// votes.
+func TestGuardHaltsCoinOnCleanLink(t *testing.T) {
+	silence := map[int]bool{1: true, 6: true, 11: true, 16: true}
+	coin := newScripted(func(word []string, nth int) []string {
+		out := []string{"HS", "CLOSE", "RESET", "RESET"}
+		if silence[nth%20] {
+			out[2] = ""
+		}
+		return out
+	})
+	var stats GuardStats
+	_, err := NewGuardian(DefaultGuard(), 0, &stats, nil).Wrap(coin).Query(context.Background(), []string{"i", "i", "i", "i"})
+	nd, ok := IsNondeterminism(err)
+	if !ok {
+		t.Fatalf("want nondeterminism, got %v", err)
+	}
+	if nd.Votes > 20 || stats.Snapshot().Votes > 20 {
+		t.Fatalf("coin halted after %d votes, want at most 20", nd.Votes)
 	}
 }

@@ -11,7 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -78,7 +78,8 @@ func Oracle(s SUL) learn.Oracle {
 }
 
 // NondeterminismError reports that repeated executions of the same query
-// produced conflicting outputs that never reached the certainty threshold.
+// produced conflicting outputs that the guard's test found nondeterministic,
+// or that MaxVotes executions left unsettled.
 // Per §5 this is itself a powerful analysis: Issue 2 (the mvfst stateless
 // RESET bug) was discovered exactly this way.
 type NondeterminismError struct {
@@ -110,64 +111,25 @@ func IsNondeterminism(err error) (*NondeterminismError, bool) {
 
 // GuardConfig tunes the nondeterminism check of §5.
 type GuardConfig struct {
-	// MinVotes executions are always performed. If they all agree the
-	// answer is accepted immediately.
+	// MinVotes executions are always performed.
 	MinVotes int
-	// MaxVotes bounds the retries after a disagreement.
+	// MaxVotes bounds the executions of one query, and separately the
+	// executions of one query voided and cast again.
 	MaxVotes int
-	// Certainty is the fraction of agreeing executions required to accept
-	// a majority answer after a disagreement (e.g. 0.9).
-	Certainty float64
-
-	// Adaptive enables learning under adverse networks: the per-query vote
-	// budget starts at MinVotes and escalates with the observed
-	// disagreement rate (an EWMA over past queries), and disagreeing
-	// executions are resolved by positional consensus — each output
-	// position is accepted once enough executions that agree with the
-	// already-accepted prefix also agree on it. No answer can reach a
-	// whole-word Certainty threshold on a link whose per-datagram faults
-	// corrupt a large fraction of executions, but per-position the clean
-	// outcome stays strongly modal however long the word is. See
-	// docs/IMPAIRMENT.md for the algorithm and its trade-offs.
-	Adaptive bool
-	// EWMAAlpha smooths the disagreement-rate estimate (adaptive mode
-	// only; default 0.15). Larger values react faster to a link going bad
-	// and recover faster on a clean streak.
-	EWMAAlpha float64
-	// ModeVotes and ModeLead parameterize the positional acceptance rule:
-	// a position is accepted once its modal output holds at least
-	// ModeVotes votes (default 7) and at least ModeLead times the
-	// runner-up's count (default 3) among prefix-consistent executions.
-	// Link noise gives the wrong outcomes at any one position only a
-	// small probability each, so the true output builds this lead
-	// quickly, while a genuine coin flip (e.g. a 50/50 RESET) never does.
-	ModeVotes int
-	ModeLead  int
-	// PriorDisagreement seeds the EWMA before the first query. A run that
-	// expects an impaired link starts pessimistic (0.5) so the earliest
-	// queries — which seed the cache everything later builds on — are
-	// already sampled generously; on a clean link the prior decays to
-	// MinVotes-cheap behaviour within a couple dozen queries.
-	PriorDisagreement float64
+	// Alpha is the chance, per output position, that the guard accepts an
+	// output the target did not give: one that link faults forged.
+	Alpha float64
+	// Beta is the chance, per output position, that the guard calls a
+	// deterministic target nondeterministic.
+	Beta float64
 }
 
 // DefaultGuard mirrors the paper's setup: cheap when the system is
-// deterministic, insistent when it is not.
-func DefaultGuard() GuardConfig {
-	return GuardConfig{MinVotes: 2, MaxVotes: 20, Certainty: 0.9}
-}
-
-// DefaultAdaptiveGuard is the guard for learning through an impaired link:
-// it starts as cheap as DefaultGuard and pays votes only where the link
-// actually bites. MaxVotes is sized so that long words keep enough
-// prefix-consistent executions to reach positional consensus at several
+// deterministic, insistent when it is not. MaxVotes is sized so that long
+// words keep enough prefix-consistent executions to be settled at several
 // percent datagram loss.
-func DefaultAdaptiveGuard() GuardConfig {
-	return GuardConfig{
-		MinVotes: 2, MaxVotes: 160, Certainty: 0.9,
-		Adaptive: true, EWMAAlpha: 0.15, ModeVotes: 7, ModeLead: 3,
-		PriorDisagreement: 0.5,
-	}
+func DefaultGuard() GuardConfig {
+	return GuardConfig{MinVotes: 2, MaxVotes: 160, Alpha: 1e-3, Beta: 1e-4}
 }
 
 // GuardStats are cumulative voting-cost counters, updated atomically by
@@ -188,9 +150,9 @@ type GuardStats struct {
 	// same query showed to be cut short (see WrapTimed). A voided
 	// execution is not a vote.
 	Recasts int64
-	// Predicted counts queries settled at the MinVotes floor because
-	// their executions reproduced the hypothesis's prediction (adaptive
-	// guard only; see learn.WithPrediction).
+	// Predicted counts queries settled at the MinVotes floor only because
+	// their executions reproduced the hypothesis's prediction (see
+	// learn.WithPrediction).
 	Predicted int64
 }
 
@@ -208,117 +170,70 @@ func (s *GuardStats) Snapshot() GuardStats {
 }
 
 // Guardian applies the §5 nondeterminism check to any number of oracle
-// shards, sharing one adaptive state (disagreement EWMA, stats) across all
-// of them: a pooled experiment has one link quality, not one per worker.
-// Wrap as many shard oracles as needed; all methods are safe for
-// concurrent use.
+// shards, sharing one measure of the link (its fault rate, and how often
+// predictions hold) across all of them: a pooled experiment has one link
+// quality, not one per worker. Wrap as many shard oracles as needed; all
+// methods are safe for concurrent use.
 type Guardian struct {
 	cfg   GuardConfig
+	floor float64 // the fault rate the link is known to have
 	stats *GuardStats
 	obs   learn.Observer
 
-	mu   sync.Mutex
-	ewma float64 // observed disagreement rate across recent queries
+	mu sync.Mutex
+	// Over the decided queries: the output positions voted on, those of
+	// them that missed the answer, and the predicted positions the answer
+	// confirmed and refuted.
+	trials, faults, hits, misses int
 }
 
-// NewGuardian validates cfg (filling adaptive defaults) and returns a
-// Guardian. stats may be nil (counters are then kept internally); obs may
-// be nil (escalation events are then dropped).
-func NewGuardian(cfg GuardConfig, stats *GuardStats, obs learn.Observer) *Guardian {
+// NewGuardian validates cfg and returns a Guardian for a link known to
+// corrupt a share floor of its request-response exchanges (0 for a clean
+// link; see netem.Config.FaultRate). stats may be nil (counters are then
+// kept internally); obs may be nil (escalation events are then dropped).
+func NewGuardian(cfg GuardConfig, floor float64, stats *GuardStats, obs learn.Observer) *Guardian {
+	def := DefaultGuard()
 	if cfg.MinVotes < 1 {
 		cfg.MinVotes = 1
 	}
 	if cfg.MaxVotes < cfg.MinVotes {
 		cfg.MaxVotes = cfg.MinVotes
 	}
-	if cfg.Adaptive {
-		if cfg.EWMAAlpha <= 0 || cfg.EWMAAlpha > 1 {
-			cfg.EWMAAlpha = 0.15
-		}
-		if cfg.ModeVotes <= 0 {
-			cfg.ModeVotes = 7
-		}
-		if cfg.ModeLead <= 0 {
-			cfg.ModeLead = 3
-		}
+	if !(cfg.Alpha > 0 && cfg.Alpha < 1) {
+		cfg.Alpha = def.Alpha
+	}
+	if !(cfg.Beta > 0 && cfg.Beta < 1) {
+		cfg.Beta = def.Beta
 	}
 	if stats == nil {
 		stats = &GuardStats{}
 	}
-	ewma := 0.0
-	if cfg.Adaptive {
-		ewma = cfg.PriorDisagreement
-	}
-	return &Guardian{cfg: cfg, stats: stats, obs: obs, ewma: ewma}
+	return &Guardian{cfg: cfg, floor: floor, stats: stats, obs: obs}
 }
 
-// Disagreement returns the current EWMA of the per-query disagreement
-// rate.
-func (g *Guardian) Disagreement() float64 {
+// FaultRate returns the fault rate the guard tests against: the share of
+// the output positions voted on in decided queries that missed their
+// query's answer, and never less than the link's known floor. A clean link
+// measures 0 until its first fault.
+func (g *Guardian) FaultRate() float64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.ewma
+	return g.faultRate()
 }
 
-// StartBudget returns the vote budget a disagreeing query begins with:
-// enough for positional consensus on a typical word (ModeVotes-scaled,
-// growing with the disagreement rate), while queries the link hits harder
-// — long words keep fewer prefix-consistent executions — escalate past it
-// step by step toward MaxVotes, emitting a learn.GuardEscalated event at
-// every raise. Non-adaptive guards always budget MaxVotes (the fixed
-// retry bound of §5).
-func (g *Guardian) StartBudget() int {
-	if !g.cfg.Adaptive {
-		return g.cfg.MaxVotes
+func (g *Guardian) faultRate() float64 {
+	if g.trials == 0 {
+		return g.floor
 	}
-	budget := g.cfg.ModeVotes + int(g.Disagreement()*2*float64(g.cfg.ModeVotes)+0.5)
-	if min := g.InitialVotes() + 2; budget < min {
-		budget = min
-	}
-	if budget > g.cfg.MaxVotes {
-		budget = g.cfg.MaxVotes
-	}
-	return budget
+	return max(g.floor, float64(g.faults)/float64(g.trials))
 }
 
-// InitialVotes returns how many executions the next query samples before a
-// unanimous answer is accepted: MinVotes on a clean link, growing toward
-// ModeVotes as the disagreement EWMA climbs. This is the other half of
-// adaptivity — on a badly impaired link, two executions can agree by
-// suffering the *same* fault (two lost copies of the same response look
-// identical), so unanimity among MinVotes is only trustworthy when
-// disagreements are rare.
-func (g *Guardian) InitialVotes() int {
-	if !g.cfg.Adaptive {
-		return g.cfg.MinVotes
-	}
-	n := g.cfg.MinVotes
-	if span := float64(g.cfg.ModeVotes - g.cfg.MinVotes); span > 0 {
-		n += int(g.Disagreement()*span + 0.5)
-		if n > g.cfg.ModeVotes {
-			n = g.cfg.ModeVotes
-		}
-	}
-	return n
-}
-
-// observe folds one finished query into the shared disagreement EWMA.
-func (g *Guardian) observe(flaky bool) {
-	x := 0.0
-	if flaky {
-		x = 1.0
-	}
-	g.mu.Lock()
-	g.ewma += g.cfg.EWMAAlpha * (x - g.ewma)
-	g.mu.Unlock()
-}
-
-// Wrap returns an oracle applying the guard to o. Each query is executed
-// MinVotes times; unanimity is accepted immediately. On disagreement the
-// fixed guard keeps re-executing up to MaxVotes and accepts a whole-word
-// answer only at Certainty; the adaptive guard resolves the word by
-// positional consensus within an escalating vote budget. Either way an
-// unresolved query fails with a *NondeterminismError.
+// Wrap returns an oracle applying the guard to o: each query is executed
+// at least MinVotes times and settled by a sequential test (see sprt)
+// within a vote budget that starts where the test expects to settle and
+// escalates, emitting learn.GuardEscalated, up to MaxVotes. A query the
+// test finds nondeterministic, or that MaxVotes leaves unsettled, fails
+// with a *NondeterminismError.
 //
 // The vote tally is derived from the observed executions, so a vote that
 // errors mid-retry can never leave the tally inconsistent: failed
@@ -333,11 +248,7 @@ func (g *Guardian) Wrap(o learn.Oracle) learn.Oracle { return g.WrapTimed(o, nil
 // cut short is voided too (see ballot.strike).
 func (g *Guardian) WrapTimed(o learn.Oracle, t Timed) learn.Oracle {
 	return learn.OracleFunc(func(ctx context.Context, word []string) ([]string, error) {
-		b := &ballot{g: g, o: o, t: t, word: word}
-		if g.cfg.Adaptive {
-			return g.adaptiveQuery(ctx, b)
-		}
-		return g.fixedQuery(ctx, b)
+		return g.query(ctx, &ballot{g: g, o: o, t: t, word: word, pred: learn.Prediction(ctx, word)})
 	})
 }
 
@@ -372,18 +283,7 @@ type ballot struct {
 	execs   [][]string
 	short   [][]bool // per execution, from t.Short
 	recasts int
-
-	pred      []string // learn.Prediction of word, once predicted is set
-	predicted bool
-}
-
-// prediction returns the outputs ctx's hypothesis predicts for the word
-// (learn.Prediction), running it at most once per query.
-func (b *ballot) prediction(ctx context.Context) []string {
-	if !b.predicted {
-		b.pred, b.predicted = learn.Prediction(ctx, b.word), true
-	}
-	return b.pred
+	pred    []string // learn.Prediction of word, nil for none
 }
 
 // expected returns the outputs the next execution is expected to give:
@@ -394,13 +294,13 @@ func (b *ballot) prediction(ctx context.Context) []string {
 // arrives later voids its execution. Once an execution of the query is
 // voided, its executions expect nothing, so a wrong expectation cannot
 // void them again and again.
-func (b *ballot) expected(ctx context.Context) []string {
+func (b *ballot) expected() []string {
 	if b.recasts > 0 {
 		return nil
 	}
 	switch len(b.execs) {
 	case 0:
-		return b.prediction(ctx)
+		return b.pred
 	case 1:
 		return b.execs[0]
 	default:
@@ -420,34 +320,31 @@ func (b *ballot) expected(ctx context.Context) []string {
 }
 
 // cast runs executions until one stands, re-casting those the SUL voids
-// (learn.ErrLateResponse). It reports whether an earlier execution was
-// struck on the way.
-func (b *ballot) cast(ctx context.Context) (struck bool, err error) {
+// (learn.ErrLateResponse) or strike finds cut short.
+func (b *ballot) cast(ctx context.Context) error {
 	for {
 		if b.t != nil {
-			b.t.Expect(b.expected(ctx))
+			b.t.Expect(b.expected())
 		}
 		out, err := b.o.Query(ctx, b.word)
 		if err != nil {
 			if !errors.Is(err, learn.ErrLateResponse) || b.recasts >= b.g.cfg.MaxVotes {
-				return struck, fmt.Errorf("core: guard query %v after %d votes: %w", b.word, len(b.execs), err)
+				return fmt.Errorf("core: guard query %v after %d votes: %w", b.word, len(b.execs), err)
 			}
 			b.void()
 		} else {
 			b.g.stats.addVotes(1)
 			b.execs = append(b.execs, out)
 			if b.t == nil {
-				return struck, nil
+				return nil
 			}
 			b.short = append(b.short, b.t.Short())
-			newest, older := b.strike()
-			struck = struck || older
-			if !newest {
-				return struck, nil
+			if !b.strike() {
+				return nil
 			}
 		}
 		if err := ctx.Err(); err != nil {
-			return struck, err
+			return err
 		}
 	}
 }
@@ -462,8 +359,8 @@ func (b *ballot) void() {
 // (nothing at all, or a burst without its last datagrams), on a wait short
 // of its ceiling, is void: its wait closed too early, as if a late
 // datagram had reached it. Each struck execution backs the shard's waits
-// off and is cast again.
-func (b *ballot) strike() (newest, older bool) {
+// off and is cast again. strike reports whether the newest was struck.
+func (b *ballot) strike() (newest bool) {
 	last := len(b.execs) - 1
 	keep := 0
 	for i := 0; i < last; i++ {
@@ -474,7 +371,6 @@ func (b *ballot) strike() (newest, older bool) {
 				b.t.Backoff()
 			}
 			if b.premature(i, last) {
-				older = true
 				b.void()
 				b.t.Backoff()
 				continue
@@ -488,7 +384,7 @@ func (b *ballot) strike() (newest, older bool) {
 		keep++
 	}
 	b.execs, b.short = b.execs[:keep], b.short[:keep]
-	return newest, older
+	return newest
 }
 
 // premature reports whether, at the first step where executions i and j
@@ -504,55 +400,223 @@ func (b *ballot) premature(i, j int) bool {
 	return false
 }
 
-// unanimous reports whether every standing execution agrees.
-func (b *ballot) unanimous() bool {
-	for _, e := range b.execs[1:] {
-		if !slices.Equal(e, b.execs[0]) {
-			return false
-		}
-	}
-	return true
+// sprt is one query's sequential probability ratio test (Wald,
+// "Sequential Tests of Statistical Hypotheses", 1945), set up from the
+// link as the query began. At each output position it weighs the votes of
+// the executions that agree with the answer's earlier positions, the mode
+// against the runner-up:
+//
+//   - Under a deterministic target, an output other than the true one is a
+//     link fault. The test weighs it as a fault at the link's measured fault
+//     rate eps, or at the share it holds against the mode, whichever is
+//     larger, so an output that keeps recurring is not discounted at the
+//     link's mean rate. Each vote more for the mode than for an output then
+//     multiplies the mode's odds over it by (1-e)/e, and the mode is
+//     accepted once its odds over the runner-up reach 1/α. A prediction
+//     the answer follows so far enters as prior odds for its output.
+//   - The position is nondeterministic once the odds that the runner-up
+//     holds a share of unknown size (a uniform mixture) over the runner-up
+//     being a fault at rate eps reach 1/β.
+//
+// The odds are likelihood ratios, martingales under the hypothesis they
+// test against, so neither bound depends on how long the query votes. On a
+// clean link (eps 0) any unanimous MinVotes executions are accepted and
+// any disagreement is nondeterministic.
+type sprt struct {
+	eps    float64
+	prior  float64 // log odds that a prediction followed so far holds
+	accept float64 // log(1/α)
+	halt   float64 // log(1/β)
 }
 
-// fixedQuery is the paper's §5 check: whole-word majority at Certainty.
-func (g *Guardian) fixedQuery(ctx context.Context, b *ballot) ([]string, error) {
-	cfg := g.cfg
-	accept := func(out []string) []string {
-		g.stats.addWasted(int64(len(b.execs) - cfg.MinVotes))
-		return out
+// test sets up the next query's test.
+func (g *Guardian) test() sprt {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return sprt{
+		eps:    g.faultRate(),
+		prior:  math.Log(float64(g.hits+1) / float64(g.misses+1)),
+		accept: -math.Log(g.cfg.Alpha),
+		halt:   -math.Log(g.cfg.Beta),
 	}
-	for len(b.execs) < cfg.MinVotes {
-		if _, err := b.cast(ctx); err != nil {
-			return nil, err
+}
+
+// odds returns the log odds that k votes for one output and c <= k for
+// another give the first.
+func (s *sprt) odds(k, c int) float64 {
+	if k == c {
+		return 0
+	}
+	e := max(s.eps, float64(c)/float64(k+c))
+	return float64(k-c) * math.Log((1-e)/e)
+}
+
+// coin reports whether r votes for the runner-up against k for the mode
+// make the position nondeterministic, where o more votes went to other
+// outputs.
+func (s *sprt) coin(k, r, o int) bool {
+	if r == 0 {
+		return false
+	}
+	eps := max(s.eps, float64(o)/float64(k+r+o))
+	if eps == 0 {
+		return true
+	}
+	a, _ := math.Lgamma(float64(r + 1))
+	b, _ := math.Lgamma(float64(k + 1))
+	c, _ := math.Lgamma(float64(k + r + 2))
+	return a+b-c-float64(r)*math.Log(eps)-float64(k)*math.Log1p(-eps) >= s.halt
+}
+
+// votes returns how many unanimous executions settle a query without a
+// prediction, never fewer than floor.
+func (s *sprt) votes(floor int) int {
+	return max(floor, int(math.Ceil(s.accept/math.Log((1-s.eps)/s.eps))))
+}
+
+// verdict is the outcome of one sprt.judge.
+type verdict int
+
+const (
+	undecided verdict = iota
+	accepted
+	nondeterministic
+)
+
+// judge runs the test over the standing executions of a word of n inputs
+// predicted as pred (nil for no prediction), position by position. It
+// returns the answer once every position is accepted, and whether an
+// acceptance leaned on the prediction. Every position is judged again at
+// every vote, so an output that a burst of early faults made modal is
+// given up once the true output leads.
+func (s *sprt) judge(n int, execs [][]string, pred []string) (answer []string, v verdict, leaned bool) {
+	alive := make([]bool, len(execs))
+	for j := range alive {
+		alive[j] = true
+	}
+	counts := make(map[string]int)
+	answer = make([]string, 0, n)
+	vouched := pred != nil
+	for p := range n {
+		clear(counts)
+		votes := 0
+		for j, e := range execs {
+			if alive[j] {
+				counts[e[p]]++
+				votes++
+			}
+		}
+		// The modal output, in execution order (the predicted output
+		// breaks a tie), and the runner-up's count.
+		mode, k, r := "", 0, 0
+		for j, e := range execs {
+			if !alive[j] || k > 0 && e[p] == mode {
+				continue
+			}
+			switch c := counts[e[p]]; {
+			case c > k || c == k && vouched && e[p] == pred[p]:
+				mode, k, r = e[p], c, max(r, k)
+			case c > r:
+				r = c
+			}
+		}
+		if s.coin(k, r, votes-k-r) {
+			return nil, nondeterministic, false
+		}
+		odds := s.odds(k, r)
+		switch {
+		case !vouched:
+		case mode == pred[p]:
+			leaned = leaned || odds < s.accept
+			odds += s.prior
+		default:
+			odds = min(odds, s.odds(k, counts[pred[p]])-s.prior)
+			vouched = false
+		}
+		if odds < s.accept {
+			return nil, undecided, false
+		}
+		answer = append(answer, mode)
+		for j, e := range execs {
+			alive[j] = alive[j] && e[p] == mode
 		}
 	}
-	if b.unanimous() {
-		g.observe(false)
-		return accept(b.execs[0]), nil
-	}
-	g.stats.addRetried(1)
-	g.observe(true)
-	counts := make(map[string]int)
-	for len(b.execs) < cfg.MaxVotes {
+	return answer, accepted, leaned
+}
+
+// query settles one query: it casts MinVotes executions, then one at a
+// time until the test decides or MaxVotes is reached.
+func (g *Guardian) query(ctx context.Context, b *ballot) ([]string, error) {
+	cfg := g.cfg
+	s := g.test()
+	budget := 2 * s.votes(cfg.MinVotes)
+	for {
+		if votes := len(b.execs); votes >= cfg.MinVotes {
+			answer, v, leaned := s.judge(len(b.word), b.execs, b.pred)
+			if v == accepted {
+				g.settle(b, answer, leaned)
+				return answer, nil
+			}
+			if v == nondeterministic || votes >= cfg.MaxVotes {
+				g.stats.addRetried(1)
+				g.stats.addWasted(int64(votes - cfg.MinVotes))
+				return nil, &NondeterminismError{Word: b.word, Observed: tally(b.execs), Votes: votes}
+			}
+			if votes >= budget {
+				// Escalate: double the budget up to the hard ceiling, and
+				// tell observers the link is biting.
+				budget = min(2*budget, cfg.MaxVotes)
+				g.stats.addEscalations(1)
+				if g.obs != nil {
+					g.obs.OnEvent(learn.GuardEscalated{Word: b.word, Votes: votes, Budget: budget, FaultRate: s.eps})
+				}
+			}
+		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if _, err := b.cast(ctx); err != nil {
+		if err := b.cast(ctx); err != nil {
 			return nil, err
 		}
-		clear(counts)
-		for _, e := range b.execs {
-			counts[strings.Join(e, "\x1e")]++
-		}
-		votes := len(b.execs)
-		for _, e := range b.execs {
-			if n := counts[strings.Join(e, "\x1e")]; float64(n) >= cfg.Certainty*float64(votes) && votes >= cfg.MinVotes+2 {
-				return accept(e), nil
+	}
+}
+
+// settle books an accepted query: its cost, and what its executions
+// measured of the link: how many of the positions they voted on missed
+// the answer, and how far the prediction held.
+func (g *Guardian) settle(b *ballot, answer []string, leaned bool) {
+	votes := len(b.execs)
+	g.stats.addWasted(int64(votes - g.cfg.MinVotes))
+	if leaned && votes == g.cfg.MinVotes {
+		g.stats.addPredicted(1)
+	}
+	trials, faults := 0, 0
+	for _, e := range b.execs {
+		for p, out := range e {
+			trials++
+			if out != answer[p] {
+				faults++
+				break
 			}
 		}
 	}
-	g.stats.addWasted(int64(len(b.execs) - cfg.MinVotes))
-	return nil, &NondeterminismError{Word: b.word, Observed: tally(b.execs), Votes: len(b.execs)}
+	if faults > 0 {
+		g.stats.addRetried(1)
+	}
+	hits, misses := 0, 0
+	for p := range b.pred {
+		if b.pred[p] != answer[p] {
+			misses++
+			break
+		}
+		hits++
+	}
+	g.mu.Lock()
+	g.trials += trials
+	g.faults += faults
+	g.hits += hits
+	g.misses += misses
+	g.mu.Unlock()
 }
 
 // tally counts the distinct output words among execs.
@@ -564,145 +628,9 @@ func tally(execs [][]string) map[string]int {
 	return whole
 }
 
-// adaptiveQuery resolves a disagreeing query by positional consensus: the
-// answer is built one output position at a time, and a position is
-// accepted once its modal output holds ModeVotes votes with a ModeLead
-// lead among the executions that agree with the already-accepted prefix.
-// Per position the clean outcome stays strongly modal regardless of word
-// length — the property whole-word majorities lose on long words, where
-// the fully-clean execution can be a minority even though every
-// alternative is rarer still. The vote budget starts from the
-// disagreement EWMA and escalates (emitting learn.GuardEscalated) while
-// the query stays unresolved.
-//
-// A query that carries the hypothesis's prediction (learn.WithPrediction)
-// is accepted once MinVotes executions agree with each other and with it.
-// Otherwise it takes the path above, where a position whose modal output
-// is the predicted one, after an accepted prefix that is predicted too,
-// needs only MinVotes votes (still with the ModeLead lead): a link fault
-// must forge the predicted output in every vote it counts, while a wrong
-// prediction keeps the full ModeVotes bar for the true output.
-func (g *Guardian) adaptiveQuery(ctx context.Context, b *ballot) ([]string, error) {
-	cfg := g.cfg
-	word := b.word
-	pred := b.prediction(ctx)
-	if pred != nil {
-		for len(b.execs) < cfg.MinVotes {
-			if _, err := b.cast(ctx); err != nil {
-				return nil, err
-			}
-		}
-		if b.unanimous() && slices.Equal(b.execs[0], pred) {
-			g.observe(false)
-			g.stats.addPredicted(1)
-			return b.execs[0], nil
-		}
-	}
-	initial := g.InitialVotes()
-	for len(b.execs) < initial {
-		if _, err := b.cast(ctx); err != nil {
-			return nil, err
-		}
-	}
-	if b.unanimous() {
-		g.observe(false)
-		g.stats.addWasted(int64(len(b.execs) - cfg.MinVotes))
-		return b.execs[0], nil
-	}
-	g.stats.addRetried(1)
-	g.observe(true)
-	budget := g.StartBudget()
-	accepted := make([]string, 0, len(word))
-	// vouched: the accepted prefix is the predicted one.
-	vouched := pred != nil
-	// alive[j]: execs[j] agrees with every accepted position so far, and
-	// therefore gets a vote on the next one.
-	alive := make([]bool, len(b.execs))
-	refresh := func() {
-		alive = alive[:0]
-		for _, e := range b.execs {
-			alive = append(alive, slices.Equal(e[:len(accepted)], accepted))
-		}
-	}
-	refresh()
-	for pos := range word {
-		for {
-			counts := make(map[string]int)
-			for j, e := range b.execs {
-				if alive[j] {
-					counts[e[pos]]++
-				}
-			}
-			mode, haveMode, runner := "", false, 0
-			for out, n := range counts {
-				if !haveMode || n > counts[mode] {
-					if haveMode && counts[mode] > runner {
-						runner = counts[mode]
-					}
-					mode, haveMode = out, true
-					continue
-				}
-				if n > runner {
-					runner = n
-				}
-			}
-			need := cfg.ModeVotes
-			if vouched && mode == pred[pos] {
-				need = cfg.MinVotes
-			}
-			if counts[mode] >= need && counts[mode] >= cfg.ModeLead*runner {
-				accepted = append(accepted, mode)
-				vouched = vouched && mode == pred[pos]
-				for j, e := range b.execs {
-					alive[j] = alive[j] && e[pos] == mode
-				}
-				break
-			}
-			votes := len(b.execs)
-			if votes >= budget {
-				if budget >= cfg.MaxVotes {
-					g.stats.addWasted(int64(votes - cfg.MinVotes))
-					return nil, &NondeterminismError{Word: word, Observed: tally(b.execs), Votes: votes}
-				}
-				// Escalate: double the budget (at least 4 more votes) up to
-				// the hard ceiling, and tell observers the link is biting.
-				budget *= 2
-				if budget < votes+4 {
-					budget = votes + 4
-				}
-				if budget > cfg.MaxVotes {
-					budget = cfg.MaxVotes
-				}
-				g.stats.addEscalations(1)
-				if g.obs != nil {
-					g.obs.OnEvent(learn.GuardEscalated{
-						Word: word, Votes: votes, Budget: budget, EWMA: g.Disagreement(),
-					})
-				}
-			}
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			struck, err := b.cast(ctx)
-			if err != nil {
-				return nil, err
-			}
-			if struck {
-				refresh()
-				continue
-			}
-			// The fresh execution votes only where it agrees with the
-			// consensus built so far.
-			alive = append(alive, slices.Equal(b.execs[len(b.execs)-1][:pos], accepted[:pos]))
-		}
-	}
-	g.stats.addWasted(int64(len(b.execs) - cfg.MinVotes))
-	return accepted, nil
-}
-
-// Guard wraps a single oracle with the nondeterminism check — the one-shot
-// form of NewGuardian(cfg, nil, nil).Wrap(o) for callers that need no
-// shared stats or escalation events.
+// Guard wraps a single oracle with the nondeterminism check over a clean
+// link — the one-shot form of NewGuardian(cfg, 0, nil, nil).Wrap(o) for
+// callers that need no shared stats or escalation events.
 func Guard(o learn.Oracle, cfg GuardConfig) learn.Oracle {
-	return NewGuardian(cfg, nil, nil).Wrap(o)
+	return NewGuardian(cfg, 0, nil, nil).Wrap(o)
 }

@@ -25,7 +25,7 @@ func TestGuardAcceptsDeterministic(t *testing.T) {
 		}
 		return out, nil
 	}), &st)
-	g := Guard(base, GuardConfig{MinVotes: 2, MaxVotes: 10, Certainty: 0.9})
+	g := Guard(base, GuardConfig{MinVotes: 2, MaxVotes: 10})
 	out, err := g.Query(bg, []string{"a", "b"})
 	if err != nil || len(out) != 2 {
 		t.Fatalf("out=%v err=%v", out, err)
@@ -35,7 +35,8 @@ func TestGuardAcceptsDeterministic(t *testing.T) {
 	}
 }
 
-// TestGuardFlagsCoinFlip: a 50/50 answer can never reach 90% certainty.
+// TestGuardFlagsCoinFlip: on a clean link no fault explains a
+// disagreement, so a 50/50 answer is nondeterministic at its first one.
 func TestGuardFlagsCoinFlip(t *testing.T) {
 	i := 0
 	base := learn.OracleFunc(func(ctx context.Context, w []string) ([]string, error) {
@@ -45,20 +46,20 @@ func TestGuardFlagsCoinFlip(t *testing.T) {
 		}
 		return []string{"tails"}, nil
 	})
-	g := Guard(base, GuardConfig{MinVotes: 2, MaxVotes: 12, Certainty: 0.9})
+	g := Guard(base, GuardConfig{MinVotes: 2, MaxVotes: 12})
 	_, err := g.Query(bg, []string{"flip"})
 	nd, ok := IsNondeterminism(err)
 	if !ok {
 		t.Fatalf("expected nondeterminism, got %v", err)
 	}
-	if nd.Votes != 12 {
-		t.Fatalf("votes = %d, want 12 (MaxVotes)", nd.Votes)
+	if nd.Votes != 2 {
+		t.Fatalf("votes = %d, want 2 (MinVotes)", nd.Votes)
 	}
 }
 
 // TestGuardAcceptsRareGlitch: a transient 1-in-N environmental glitch (the
-// packet-loss scenario §5 describes) is outvoted and the majority answer
-// is returned.
+// packet-loss scenario §5 describes) on a link known to drop datagrams is
+// outvoted and the majority answer is returned.
 func TestGuardAcceptsRareGlitch(t *testing.T) {
 	i := 0
 	base := learn.OracleFunc(func(ctx context.Context, w []string) ([]string, error) {
@@ -68,7 +69,7 @@ func TestGuardAcceptsRareGlitch(t *testing.T) {
 		}
 		return []string{"steady"}, nil
 	})
-	g := Guard(base, GuardConfig{MinVotes: 2, MaxVotes: 40, Certainty: 0.9})
+	g := NewGuardian(GuardConfig{MinVotes: 2, MaxVotes: 40}, 0.05, nil, nil).Wrap(base)
 	out, err := g.Query(bg, []string{"x"})
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +88,7 @@ func TestGuardVotesConsistentWithObserved(t *testing.T) {
 		i++
 		return []string{fmt.Sprintf("answer-%d", i%3)}, nil // 3-way disagreement
 	})
-	g := Guard(base, GuardConfig{MinVotes: 2, MaxVotes: 9, Certainty: 0.9})
+	g := Guard(base, GuardConfig{MinVotes: 2, MaxVotes: 9})
 	_, err := g.Query(bg, []string{"w"})
 	nd, ok := IsNondeterminism(err)
 	if !ok {
@@ -102,9 +103,10 @@ func TestGuardVotesConsistentWithObserved(t *testing.T) {
 	}
 }
 
-// TestGuardWrapsRetryError: a vote that errors after partial retries must
-// surface the underlying error (errors.Is still sees it) wrapped with the
-// query word, and must not be misreported as nondeterminism.
+// TestGuardWrapsRetryError: on a link known to drop datagrams, a vote that
+// errors after partial retries must surface the underlying error
+// (errors.Is still sees it) wrapped with the query word, and must not be
+// misreported as nondeterminism.
 func TestGuardWrapsRetryError(t *testing.T) {
 	boom := errors.New("connection torn down")
 	i := 0
@@ -118,7 +120,7 @@ func TestGuardWrapsRetryError(t *testing.T) {
 			return nil, boom
 		}
 	})
-	g := Guard(base, GuardConfig{MinVotes: 2, MaxVotes: 20, Certainty: 0.9})
+	g := NewGuardian(GuardConfig{MinVotes: 2, MaxVotes: 20}, 0.05, nil, nil).Wrap(base)
 	_, err := g.Query(bg, []string{"SYN", "ACK"})
 	if err == nil {
 		t.Fatal("retry error swallowed")
@@ -135,7 +137,8 @@ func TestGuardWrapsRetryError(t *testing.T) {
 }
 
 // TestGuardHonorsCancel: cancelling the context stops the vote loop with
-// ctx.Err().
+// ctx.Err() (on a link known to drop datagrams, where a disagreement calls
+// for more votes).
 func TestGuardHonorsCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(bg)
 	i := 0
@@ -149,7 +152,7 @@ func TestGuardHonorsCancel(t *testing.T) {
 		}
 		return []string{fmt.Sprintf("v%d", i%2)}, nil // keep disagreeing
 	})
-	g := Guard(base, GuardConfig{MinVotes: 2, MaxVotes: 100, Certainty: 0.99})
+	g := NewGuardian(GuardConfig{MinVotes: 2, MaxVotes: 100}, 0.05, nil, nil).Wrap(base)
 	_, err := g.Query(ctx, []string{"x"})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("guard error = %v, want context.Canceled", err)
@@ -200,36 +203,29 @@ func (f *fakeSUL) Step(in string) (string, error) { return f.step(in) }
 // learn.ErrLateResponse is cast again, not counted as a vote, and recorded
 // in GuardStats.Recasts; past MaxVotes re-casts the error surfaces.
 func TestGuardRecastsVoidedExecutions(t *testing.T) {
-	for _, adaptive := range []bool{false, true} {
-		voids := 3
-		base := learn.OracleFunc(func(ctx context.Context, w []string) ([]string, error) {
-			if voids > 0 {
-				voids--
-				return nil, fmt.Errorf("replica: %w", learn.ErrLateResponse)
-			}
-			return []string{"ok"}, nil
-		})
-		cfg := DefaultGuard()
-		if adaptive {
-			cfg = DefaultAdaptiveGuard()
-			cfg.PriorDisagreement = 0
+	voids := 3
+	base := learn.OracleFunc(func(ctx context.Context, w []string) ([]string, error) {
+		if voids > 0 {
+			voids--
+			return nil, fmt.Errorf("replica: %w", learn.ErrLateResponse)
 		}
-		var st GuardStats
-		out, err := NewGuardian(cfg, &st, nil).Wrap(base).Query(bg, []string{"a"})
-		if err != nil || len(out) != 1 || out[0] != "ok" {
-			t.Fatalf("adaptive=%v: out=%v err=%v", adaptive, out, err)
-		}
-		if st.Recasts != 3 || st.Votes != 2 || st.RetriedQueries != 0 {
-			t.Fatalf("adaptive=%v: stats %+v, want 3 recasts, 2 votes, no retries", adaptive, st)
-		}
+		return []string{"ok"}, nil
+	})
+	var st GuardStats
+	out, err := NewGuardian(DefaultGuard(), 0, &st, nil).Wrap(base).Query(bg, []string{"a"})
+	if err != nil || len(out) != 1 || out[0] != "ok" {
+		t.Fatalf("out=%v err=%v", out, err)
+	}
+	if st.Recasts != 3 || st.Votes != 2 || st.RetriedQueries != 0 {
+		t.Fatalf("stats %+v, want 3 recasts, 2 votes, no retries", st)
 	}
 
 	always := learn.OracleFunc(func(ctx context.Context, w []string) ([]string, error) {
 		return nil, learn.ErrLateResponse
 	})
-	var st GuardStats
-	cfg := GuardConfig{MinVotes: 2, MaxVotes: 5, Certainty: 0.9}
-	if _, err := NewGuardian(cfg, &st, nil).Wrap(always).Query(bg, []string{"a"}); !errors.Is(err, learn.ErrLateResponse) {
+	st = GuardStats{}
+	cfg := GuardConfig{MinVotes: 2, MaxVotes: 5}
+	if _, err := NewGuardian(cfg, 0, &st, nil).Wrap(always).Query(bg, []string{"a"}); !errors.Is(err, learn.ErrLateResponse) {
 		t.Fatalf("err = %v, want ErrLateResponse after MaxVotes re-casts", err)
 	}
 	if st.Recasts != 5 {
@@ -263,7 +259,9 @@ func (s *scriptedTimed) Truncates(a, b string) bool {
 // one that heard, on a wait short of its ceiling, only the start of what
 // the other heard (silence, or a burst without its tail) is struck, cast
 // again and counted as a re-cast; the waits back off. The same outputs
-// heard at the ceiling, or outputs that differ otherwise, are voted on.
+// heard at the ceiling, or outputs that differ otherwise, are voted on (on
+// a link known to drop datagrams, where a disagreement calls for more
+// votes).
 func TestGuardStrikesCutShortExecutions(t *testing.T) {
 	answer := []string{"A", "B+b", "C"}
 	short, ceiling := []bool{true, true, true}, []bool{false, false, false}
@@ -280,11 +278,11 @@ func TestGuardStrikesCutShortExecutions(t *testing.T) {
 	} {
 		s := &scriptedTimed{outs: [][]string{tc.first, answer}, short: [][]bool{tc.short, short}}
 		var st GuardStats
-		out, err := NewGuardian(DefaultGuard(), &st, nil).WrapTimed(s, s).Query(bg, []string{"x", "y", "z"})
+		out, err := NewGuardian(DefaultGuard(), 0.05, &st, nil).WrapTimed(s, s).Query(bg, []string{"x", "y", "z"})
 		if err != nil || !slices.Equal(out, answer) {
 			t.Fatalf("%s: out=%v err=%v", tc.name, out, err)
 		}
-		struck := st.Recasts == 1 && st.RetriedQueries == 0 && st.WastedVotes == 0 && s.backoffs == 1
+		struck := st.Recasts == 1 && st.RetriedQueries == 0 && s.backoffs == 1
 		voted := st.Recasts == 0 && st.RetriedQueries == 1 && s.backoffs == 0
 		if tc.struck && !struck || !tc.struck && !voted {
 			t.Fatalf("%s: stats %+v, backoffs %d; want struck=%v", tc.name, st, s.backoffs, tc.struck)
@@ -329,7 +327,7 @@ func TestGuardHandsExecutionsTheirExpectation(t *testing.T) {
 	abc, adc := []string{"A", "B", "C"}, []string{"A", "D", "C"}
 
 	s := &expectScript{outs: [][]string{abc, adc, adc}}
-	if out, err := NewGuardian(DefaultGuard(), nil, nil).WrapTimed(s, s).Query(ctx, word); err != nil || !slices.Equal(out, adc) {
+	if out, err := NewGuardian(DefaultGuard(), 0.05, nil, nil).WrapTimed(s, s).Query(ctx, word); err != nil || !slices.Equal(out, adc) {
 		t.Fatalf("out=%v err=%v, want %v", out, err, adc)
 	}
 	// The third expects the first-heard of a tie; from the fourth on, D
@@ -345,7 +343,7 @@ func TestGuardHandsExecutionsTheirExpectation(t *testing.T) {
 	}
 
 	s = &expectScript{outs: [][]string{abc, nil, abc}}
-	if _, err := NewGuardian(DefaultGuard(), nil, nil).WrapTimed(s, s).Query(ctx, word); err != nil {
+	if _, err := NewGuardian(DefaultGuard(), 0, nil, nil).WrapTimed(s, s).Query(ctx, word); err != nil {
 		t.Fatal(err)
 	}
 	if len(s.expect) != 3 || s.expect[1] == nil || s.expect[2] != nil {
@@ -353,7 +351,7 @@ func TestGuardHandsExecutionsTheirExpectation(t *testing.T) {
 	}
 
 	s = &expectScript{outs: [][]string{abc}}
-	if _, err := NewGuardian(DefaultAdaptiveGuard(), nil, nil).Wrap(s).Query(ctx, word); err != nil {
+	if _, err := NewGuardian(DefaultGuard(), 0, nil, nil).Wrap(s).Query(ctx, word); err != nil {
 		t.Fatal(err)
 	}
 	for i, e := range s.expect {

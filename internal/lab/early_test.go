@@ -200,7 +200,7 @@ func TestEarlyEndTrailingDatagramRecast(t *testing.T) {
 
 	var st core.GuardStats
 	before := s.Socket.Tally().Early
-	o := core.NewGuardian(core.DefaultGuard(), &st, nil).WrapTimed(core.Oracle(s), s)
+	o := core.NewGuardian(core.DefaultGuard(), 0, &st, nil).WrapTimed(core.Oracle(s), s)
 	out, err := o.Query(learn.WithPrediction(bg, hyp), word)
 	if err != nil || !slices.Equal(out, truth) {
 		t.Fatalf("guarded query: %v, %v; want %v", out, err, truth)

@@ -125,13 +125,7 @@ func NewExperiment(target string, opts ...Option) (*Experiment, error) {
 	if cfg.workers < 1 {
 		cfg.workers = 1
 	}
-	switch {
-	case cfg.impair.Enabled() && !cfg.guardSet:
-		// A fixed certainty threshold cannot be met on a link that
-		// corrupts a large fraction of executions; impaired runs default
-		// to the adaptive guard unless the caller chose one explicitly.
-		cfg.guard = core.DefaultAdaptiveGuard()
-	case cfg.guard == (core.GuardConfig{}):
+	if cfg.guard == (core.GuardConfig{}) {
 		cfg.guard = core.DefaultGuard()
 	}
 	var links []*netem.Link
@@ -400,11 +394,12 @@ func (e *Experiment) learn(ctx context.Context) (*automata.Mealy, *learn.Window,
 			}
 		}))
 	}
-	// One Guardian serves every shard: the voting policy adapts to the
-	// link's observed quality, which is a property of the experiment, not
-	// of any single replica. The counter is per shard (each drives exactly
-	// one SUL); the stats and the guard state are shared.
-	guardian := core.NewGuardian(cfg.guard, &e.guard, guardObs)
+	// One Guardian serves every shard: the guard weighs votes against the
+	// link's fault rate, which is a property of the experiment, not of any
+	// single replica, and never below the rate the impairment injects. The
+	// counter is per shard (each drives exactly one SUL); the stats and the
+	// guard state are shared.
+	guardian := core.NewGuardian(cfg.guard, cfg.impair.FaultRate(), &e.guard, guardObs)
 	shards := make([]learn.Oracle, len(e.suls))
 	for i, s := range e.suls {
 		shards[i] = guardian.WrapTimed(learn.Counting(core.Oracle(s), &e.stats), timed(e.sys.SULs[i]))

@@ -8,7 +8,7 @@ import (
 	"repro/internal/netem"
 )
 
-// TestGuardUnderLossAcrossSeeds holds the adaptive guard to both sides of
+// TestGuardUnderLossAcrossSeeds holds the voting guard to both sides of
 // its §5 job over five seeds, at one worker, so each seed's run is
 // deterministic: mvfst's stateless-RESET coin halts the learn on a 2%-loss
 // link, and tcp through 5% loss each way, with the conformance-2 chain,

@@ -28,7 +28,6 @@ type config struct {
 	disableCache bool
 	storeDir     string
 	guard        core.GuardConfig
-	guardSet     bool
 	impair       netem.Config
 	middleware   []LinkMiddleware
 	equivalence  learn.EquivalenceOracle
@@ -89,12 +88,11 @@ func WithTransport(t TransportKind) Option {
 	return func(c *config) { c.transport = t }
 }
 
-// WithGuard tunes the §5 nondeterminism voting check. Without it,
-// experiments use core.DefaultGuard — or core.DefaultAdaptiveGuard when
-// WithImpairment injects faults, since a fixed certainty threshold cannot
-// be met on a link that corrupts a large fraction of executions.
+// WithGuard tunes the §5 nondeterminism voting check (core.DefaultGuard
+// without it). The guard measures the link's fault rate as it votes and
+// never assumes it below the rate WithImpairment injects.
 func WithGuard(cfg core.GuardConfig) Option {
-	return func(c *config) { c.guard, c.guardSet = cfg, true }
+	return func(c *config) { c.guard = cfg }
 }
 
 // WithImpairment wraps every replica's transport — in-memory or the

@@ -71,17 +71,15 @@ type NondeterminismDetected struct {
 // Kind implements Event.
 func (NondeterminismDetected) Kind() string { return "nondeterminism_detected" }
 
-// GuardEscalated reports that the adaptive voting guard raised the vote
-// budget of one query: the votes cast so far disagreed without reaching a
-// verdict, so the guard keeps voting up to Budget. EWMA is the observed
-// disagreement rate driving the starting budget of future queries — on a
-// flaky link it climbs, pre-provisioning votes where they will be needed;
-// on a clean streak it decays back and the guard returns to MinVotes.
+// GuardEscalated reports that the §5 voting guard raised the vote budget
+// of one query: the votes cast so far left its sequential test undecided,
+// so the guard keeps voting up to Budget. FaultRate is the link's measured
+// fault rate the test weighs the votes against.
 type GuardEscalated struct {
-	Word   []string `json:"word"`
-	Votes  int      `json:"votes"`
-	Budget int      `json:"budget"`
-	EWMA   float64  `json:"ewma"`
+	Word      []string `json:"word"`
+	Votes     int      `json:"votes"`
+	Budget    int      `json:"budget"`
+	FaultRate float64  `json:"fault_rate"`
 }
 
 // Kind implements Event.

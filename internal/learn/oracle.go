@@ -43,8 +43,8 @@ type predictionKey struct{}
 // WithPrediction returns a context whose queries carry the outputs hyp
 // predicts for them. The equivalence oracles query their words under one
 // (findFirstCE); the cache and the pool pass it through unchanged, and
-// the adaptive voting guard settles a query whose executions reproduce
-// the prediction at its vote floor. Learner queries carry none.
+// the §5 voting guard takes the prediction as prior odds for the outputs
+// it predicts. Learner queries carry none.
 func WithPrediction(ctx context.Context, hyp *automata.Mealy) context.Context {
 	return context.WithValue(ctx, predictionKey{}, hyp)
 }

@@ -14,7 +14,7 @@ import (
 func TestLearningSucceedsOverFlakyLink(t *testing.T) {
 	exp, err := lab.NewExperiment(lab.TargetQuiche,
 		lab.WithImpairment(netem.Config{LossServer: 0.002, Seed: 5}),
-		lab.WithGuard(core.GuardConfig{MinVotes: 3, MaxVotes: 80, Certainty: 0.75}),
+		lab.WithGuard(core.GuardConfig{MinVotes: 3, MaxVotes: 80}),
 		lab.WithPerfectEquivalence())
 	if err != nil {
 		t.Fatal(err)

@@ -39,6 +39,14 @@ func (c Config) Enabled() bool {
 	return c.LossClient > 0 || c.LossServer > 0 || c.Duplicate > 0 || c.Reorder > 0
 }
 
+// FaultRate returns the chance that one exchange of a request datagram
+// and a response datagram meets a fault: a drop either way, a duplicate
+// or a reorder. It is the least fault rate a guard voting over the link
+// can assume (core.NewGuardian).
+func (c Config) FaultRate() float64 {
+	return 1 - (1-c.LossClient)*(1-c.LossServer)*(1-c.Duplicate)*(1-c.Reorder)
+}
+
 // ForWorker derives the per-worker variant of the config: identical fault
 // rates, an independent fault stream. Pooled experiments wrap every
 // worker's transport in its own Link seeded this way, so the fault pattern

@@ -44,22 +44,24 @@ func TestCleanLinkIsTransparent(t *testing.T) {
 }
 
 // TestLossCausesObservableNondeterminism: with 30% response loss the same
-// query produces different answers across runs, which the guard reports.
+// query produces different answers across runs, which a guard that takes
+// the link for clean reports.
 func TestLossCausesObservableNondeterminism(t *testing.T) {
 	s, _ := lossySUL(quicsim.ProfileQuiche, Config{LossServer: 0.3, Seed: 2})
-	guarded := core.Guard(core.Oracle(s), core.GuardConfig{MinVotes: 3, MaxVotes: 12, Certainty: 0.95})
+	guarded := core.Guard(core.Oracle(s), core.GuardConfig{MinVotes: 3, MaxVotes: 12})
 	_, err := guarded.Query(bg, []string{quicsim.SymInitialCrypto, quicsim.SymHandshakeC, quicsim.SymShortStream})
 	if _, ok := core.IsNondeterminism(err); !ok {
 		t.Fatalf("expected nondeterminism under heavy loss, got %v", err)
 	}
 }
 
-// TestGuardOutvotesRareLoss: with very light loss the majority answer wins
-// and learning-style queries still succeed (§5's environmental-glitch
-// scenario).
+// TestGuardOutvotesRareLoss: with very light loss, a guard that knows the
+// link's fault rate lets the majority answer win, and learning-style
+// queries still succeed (§5's environmental-glitch scenario).
 func TestGuardOutvotesRareLoss(t *testing.T) {
-	s, _ := lossySUL(quicsim.ProfileQuiche, Config{LossServer: 0.01, Seed: 3})
-	guarded := core.Guard(core.Oracle(s), core.GuardConfig{MinVotes: 3, MaxVotes: 60, Certainty: 0.8})
+	cfg := Config{LossServer: 0.01, Seed: 3}
+	s, _ := lossySUL(quicsim.ProfileQuiche, cfg)
+	guarded := core.NewGuardian(core.GuardConfig{MinVotes: 3, MaxVotes: 60}, cfg.FaultRate(), nil, nil).Wrap(core.Oracle(s))
 	word := []string{quicsim.SymInitialCrypto, quicsim.SymHandshakeC}
 	want, _ := quicsim.GroundTruth(quicsim.ProfileQuiche).Run(word)
 	for i := 0; i < 10; i++ {

@@ -167,7 +167,7 @@ type Summary struct {
 	Queries     int64 `json:"queries,omitempty"`
 	Symbols     int64 `json:"symbols,omitempty"`
 	Hits        int64 `json:"hits,omitempty"`
-	// GuardEscalations counts the §5 adaptive guard's vote-budget raises
+	// GuardEscalations counts the §5 voting guard's vote-budget raises
 	// across the job's learns.
 	GuardEscalations int64         `json:"guard_escalations,omitempty"`
 	Duration         time.Duration `json:"duration,omitempty"`
