@@ -329,6 +329,31 @@ func TestAdaptiveGuardWrongPredictionLoses(t *testing.T) {
 	}
 }
 
+// TestGuardPredictionNeverBreaksTie: after a thousand predicted
+// positions have held, the prediction's prior odds alone exceed 1/α. A
+// fault that forges exactly the predicted output in one of the first two
+// executions must still not win on the 1–1 tie: the guard votes on until
+// the true output leads, and returns it.
+func TestGuardPredictionNeverBreaksTie(t *testing.T) {
+	inputs := []string{"i0", "i1", "i2", "i3", "i4", "i5", "i6", "i7", "i8", "i9"}
+	ctx := learn.WithPrediction(context.Background(), predicting(append(inputs, "t"), map[string]string{"t": "x"}))
+	oracle := NewGuardian(DefaultGuard(), lossy, nil, nil).Wrap(newScripted(func(word []string, nth int) []string {
+		if word[0] == "t" && nth == 0 {
+			return []string{"x"} // a fault that forged the prediction
+		}
+		return echo(word, nth)
+	}))
+	for range 100 {
+		if _, err := oracle.Query(ctx, inputs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out, err := oracle.Query(ctx, []string{"t"})
+	if err != nil || !slices.Equal(out, []string{"t"}) {
+		t.Fatalf("out=%v err=%v; want [t]: the prediction broke a 1-1 tie", out, err)
+	}
+}
+
 // TestAdaptiveGuardPredictionDoesNotHideCoinFlip: a genuine coin flip
 // ends in NondeterminismError within MaxVotes whichever side the
 // prediction takes.

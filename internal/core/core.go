@@ -116,20 +116,23 @@ type GuardConfig struct {
 	// MaxVotes bounds the executions of one query, and separately the
 	// executions of one query voided and cast again.
 	MaxVotes int
-	// Alpha is the chance, per output position, that the guard accepts an
-	// output the target did not give: one that link faults forged.
-	Alpha float64
-	// Beta is the chance, per output position, that the guard calls a
-	// deterministic target nondeterministic.
-	Beta float64
 }
+
+// The guard's error targets, per output position: alpha is the chance
+// that it accepts an output the target did not give (one that link faults
+// forged), beta the chance that it calls a deterministic target
+// nondeterministic.
+const (
+	alpha = 1e-3
+	beta  = 1e-4
+)
 
 // DefaultGuard mirrors the paper's setup: cheap when the system is
 // deterministic, insistent when it is not. MaxVotes is sized so that long
 // words keep enough prefix-consistent executions to be settled at several
 // percent datagram loss.
 func DefaultGuard() GuardConfig {
-	return GuardConfig{MinVotes: 2, MaxVotes: 160, Alpha: 1e-3, Beta: 1e-4}
+	return GuardConfig{MinVotes: 2, MaxVotes: 160}
 }
 
 // GuardStats are cumulative voting-cost counters, updated atomically by
@@ -192,18 +195,11 @@ type Guardian struct {
 // link; see netem.Config.FaultRate). stats may be nil (counters are then
 // kept internally); obs may be nil (escalation events are then dropped).
 func NewGuardian(cfg GuardConfig, floor float64, stats *GuardStats, obs learn.Observer) *Guardian {
-	def := DefaultGuard()
 	if cfg.MinVotes < 1 {
 		cfg.MinVotes = 1
 	}
 	if cfg.MaxVotes < cfg.MinVotes {
 		cfg.MaxVotes = cfg.MinVotes
-	}
-	if !(cfg.Alpha > 0 && cfg.Alpha < 1) {
-		cfg.Alpha = def.Alpha
-	}
-	if !(cfg.Beta > 0 && cfg.Beta < 1) {
-		cfg.Beta = def.Beta
 	}
 	if stats == nil {
 		stats = &GuardStats{}
@@ -412,33 +408,33 @@ func (b *ballot) premature(i, j int) bool {
 //     larger, so an output that keeps recurring is not discounted at the
 //     link's mean rate. Each vote more for the mode than for an output then
 //     multiplies the mode's odds over it by (1-e)/e, and the mode is
-//     accepted once its odds over the runner-up reach 1/α. A prediction
-//     the answer follows so far enters as prior odds for its output.
+//     accepted once its odds over the runner-up reach 1/α.
 //   - The position is nondeterministic once the odds that the runner-up
 //     holds a share of unknown size (a uniform mixture) over the runner-up
 //     being a fault at rate eps reach 1/β.
+//   - A prediction the answer follows so far enters as prior odds for its
+//     output, but only where the mode already holds at least three times
+//     the runner-up's votes. A prediction says what a deterministic target
+//     answers; it is no evidence that the target is deterministic, so it
+//     never breaks a tie nor carries a close split such as a coin's.
 //
 // The odds are likelihood ratios, martingales under the hypothesis they
 // test against, so neither bound depends on how long the query votes. On a
 // clean link (eps 0) any unanimous MinVotes executions are accepted and
 // any disagreement is nondeterministic.
 type sprt struct {
-	eps    float64
-	prior  float64 // log odds that a prediction followed so far holds
-	accept float64 // log(1/α)
-	halt   float64 // log(1/β)
+	eps   float64
+	prior float64 // log odds that a prediction followed so far holds
 }
+
+// The test's thresholds, as log odds.
+var accept, halt = -math.Log(alpha), -math.Log(beta)
 
 // test sets up the next query's test.
 func (g *Guardian) test() sprt {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return sprt{
-		eps:    g.faultRate(),
-		prior:  math.Log(float64(g.hits+1) / float64(g.misses+1)),
-		accept: -math.Log(g.cfg.Alpha),
-		halt:   -math.Log(g.cfg.Beta),
-	}
+	return sprt{eps: g.faultRate(), prior: math.Log(float64(g.hits+1) / float64(g.misses+1))}
 }
 
 // odds returns the log odds that k votes for one output and c <= k for
@@ -465,13 +461,13 @@ func (s *sprt) coin(k, r, o int) bool {
 	a, _ := math.Lgamma(float64(r + 1))
 	b, _ := math.Lgamma(float64(k + 1))
 	c, _ := math.Lgamma(float64(k + r + 2))
-	return a+b-c-float64(r)*math.Log(eps)-float64(k)*math.Log1p(-eps) >= s.halt
+	return a+b-c-float64(r)*math.Log(eps)-float64(k)*math.Log1p(-eps) >= halt
 }
 
 // votes returns how many unanimous executions settle a query without a
 // prediction, never fewer than floor.
 func (s *sprt) votes(floor int) int {
-	return max(floor, int(math.Ceil(s.accept/math.Log((1-s.eps)/s.eps))))
+	return max(floor, int(math.Ceil(accept/math.Log((1-s.eps)/s.eps))))
 }
 
 // verdict is the outcome of one sprt.judge.
@@ -526,14 +522,14 @@ func (s *sprt) judge(n int, execs [][]string, pred []string) (answer []string, v
 		odds := s.odds(k, r)
 		switch {
 		case !vouched:
-		case mode == pred[p]:
-			leaned = leaned || odds < s.accept
-			odds += s.prior
-		default:
+		case mode != pred[p]:
 			odds = min(odds, s.odds(k, counts[pred[p]])-s.prior)
 			vouched = false
+		case k >= 3*r:
+			leaned = leaned || odds < accept
+			odds += s.prior
 		}
-		if odds < s.accept {
+		if odds < accept {
 			return nil, undecided, false
 		}
 		answer = append(answer, mode)

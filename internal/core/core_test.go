@@ -59,7 +59,8 @@ func TestGuardFlagsCoinFlip(t *testing.T) {
 
 // TestGuardAcceptsRareGlitch: a transient 1-in-N environmental glitch (the
 // packet-loss scenario §5 describes) on a link known to drop datagrams is
-// outvoted and the majority answer is returned.
+// outvoted and the majority answer is returned. On a link with no known
+// faults the same glitch halts (TestGuardHaltsGlitchOnCleanLink).
 func TestGuardAcceptsRareGlitch(t *testing.T) {
 	i := 0
 	base := learn.OracleFunc(func(ctx context.Context, w []string) ([]string, error) {
@@ -76,6 +77,26 @@ func TestGuardAcceptsRareGlitch(t *testing.T) {
 	}
 	if out[0] != "steady" {
 		t.Fatalf("majority answer = %q", out[0])
+	}
+}
+
+// TestGuardHaltsGlitchOnCleanLink pins the default guard's reading of a
+// link with no known faults (no netem impairment): no fault rate explains
+// a disagreement there, so the first one, even a one-off glitch, is
+// nondeterminism at MinVotes.
+func TestGuardHaltsGlitchOnCleanLink(t *testing.T) {
+	i := 0
+	base := learn.OracleFunc(func(ctx context.Context, w []string) ([]string, error) {
+		i++
+		if i == 2 {
+			return []string{"glitch"}, nil
+		}
+		return []string{"steady"}, nil
+	})
+	_, err := Guard(base, DefaultGuard()).Query(bg, []string{"x"})
+	nd, ok := IsNondeterminism(err)
+	if !ok || nd.Votes != DefaultGuard().MinVotes {
+		t.Fatalf("want nondeterminism at %d votes, got %v", DefaultGuard().MinVotes, err)
 	}
 }
 

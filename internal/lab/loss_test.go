@@ -46,3 +46,19 @@ func TestGuardUnderLossAcrossSeeds(t *testing.T) {
 		}
 	}
 }
+
+// TestGuardHaltsMvfstCoinUnderLossSeeds holds the coin side at two seeds
+// of `prognosis learn -target mvfst -loss 0.02 -conformance 2` (whose
+// warmup is 100 random words) where a guard whose prediction prior could
+// settle a tied or close split learned a model instead of halting: there
+// the hypothesis predicts RESET, and the prior carried RESET-against-
+// silence splits as close as 1–1.
+func TestGuardHaltsMvfstCoinUnderLossSeeds(t *testing.T) {
+	for _, seed := range []int64{23, 42} {
+		res := learnT(t, TargetMvfst, WithSeed(seed), WithConformance(2), WithWarmup(100),
+			WithImpairment(netem.Config{LossClient: 0.02, LossServer: 0.02, Seed: seed}))
+		if res.Nondet == nil {
+			t.Errorf("seed %d: mvfst at 2%% loss learned a model instead of halting on nondeterminism", seed)
+		}
+	}
+}
