@@ -56,7 +56,7 @@ func BenchmarkNondeterminismCheck(b *testing.B) {
 	guard := core.GuardConfig{MinVotes: 8, MaxVotes: 30}
 	for i := 0; i < b.N; i++ {
 		setup := lab.NewQUIC(quicsim.ProfileMvfst, lab.QUICOptions{Seed: int64(i) + 1})
-		oracle := core.Guard(core.Oracle(setup), guard)
+		oracle := core.NewGuardian(guard, 0, nil, nil).Wrap(core.Oracle(setup))
 		_, err := oracle.Query(context.Background(), word)
 		if _, ok := core.IsNondeterminism(err); !ok {
 			b.Fatalf("nondeterminism not detected: %v", err)
@@ -70,7 +70,7 @@ func BenchmarkGuardVotes(b *testing.B) {
 	for _, votes := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("votes=%d", votes), func(b *testing.B) {
 			setup := lab.NewQUIC(quicsim.ProfileQuiche, lab.QUICOptions{Seed: 3})
-			oracle := core.Guard(core.Oracle(setup), core.GuardConfig{MinVotes: votes, MaxVotes: votes * 4})
+			oracle := core.NewGuardian(core.GuardConfig{MinVotes: votes, MaxVotes: votes * 4}, 0, nil, nil).Wrap(core.Oracle(setup))
 			word := []string{quicsim.SymInitialCrypto, quicsim.SymHandshakeC, quicsim.SymShortStream}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

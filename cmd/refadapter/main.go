@@ -14,7 +14,7 @@
 //	-profile NAME   quicsim profile (google, google-fixed, quiche,
 //	                mvfst, lossy-retransmit)
 //	-crash-after N  exit(3) after N QUERYs — a deliberate crash knob
-//	                for restart-and-replay tests (0 disables)
+//	                for crash-recovery tests (0 disables)
 package main
 
 import (

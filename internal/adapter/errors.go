@@ -12,8 +12,8 @@ var (
 	// stream is desynced after a late reply, so a deadline always costs
 	// a restart.
 	ErrDeadline = errors.New("adapter: query deadline exceeded")
-	// ErrRestartsExhausted marks an operation that kept failing after
-	// Config.MaxRestarts restart-and-replay attempts.
+	// ErrRestartsExhausted marks a subprocess that died in more than
+	// Config.MaxRestarts executions in a row.
 	ErrRestartsExhausted = errors.New("adapter: restart budget exhausted")
 )
 
@@ -30,7 +30,8 @@ const (
 	OpExit = "exit"
 	// OpAnswer is the adapter itself reporting ERR — a deliberate
 	// protocol-level answer, not a transport failure, so the engine
-	// surfaces it without restarting the subprocess.
+	// surfaces it without restarting the subprocess or voiding the
+	// execution.
 	OpAnswer = "answer"
 )
 
@@ -75,11 +76,3 @@ func (e *Error) Error() string {
 
 // Unwrap exposes the underlying cause to errors.Is / errors.As.
 func (e *Error) Unwrap() error { return e.Err }
-
-// reported reports whether err is the adapter answering ERR — a
-// protocol-level answer that must surface to the learner as-is rather
-// than trigger a restart.
-func reported(err error) bool {
-	var ae *Error
-	return errors.As(err, &ae) && ae.Op == OpAnswer
-}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/learn"
 	"repro/internal/metrics"
 )
 
@@ -16,8 +17,6 @@ var (
 		"Symbols sent to subprocess adapters over the stdio protocol.")
 	restartsTotal = metrics.Default().Counter("prognosis_adapter_restarts_total",
 		"Adapter subprocess restarts (crash, query deadline, or protocol desync).")
-	divergenceTotal = metrics.Default().Counter("prognosis_adapter_replay_divergence_total",
-		"Replayed prefix symbols whose answer changed after an adapter restart.")
 	querySeconds = metrics.Default().Histogram("prognosis_adapter_query_seconds",
 		"Latency of one adapter QUERY round-trip.",
 		[]float64{0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5})
@@ -33,9 +32,9 @@ type Config struct {
 	// QUERY). Default 5s. After a timeout the reply stream is
 	// desynced, so a deadline always costs a restart.
 	QueryTimeout time.Duration
-	// MaxRestarts bounds the restart-and-replay attempts one Reset or
-	// Step operation may consume before giving up with
-	// ErrRestartsExhausted. Default 3.
+	// MaxRestarts bounds the executions in a row a subprocess may die in:
+	// the next one to die fails with ErrRestartsExhausted instead of
+	// being voided. Default 3.
 	MaxRestarts int
 	// OnRestart, when non-nil, observes every restart with the
 	// lifetime restart count and the reason. The lab builder forwards
@@ -43,33 +42,24 @@ type Config struct {
 	OnRestart func(restarts int, reason string)
 }
 
-// step is one input and the answer the live subprocess gave for it,
-// recorded since the last Reset so a crashed word can be replayed.
-type step struct {
-	in, out string
-}
-
 // SUL runs one adapter subprocess as a core.SUL. It is not safe for
 // concurrent use; the pool gives each worker its own (New per
 // replica).
 //
-// Crash handling is restart-and-replay: when the subprocess dies,
-// times out, or desyncs the protocol mid-word, the SUL respawns it,
-// replays the inputs recorded since the last Reset, and answers the
-// current query fresh. Replay answers are not required to match the
-// pre-crash ones — the fresh answers win, and if an earlier answer for
-// the same word is now stale, the engine's §5 guard surfaces it as an
-// inconsistency that the cache-repair path (learn.Store.Refresh)
-// already heals. A divergence is therefore a counter
-// (prognosis_adapter_replay_divergence_total), never a wrong answer
-// silently kept.
+// When the subprocess dies, times out, or desyncs the protocol, the
+// execution it was running is cut short: the SUL tears the subprocess
+// down and fails the operation with an error wrapping learn.ErrVoided,
+// so the §5 guard casts the execution again, and the next Reset spawns a
+// fresh subprocess. No answer of a dead subprocess outlives it: every
+// answer comes from one boot.
 type SUL struct {
 	cfg      Config
 	argv     []string
 	p        *proc
 	alphabet []string
-	word     []step
 	restarts int
+	// crashes counts the executions in a row the subprocess died in.
+	crashes int
 }
 
 // New spawns the adapter subprocess and performs the HELLO handshake,
@@ -171,125 +161,73 @@ func (s *SUL) teardown() {
 	}
 }
 
-// revive restarts a dead subprocess and replays the inputs recorded
-// since the last Reset, leaving the implementation mid-word where the
-// crash interrupted it. Divergent replay answers are counted and the
-// fresh answer kept (see the SUL doc comment).
-func (s *SUL) revive(reason error) error {
+// cut tears down the subprocess whose execution err cut short and
+// returns err wrapped in learn.ErrVoided; the next Reset spawns a fresh
+// subprocess. A subprocess that died in more than MaxRestarts executions
+// in a row fails with ErrRestartsExhausted instead.
+func (s *SUL) cut(err error) error {
+	s.teardown()
+	if s.crashes++; s.crashes > s.cfg.MaxRestarts {
+		return &Error{Op: OpExit, Cmd: s.cfg.Command,
+			Reason: fmt.Sprintf("giving up after %d executions in a row died", s.crashes),
+			Err:    errors.Join(ErrRestartsExhausted, err)}
+	}
 	s.restarts++
 	restartsTotal.Inc()
 	if s.cfg.OnRestart != nil {
-		why := "unknown"
-		if reason != nil {
-			why = reason.Error()
-		}
-		s.cfg.OnRestart(s.restarts, why)
+		s.cfg.OnRestart(s.restarts, err.Error())
 	}
-	if err := s.spawn(); err != nil {
-		return err
-	}
-	for i := range s.word {
-		r, err := s.roundTrip(s.p, Command{Kind: CmdQuery, Input: s.word[i].in})
-		if err != nil {
-			s.teardown()
-			return err
-		}
-		switch r.Kind {
-		case RepOut:
-			if out := strings.Join(r.Outputs, " "); out != s.word[i].out {
-				divergenceTotal.Inc()
-				s.word[i].out = out
-			}
-		case RepErr:
-			s.teardown()
-			return &Error{Op: OpAnswer, Cmd: s.cfg.Command,
-				Reason: fmt.Sprintf("replaying %q: %s", s.word[i].in, r.Msg)}
-		default:
-			s.teardown()
-			return &Error{Op: OpQuery, Cmd: s.cfg.Command,
-				Reason: fmt.Sprintf("replay answered %s, want OUT", r.Kind)}
-		}
-	}
-	return nil
+	return fmt.Errorf("%w: %w", learn.ErrVoided, err)
 }
 
 // Reset implements core.SUL: return the implementation to its initial
-// state. A dead subprocess is revived (bounded by MaxRestarts).
+// state, in a fresh subprocess when the last one died.
 func (s *SUL) Reset() error {
-	s.word = nil
-	var lastErr error
-	for attempt := 0; attempt <= s.cfg.MaxRestarts; attempt++ {
-		if s.p == nil {
-			if err := s.revive(lastErr); err != nil {
-				if reported(err) {
-					return err
-				}
-				lastErr = err
-				continue
-			}
-			// revive spawns reset with an empty word: done.
-			return nil
+	if s.p == nil {
+		if err := s.spawn(); err != nil {
+			return s.cut(err)
 		}
-		r, err := s.roundTrip(s.p, Command{Kind: CmdReset})
-		if err == nil {
-			switch r.Kind {
-			case RepOK:
-				return nil
-			case RepErr:
-				return &Error{Op: OpAnswer, Cmd: s.cfg.Command, Reason: "RESET failed: " + r.Msg}
-			default:
-				err = &Error{Op: OpReset, Cmd: s.cfg.Command,
-					Reason: fmt.Sprintf("RESET answered %s, want OK", r.Kind)}
-			}
-		}
-		lastErr = err
-		s.teardown()
+		return nil
 	}
-	return &Error{Op: OpReset, Cmd: s.cfg.Command,
-		Reason: fmt.Sprintf("giving up after %d restarts", s.cfg.MaxRestarts),
-		Err:    errors.Join(ErrRestartsExhausted, lastErr)}
+	s.crashes = 0
+	r, err := s.roundTrip(s.p, Command{Kind: CmdReset})
+	if err != nil {
+		return s.cut(err)
+	}
+	switch r.Kind {
+	case RepOK:
+		return nil
+	case RepErr:
+		return &Error{Op: OpAnswer, Cmd: s.cfg.Command, Reason: "RESET failed: " + r.Msg}
+	}
+	return s.cut(&Error{Op: OpReset, Cmd: s.cfg.Command,
+		Reason: fmt.Sprintf("RESET answered %s, want OK", r.Kind)})
 }
 
 // Step implements core.SUL: run one input symbol and return the
-// abstract output. Crashes, deadlines, and protocol desyncs trigger
-// restart-and-replay (bounded by MaxRestarts); an ERR reply from the
-// adapter surfaces as a typed *Error without a restart.
+// abstract output. A crash, deadline, or protocol desync voids the
+// execution (see SUL); an ERR reply from the adapter surfaces as a
+// typed *Error without a restart.
 func (s *SUL) Step(in string) (string, error) {
+	if s.p == nil {
+		return "", fmt.Errorf("%w: adapter subprocess is down", learn.ErrVoided)
+	}
 	queriesTotal.Inc()
 	start := time.Now()
 	defer func() { querySeconds.Observe(time.Since(start).Seconds()) }()
-	var lastErr error
-	for attempt := 0; attempt <= s.cfg.MaxRestarts; attempt++ {
-		if s.p == nil {
-			if err := s.revive(lastErr); err != nil {
-				if reported(err) {
-					return "", err
-				}
-				lastErr = err
-				continue
-			}
-		}
-		r, err := s.roundTrip(s.p, Command{Kind: CmdQuery, Input: in})
-		if err == nil {
-			switch r.Kind {
-			case RepOut:
-				out := strings.Join(r.Outputs, " ")
-				s.word = append(s.word, step{in: in, out: out})
-				return out, nil
-			case RepErr:
-				return "", &Error{Op: OpAnswer, Cmd: s.cfg.Command,
-					Reason: fmt.Sprintf("QUERY %q failed: %s", in, r.Msg)}
-			default:
-				err = &Error{Op: OpQuery, Cmd: s.cfg.Command,
-					Reason: fmt.Sprintf("QUERY answered %s, want OUT", r.Kind)}
-			}
-		}
-		lastErr = err
-		s.teardown()
+	r, err := s.roundTrip(s.p, Command{Kind: CmdQuery, Input: in})
+	if err != nil {
+		return "", s.cut(err)
 	}
-	return "", &Error{Op: OpQuery, Cmd: s.cfg.Command,
-		Reason: fmt.Sprintf("giving up after %d restarts", s.cfg.MaxRestarts),
-		Err:    errors.Join(ErrRestartsExhausted, lastErr)}
+	switch r.Kind {
+	case RepOut:
+		return strings.Join(r.Outputs, " "), nil
+	case RepErr:
+		return "", &Error{Op: OpAnswer, Cmd: s.cfg.Command,
+			Reason: fmt.Sprintf("QUERY %q failed: %s", in, r.Msg)}
+	}
+	return "", s.cut(&Error{Op: OpQuery, Cmd: s.cfg.Command,
+		Reason: fmt.Sprintf("QUERY answered %s, want OUT", r.Kind)})
 }
 
 // Close reaps the subprocess and its pump goroutines. Always safe.

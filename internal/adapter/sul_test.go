@@ -1,14 +1,18 @@
 package adapter
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/learn"
 	"repro/internal/testutil"
 )
 
@@ -71,10 +75,11 @@ func TestSULHappyPath(t *testing.T) {
 	testutil.WaitForGoroutines(t, base)
 }
 
-// TestSULQueryDeadline drives an adapter that never answers QUERY: every
-// attempt must hit the per-query deadline, burn one restart, and the
-// final error must carry both ErrRestartsExhausted and ErrDeadline. The
-// SUL must then be revivable by Reset.
+// TestSULQueryDeadline drives an adapter that never answers QUERY: the
+// deadline voids the execution and tears the subprocess down, the next
+// Reset spawns a fresh one, and a subprocess that dies in more than
+// MaxRestarts executions in a row fails with ErrRestartsExhausted. Every
+// error carries ErrDeadline.
 func TestSULQueryDeadline(t *testing.T) {
 	base := runtime.NumGoroutine()
 	cmd := adapterScript(t, `
@@ -96,8 +101,8 @@ done
 	if err == nil {
 		t.Fatalf("Step on a silent adapter answered %q", out)
 	}
-	if !errors.Is(err, ErrRestartsExhausted) {
-		t.Errorf("error %v does not wrap ErrRestartsExhausted", err)
+	if !errors.Is(err, learn.ErrVoided) || errors.Is(err, ErrRestartsExhausted) {
+		t.Errorf("first deadline: %v, want a voided execution", err)
 	}
 	if !errors.Is(err, ErrDeadline) {
 		t.Errorf("error %v does not wrap ErrDeadline", err)
@@ -109,12 +114,20 @@ done
 	if s.Restarts() != 1 {
 		t.Errorf("Restarts() = %d, want 1", s.Restarts())
 	}
-	// The subprocess answers RESET promptly, so reviving must succeed.
+	// The subprocess answers RESET promptly, so a fresh one starts.
 	if err := s.Reset(); err != nil {
-		t.Fatalf("Reset after deadline failure: %v", err)
+		t.Fatalf("Reset after a deadline: %v", err)
 	}
-	if s.Restarts() != 2 {
-		t.Errorf("Restarts() after revive = %d, want 2", s.Restarts())
+	// The second execution in a row to die exceeds MaxRestarts.
+	_, err = s.Step("a")
+	if !errors.Is(err, ErrRestartsExhausted) || !errors.Is(err, ErrDeadline) || errors.Is(err, learn.ErrVoided) {
+		t.Errorf("second deadline in a row: %v, want ErrRestartsExhausted over ErrDeadline", err)
+	}
+	if s.Restarts() != 1 {
+		t.Errorf("Restarts() after giving up = %d, want 1", s.Restarts())
+	}
+	if err := s.Reset(); err != nil {
+		t.Fatalf("Reset after giving up: %v", err)
 	}
 	s.Close()
 	testutil.WaitForGoroutines(t, base)
@@ -147,8 +160,8 @@ done
 	if !errors.As(err, &pe) {
 		t.Errorf("error %v does not carry a *ProtoError cause", err)
 	}
-	if !errors.Is(err, ErrRestartsExhausted) {
-		t.Errorf("error %v does not wrap ErrRestartsExhausted", err)
+	if !errors.Is(err, learn.ErrVoided) {
+		t.Errorf("error %v does not void the execution", err)
 	}
 	s.Close()
 	testutil.WaitForGoroutines(t, base)
@@ -195,9 +208,9 @@ done
 	testutil.WaitForGoroutines(t, base)
 }
 
-// crashingAdapter exits mid-word on its first boot's third query and
-// marks every answer with its boot number, so a restart-and-replay is
-// visible as divergence: the replayed prefix re-answers under boot 2.
+// crashingAdapter exits on its first boot's third query after a RESET
+// and marks every answer with its boot number and its position in the
+// word, so an answer stitched from two subprocesses shows.
 const crashingAdapter = `
 boot=$(cat boot 2>/dev/null || echo 0)
 boot=$((boot+1))
@@ -207,7 +220,7 @@ while read -r line; do
   set -- $line
   case $1 in
     HELLO) echo "HELLO 1 a b" ;;
-    RESET) echo "OK" ;;
+    RESET) n=0; echo "OK" ;;
     QUERY)
       n=$((n+1))
       if [ "$boot" = "1" ] && [ "$n" = "3" ]; then exit 3; fi
@@ -216,9 +229,12 @@ while read -r line; do
 done
 `
 
+// TestSULCrashRestartAndReplay: a crash mid-word voids the execution,
+// the §5 guard casts it again, and the next Reset restarts the
+// subprocess, so the guard replays the whole word on one boot. The
+// answer never stitches the dead boot's outputs to the fresh one's.
 func TestSULCrashRestartAndReplay(t *testing.T) {
 	base := runtime.NumGoroutine()
-	divBefore := divergenceTotal.Value()
 	var gotRestarts int
 	var gotReason string
 	s, err := New(Config{
@@ -230,25 +246,17 @@ func TestSULCrashRestartAndReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, want := range []string{"b1-n1", "b1-n2"} {
-		out, err := s.Step("a")
-		if err != nil {
-			t.Fatalf("Step %d: %v", i, err)
-		}
-		if out != want {
-			t.Fatalf("Step %d = %q, want %q", i, out, want)
-		}
-	}
-	// The third query kills boot 1 mid-word. The SUL must respawn,
-	// replay the two recorded steps (which now answer under boot 2 —
-	// two divergences, fresh answers win), and answer the interrupted
-	// query fresh.
-	out, err := s.Step("a")
+	var st core.GuardStats
+	out, err := core.NewGuardian(core.DefaultGuard(), 0, &st, nil).Wrap(core.Oracle(s)).
+		Query(context.Background(), []string{"a", "a", "b"})
 	if err != nil {
-		t.Fatalf("Step across the crash: %v", err)
+		t.Fatalf("guarded query across the crash: %v", err)
 	}
-	if want := "b2-n3"; out != want {
-		t.Fatalf("post-crash answer = %q, want %q (replayed prefix plus fresh query)", out, want)
+	if want := []string{"b2-n1", "b2-n2", "b2-n3"}; !slices.Equal(out, want) {
+		t.Fatalf("answer = %v, want %v from one boot", out, want)
+	}
+	if st.Recasts != 1 || st.Votes != 2 {
+		t.Errorf("guard stats %+v, want 1 recast and 2 votes", st)
 	}
 	if s.Restarts() != 1 {
 		t.Errorf("Restarts() = %d, want 1", s.Restarts())
@@ -256,20 +264,12 @@ func TestSULCrashRestartAndReplay(t *testing.T) {
 	if gotRestarts != 1 || gotReason == "" {
 		t.Errorf("OnRestart saw (%d, %q), want (1, non-empty reason)", gotRestarts, gotReason)
 	}
-	if d := divergenceTotal.Value() - divBefore; d != 2 {
-		t.Errorf("replay divergence counter moved by %d, want 2", d)
-	}
-	// The replayed word must have been updated in place: a fourth query
-	// continues the boot-2 numbering.
-	if out, err := s.Step("b"); err != nil || out != "b2-n4" {
-		t.Fatalf("Step after replay = %q, %v; want b2-n4", out, err)
-	}
 	s.Close()
 	testutil.WaitForGoroutines(t, base)
 }
 
-// TestSULCrashOnResetRevives: a subprocess that died between words must
-// be revived transparently by the next Reset, with an empty replay.
+// TestSULCrashOnResetRevives: a subprocess that dies on RESET voids the
+// execution it was to start, and the next Reset revives it.
 func TestSULCrashOnResetRevives(t *testing.T) {
 	base := runtime.NumGoroutine()
 	cmd := adapterScript(t, `
@@ -294,8 +294,11 @@ done
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := s.Reset(); !errors.Is(err, learn.ErrVoided) {
+		t.Fatalf("Reset on a dying subprocess: %v, want a voided execution", err)
+	}
 	if err := s.Reset(); err != nil {
-		t.Fatalf("Reset across a crash: %v", err)
+		t.Fatalf("Reset after a crash: %v", err)
 	}
 	if s.Restarts() != 1 {
 		t.Errorf("Restarts() = %d, want 1", s.Restarts())

@@ -8,44 +8,21 @@ import (
 	"repro/internal/learn"
 )
 
-// Replay executes an input word against a live oracle votes times and
-// returns the per-position modal output word — the on-the-wire
-// confirmation step of the paper's workflow: a model-level finding (a diff
-// witness, a property violation) is replayed against the implementation to
-// check it is real. Voting makes replays trustworthy over impaired links:
-// a dropped datagram corrupts one execution, not the per-position mode.
-// votes < 1 is treated as 1.
-func Replay(ctx context.Context, o learn.Oracle, word []string, votes int) ([]string, error) {
-	if votes < 1 {
-		votes = 1
+// replay executes word once against a live oracle — the on-the-wire
+// confirmation step of the paper's workflow: a model-level finding (a
+// diff witness, a property violation) is replayed against the
+// implementation to check it is real. A live oracle that re-executes
+// words, such as lab.Experiment.Oracle behind its §5 guard, settles
+// what the replay answers.
+func replay(ctx context.Context, o learn.Oracle, word []string) ([]string, error) {
+	out, err := o.Query(ctx, word)
+	if err != nil {
+		return nil, fmt.Errorf("analysis: replay %v: %w", word, err)
 	}
-	execs := make([][]string, 0, votes)
-	for i := 0; i < votes; i++ {
-		out, err := o.Query(ctx, word)
-		if err != nil {
-			return nil, fmt.Errorf("analysis: replay %v: %w", word, err)
-		}
-		if len(out) < len(word) {
-			return nil, fmt.Errorf("analysis: replay %v: short output (%d of %d)", word, len(out), len(word))
-		}
-		execs = append(execs, out[:len(word)])
+	if len(out) < len(word) {
+		return nil, fmt.Errorf("analysis: replay %v: short output (%d of %d)", word, len(out), len(word))
 	}
-	final := make([]string, len(word))
-	for pos := range word {
-		counts := map[string]int{}
-		for _, e := range execs {
-			counts[e[pos]]++
-		}
-		best, bestN := "", -1
-		for out, n := range counts {
-			// Ties break deterministically toward the smaller symbol.
-			if n > bestN || (n == bestN && out < best) {
-				best, bestN = out, n
-			}
-		}
-		final[pos] = best
-	}
-	return final, nil
+	return out[:len(word)], nil
 }
 
 // ReplayedWitness is the outcome of confirming one diff witness against
@@ -65,15 +42,16 @@ type ReplayedWitness struct {
 	MatchesModels bool
 }
 
-// ConfirmWitness replays a diff witness against both live targets (votes
-// executions each, majority per position) and reports whether the
-// divergence the models predict shows up on the wire.
-func ConfirmWitness(ctx context.Context, w DiffWitness, oracleA, oracleB learn.Oracle, votes int) (*ReplayedWitness, error) {
-	liveA, err := Replay(ctx, oracleA, w.Word, votes)
+// ConfirmWitness replays a diff witness once against each live target and
+// reports whether the divergence the models predict shows up on the wire.
+// A replay error, such as the *core.NondeterminismError of a guarded
+// oracle whose executions disagree, is returned as is.
+func ConfirmWitness(ctx context.Context, w DiffWitness, oracleA, oracleB learn.Oracle) (*ReplayedWitness, error) {
+	liveA, err := replay(ctx, oracleA, w.Word)
 	if err != nil {
 		return nil, err
 	}
-	liveB, err := Replay(ctx, oracleB, w.Word, votes)
+	liveB, err := replay(ctx, oracleB, w.Word)
 	if err != nil {
 		return nil, err
 	}

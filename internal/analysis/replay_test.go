@@ -3,10 +3,11 @@ package analysis
 import (
 	"context"
 	"path/filepath"
-	"strings"
+	"slices"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/learn"
 	"repro/internal/quicsim"
 )
@@ -29,16 +30,37 @@ func flakyOracle(m learn.Oracle) learn.Oracle {
 	})
 }
 
+// flakyRate is the share of flakyOracle's executions a fault reaches.
+const flakyRate = 1.0 / 3
+
+// guarded settles every query on o with the §5 guard over a link of the
+// given fault rate, as lab.Experiment.Oracle does.
+func guarded(o learn.Oracle, faultRate float64) learn.Oracle {
+	return core.NewGuardian(core.DefaultGuard(), faultRate, nil, nil).Wrap(o)
+}
+
+// scripted answers its executions in turn from execs, cycling.
+func scripted(execs ...[]string) learn.Oracle {
+	var calls int
+	return learn.OracleFunc(func(ctx context.Context, word []string) ([]string, error) {
+		calls++
+		return execs[(calls-1)%len(execs)], nil
+	})
+}
+
+// TestReplayMajorityOutvotesFlakiness: a guard that knows the link's
+// fault rate outvotes the corrupted executions of a witness replay.
 func TestReplayMajorityOutvotesFlakiness(t *testing.T) {
 	g := quicsim.GroundTruth(quicsim.ProfileGoogle)
-	word := []string{quicsim.SymInitialCrypto, quicsim.SymHandshakeC}
-	want, _ := g.Run(word)
-	got, err := Replay(context.Background(), flakyOracle(learn.MealyOracle(g)), word, 5)
+	w := DiffWitness{Word: []string{quicsim.SymInitialCrypto, quicsim.SymHandshakeC}}
+	want, _ := g.Run(w.Word)
+	confirmed, err := ConfirmWitness(context.Background(), w,
+		guarded(flakyOracle(learn.MealyOracle(g)), flakyRate), learn.MealyOracle(g.Clone()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Join(got, ",") != strings.Join(want, ",") {
-		t.Fatalf("majority replay %v, want %v", got, want)
+	if !slices.Equal(confirmed.LiveA, want) {
+		t.Fatalf("guarded replay %v, want %v", confirmed.LiveA, want)
 	}
 }
 
@@ -46,8 +68,30 @@ func TestReplayShortOutputRejected(t *testing.T) {
 	short := learn.OracleFunc(func(ctx context.Context, word []string) ([]string, error) {
 		return []string{"only-one"}, nil
 	})
-	if _, err := Replay(context.Background(), short, []string{"a", "b"}, 1); err == nil {
+	w := DiffWitness{Word: []string{"a", "b"}}
+	if _, err := ConfirmWitness(context.Background(), w, short, short); err == nil {
 		t.Fatal("short output accepted")
+	}
+}
+
+// TestConfirmWitnessNeverStitchesExecutions: a guarded replay answers
+// only what its executions agree on. Executions that split at the first
+// position must not be answered position by position ([A S] is no
+// execution's answer), and an even RESET/silence split, the shape of
+// mvfst's stateless-RESET coin, must not be settled by a tie-break. Both
+// end in a *core.NondeterminismError, on a clean link and on a lossy one.
+func TestConfirmWitnessNeverStitchesExecutions(t *testing.T) {
+	stitch := [][]string{{"A", "P"}, {"A", "Q"}, {"A", "R"}, {"B", "S"}, {"B", "S"}}
+	coin := [][]string{{"RESET"}, {"{}"}, {"{}"}, {"RESET"}}
+	for _, rate := range []float64{0, 0.05} {
+		for _, execs := range [][][]string{stitch, coin} {
+			w := DiffWitness{Word: make([]string, len(execs[0]))}
+			r, err := ConfirmWitness(context.Background(), w,
+				guarded(scripted(execs...), rate), scripted(execs[0]))
+			if _, ok := core.IsNondeterminism(err); !ok {
+				t.Errorf("fault rate %g, executions %v: replay %+v, %v; want nondeterminism", rate, execs, r, err)
+			}
+		}
 	}
 }
 
@@ -69,8 +113,8 @@ func TestConfirmWitnessOnGoldens(t *testing.T) {
 	}
 	w := report.Witnesses[0]
 	confirmed, err := ConfirmWitness(context.Background(), w,
-		flakyOracle(learn.MealyOracle(google.Mealy())),
-		flakyOracle(learn.MealyOracle(lossy.Mealy())), 5)
+		guarded(flakyOracle(learn.MealyOracle(google.Mealy())), flakyRate),
+		guarded(flakyOracle(learn.MealyOracle(lossy.Mealy())), flakyRate))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +133,7 @@ func TestConfirmWitnessAgreement(t *testing.T) {
 	g := quicsim.GroundTruth(quicsim.ProfileGoogle)
 	w := DiffWitness{Word: []string{quicsim.SymInitialCrypto}}
 	confirmed, err := ConfirmWitness(context.Background(), w,
-		learn.MealyOracle(g), learn.MealyOracle(g.Clone()), 1)
+		learn.MealyOracle(g), learn.MealyOracle(g.Clone()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,14 +23,14 @@ import (
 // symmetric datagram loss) with a Wp-method conformance pass: behavioural
 // differences between implementations often hide behind loss recovery —
 // the lossy-retransmit target is clean-link-identical to google — and the
-// adaptive §5 guard keeps honest targets' learned models exact under that
-// much loss (verified by the impairment campaign tests). Pass -loss 0 for
-// a strictly clean-link diff.
+// §5 guard keeps honest targets' learned models exact under that much
+// loss (verified by the impairment campaign tests). The witness replay
+// goes through the same guard. Pass -loss 0 for a strictly clean-link
+// diff.
 func Diff(args []string) error {
 	fs := flag.NewFlagSet("prognosis diff", flag.ContinueOnError)
 	witnesses := fs.Int("witnesses", 5, "maximum distinguishing traces to print")
 	replay := fs.Bool("replay", true, "replay the first witness against both live targets")
-	votes := fs.Int("votes", 5, "replays per target when confirming a witness (majority per step)")
 	exportDir := fs.String("export", "", "directory to write both learned models as DOT + JSON")
 	var lf learnFlags
 	lf.register(fs, learncfg.Defaults{Conformance: 2, Loss: 0.02, Workers: 4})
@@ -61,7 +61,7 @@ func Diff(args []string) error {
 		obs[i] = o
 	}
 	out, err := RunDiff(ctx, targetA, targetB, lf.Config, obs,
-		DiffOptions{Witnesses: *witnesses, Replay: *replay, Votes: *votes})
+		DiffOptions{Witnesses: *witnesses, Replay: *replay})
 	if err != nil {
 		return err
 	}
@@ -87,7 +87,7 @@ func Diff(args []string) error {
 	fmt.Println("permits divergent design choices; inspect the witnesses (cf. §6.2.3).")
 	if r := out.Replayed; r != nil {
 		w := r.Witness
-		fmt.Printf("\nreplaying witness %v against both live targets (%d votes each):\n", w.Word, *votes)
+		fmt.Printf("\nreplaying witness %v against both live targets through the §5 guard:\n", w.Word)
 		for i := range w.Word {
 			fmt.Printf("  step %d: %s\n    %s live: %s\n    %s live: %s\n",
 				i+1, w.Word[i], report.NameA, r.LiveA[i], report.NameB, r.LiveB[i])
@@ -96,7 +96,7 @@ func Diff(args []string) error {
 		case r.Diverged && r.MatchesModels:
 			fmt.Printf("  CONFIRMED: live outputs diverge at step %d, exactly as the models predict\n", r.At+1)
 		case r.Diverged:
-			fmt.Printf("  CONFIRMED: live outputs diverge at step %d (outputs differ from the models' predictions — flaky link?)\n", r.At+1)
+			fmt.Printf("  CONFIRMED: live outputs diverge at step %d, but not as the models predict — a model disagrees with the wire\n", r.At+1)
 		default:
 			fmt.Println("  NOT REPRODUCED: live outputs agree — the model-level divergence did not show on the wire")
 		}
@@ -108,10 +108,9 @@ func Diff(args []string) error {
 type DiffOptions struct {
 	// Witnesses bounds the distinguishing traces collected.
 	Witnesses int
-	// Replay confirms the first witness against both live targets, with
-	// Votes executions per target (majority per step).
+	// Replay confirms the first witness against both live targets, each
+	// replay settled by its experiment's §5 guard.
 	Replay bool
-	Votes  int
 }
 
 // DiffOutcome is the diff verb's result.
@@ -174,7 +173,7 @@ func RunDiff(ctx context.Context, targetA, targetB string, cfg learncfg.Config,
 	}
 	var err error
 	out.Replayed, err = analysis.ConfirmWitness(ctx, out.Report.Witnesses[0],
-		exps[0].Oracle(), exps[1].Oracle(), opt.Votes)
+		exps[0].Oracle(), exps[1].Oracle())
 	return out, err
 }
 

@@ -96,7 +96,7 @@ func Learn(args []string) error {
 			rm.Guard.RetriedQueries, rm.Guard.Escalations, rm.Guard.WastedVotes, rm.Guard.Predicted)
 	}
 	if rm.Guard.Recasts > 0 {
-		fmt.Printf("  voided: %d executions with a late or cut-short response, each cast again\n", rm.Guard.Recasts)
+		fmt.Printf("  voided: %d executions (a late response, a wait closed too early, an adapter crash), each cast again\n", rm.Guard.Recasts)
 	}
 	fmt.Printf("  traces of length <=10 in model: %d (of %d possible over the alphabet)\n",
 		m.CountTraces(10), automata.TotalWords(len(m.Inputs()), 10))

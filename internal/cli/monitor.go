@@ -105,9 +105,6 @@ type MonitorOptions struct {
 	// Witnesses bounds the distinguishing traces collected per drifted
 	// cell (default 3).
 	Witnesses int
-	// Votes is the witness replay's per-position majority vote count
-	// (default 5).
-	Votes int
 }
 
 func (o *MonitorOptions) defaults() {
@@ -119,9 +116,6 @@ func (o *MonitorOptions) defaults() {
 	}
 	if o.Witnesses < 1 {
 		o.Witnesses = 3
-	}
-	if o.Votes < 1 {
-		o.Votes = 5
 	}
 }
 
@@ -276,13 +270,13 @@ func monitorCell(ctx context.Context, rt RegressTarget, lin *Lineage,
 	}
 
 	// The models diverge. Before alarming, replay the shortest witness
-	// against the live target (per-position majority over opt.Votes
-	// runs): only a reproduced divergence is real drift — a flaky learn
-	// that cannot be reproduced keeps the baseline and alarms nobody.
+	// against the live target through the experiment's §5 guard: only a
+	// reproduced divergence is real drift — a flaky learn that cannot be
+	// reproduced keeps the baseline and alarms nobody.
 	w := run.drift.Witness
 	rec.Drift = true
 	rec.Witness = w.Word
-	live, err := run.exp.Replay(ctx, w.Word, opt.Votes)
+	live, err := run.exp.Oracle().Query(ctx, w.Word)
 	if err != nil {
 		return cellOutcome{}, fmt.Errorf("replay witness: %w", err)
 	}

@@ -30,7 +30,7 @@ type SUL interface {
 }
 
 // Finisher is an SUL that can judge an execution once its last step has
-// returned. An error voids the execution: Oracle returns it in place of
+// returned. An error fails the execution: Oracle returns it in place of
 // the outputs. A UDP replica voids an execution that a late response
 // datagram reached (learn.ErrLateResponse).
 type Finisher interface {
@@ -149,9 +149,9 @@ type GuardStats struct {
 	// the link's flakiness (a clean link wastes none).
 	WastedVotes int64
 	// Recasts counts executions voided and cast again: those the SUL
-	// voided (learn.ErrLateResponse) and those another execution of the
-	// same query showed to be cut short (see WrapTimed). A voided
-	// execution is not a vote.
+	// voided (learn.ErrVoided: a late response, an adapter crash) and
+	// those another execution of the same query showed to be cut short
+	// (see WrapTimed). A voided execution is not a vote.
 	Recasts int64
 	// Predicted counts queries settled at the MinVotes floor only because
 	// their executions reproduced the hypothesis's prediction (see
@@ -316,7 +316,7 @@ func (b *ballot) expected() []string {
 }
 
 // cast runs executions until one stands, re-casting those the SUL voids
-// (learn.ErrLateResponse) or strike finds cut short.
+// (learn.ErrVoided) or strike finds cut short.
 func (b *ballot) cast(ctx context.Context) error {
 	for {
 		if b.t != nil {
@@ -324,7 +324,7 @@ func (b *ballot) cast(ctx context.Context) error {
 		}
 		out, err := b.o.Query(ctx, b.word)
 		if err != nil {
-			if !errors.Is(err, learn.ErrLateResponse) || b.recasts >= b.g.cfg.MaxVotes {
+			if !errors.Is(err, learn.ErrVoided) || b.recasts >= b.g.cfg.MaxVotes {
 				return fmt.Errorf("core: guard query %v after %d votes: %w", b.word, len(b.execs), err)
 			}
 			b.void()
@@ -622,11 +622,4 @@ func tally(execs [][]string) map[string]int {
 		whole[strings.Join(e, "\x1e")]++
 	}
 	return whole
-}
-
-// Guard wraps a single oracle with the nondeterminism check over a clean
-// link — the one-shot form of NewGuardian(cfg, 0, nil, nil).Wrap(o) for
-// callers that need no shared stats or escalation events.
-func Guard(o learn.Oracle, cfg GuardConfig) learn.Oracle {
-	return NewGuardian(cfg, 0, nil, nil).Wrap(o)
 }

@@ -25,7 +25,7 @@ func TestGuardAcceptsDeterministic(t *testing.T) {
 		}
 		return out, nil
 	}), &st)
-	g := Guard(base, GuardConfig{MinVotes: 2, MaxVotes: 10})
+	g := NewGuardian(GuardConfig{MinVotes: 2, MaxVotes: 10}, 0, nil, nil).Wrap(base)
 	out, err := g.Query(bg, []string{"a", "b"})
 	if err != nil || len(out) != 2 {
 		t.Fatalf("out=%v err=%v", out, err)
@@ -46,7 +46,7 @@ func TestGuardFlagsCoinFlip(t *testing.T) {
 		}
 		return []string{"tails"}, nil
 	})
-	g := Guard(base, GuardConfig{MinVotes: 2, MaxVotes: 12})
+	g := NewGuardian(GuardConfig{MinVotes: 2, MaxVotes: 12}, 0, nil, nil).Wrap(base)
 	_, err := g.Query(bg, []string{"flip"})
 	nd, ok := IsNondeterminism(err)
 	if !ok {
@@ -93,7 +93,7 @@ func TestGuardHaltsGlitchOnCleanLink(t *testing.T) {
 		}
 		return []string{"steady"}, nil
 	})
-	_, err := Guard(base, DefaultGuard()).Query(bg, []string{"x"})
+	_, err := NewGuardian(DefaultGuard(), 0, nil, nil).Wrap(base).Query(bg, []string{"x"})
 	nd, ok := IsNondeterminism(err)
 	if !ok || nd.Votes != DefaultGuard().MinVotes {
 		t.Fatalf("want nondeterminism at %d votes, got %v", DefaultGuard().MinVotes, err)
@@ -109,7 +109,7 @@ func TestGuardVotesConsistentWithObserved(t *testing.T) {
 		i++
 		return []string{fmt.Sprintf("answer-%d", i%3)}, nil // 3-way disagreement
 	})
-	g := Guard(base, GuardConfig{MinVotes: 2, MaxVotes: 9})
+	g := NewGuardian(GuardConfig{MinVotes: 2, MaxVotes: 9}, 0, nil, nil).Wrap(base)
 	_, err := g.Query(bg, []string{"w"})
 	nd, ok := IsNondeterminism(err)
 	if !ok {
@@ -220,15 +220,16 @@ type fakeSUL struct {
 func (f *fakeSUL) Reset() error                   { return f.reset() }
 func (f *fakeSUL) Step(in string) (string, error) { return f.step(in) }
 
-// TestGuardRecastsVoidedExecutions: an execution the SUL voids with
-// learn.ErrLateResponse is cast again, not counted as a vote, and recorded
-// in GuardStats.Recasts; past MaxVotes re-casts the error surfaces.
+// TestGuardRecastsVoidedExecutions: an execution the SUL voids (an error
+// wrapping learn.ErrVoided, as learn.ErrLateResponse does) is cast again,
+// not counted as a vote, and recorded in GuardStats.Recasts; past MaxVotes
+// re-casts the error surfaces.
 func TestGuardRecastsVoidedExecutions(t *testing.T) {
 	voids := 3
 	base := learn.OracleFunc(func(ctx context.Context, w []string) ([]string, error) {
 		if voids > 0 {
 			voids--
-			return nil, fmt.Errorf("replica: %w", learn.ErrLateResponse)
+			return nil, fmt.Errorf("replica: %w", learn.ErrVoided)
 		}
 		return []string{"ok"}, nil
 	})

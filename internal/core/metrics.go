@@ -20,7 +20,7 @@ var (
 	metricGuardWasted = metrics.Default().Counter("prognosis_guard_wasted_votes_total",
 		"Votes spent beyond the MinVotes floor — the price of link flakiness.")
 	metricGuardRecasts = metrics.Default().Counter("prognosis_guard_recasts_total",
-		"Executions voided by a late or cut-short response and cast again; a voided execution is not a vote.")
+		"Executions voided (a late response, a wait closed too early, an adapter crash) and cast again; a voided execution is not a vote.")
 	metricGuardPredicted = metrics.Default().Counter("prognosis_guard_predicted_total",
 		"Queries settled at the MinVotes floor because their executions reproduced the hypothesis's prediction.")
 )

@@ -96,10 +96,10 @@ func TestAdapterLearnsGoogleByteIdentical(t *testing.T) {
 }
 
 // TestAdapterCrashMidLearnRecovers: a subprocess that exits every 200
-// queries must be revived by restart-and-replay, surface typed
-// AdapterRestarted events, and still converge to the model a crash-free
-// in-process learn produces — the crash-recovery path may cost time,
-// never correctness.
+// queries voids the execution it cuts short, which the §5 guard casts
+// again on a fresh subprocess. The run surfaces typed AdapterRestarted
+// events and still converges to the model a crash-free in-process learn
+// produces — the crash-recovery path may cost time, never correctness.
 func TestAdapterCrashMidLearnRecovers(t *testing.T) {
 	var restarts atomic.Int64
 	res := learnT(t, TargetAdapter,
@@ -162,5 +162,31 @@ func TestAdapterCrashUnderGuardDoesNotPoisonCache(t *testing.T) {
 	}
 	if eq, ce := truth.Equivalent(warm.Machine); !eq {
 		t.Fatalf("warm relearn from the crash-written store diverged, witness %v", ce)
+	}
+}
+
+// TestAdapterCrashDuringWarmupBuilds: a subprocess that dies in a warmup
+// word over an impaired link does not fail the experiment: the word counts
+// as driven, and the next reset starts a fresh subprocess.
+func TestAdapterCrashDuringWarmupBuilds(t *testing.T) {
+	var restarts atomic.Int64
+	exp, err := NewExperiment(TargetAdapter,
+		WithSeed(13), WithWarmup(3),
+		WithAdapterCommand(refadapterBin(t)+" -crash-after 15"),
+		WithImpairment(netem.Config{LossClient: 0.02, LossServer: 0.02, Seed: 7}),
+		WithObserver(learn.ObserverFunc(func(e learn.Event) {
+			if _, ok := e.(learn.AdapterRestarted); ok {
+				restarts.Add(1)
+			}
+		})))
+	if err != nil {
+		t.Fatalf("a crash during warmup failed the experiment: %v", err)
+	}
+	defer exp.Close()
+	if restarts.Load() == 0 {
+		t.Fatal("the adapter never crashed during warmup: the test is vacuous")
+	}
+	if _, err := exp.Oracle().Query(bg, []string{quicsim.SymInitialCrypto}); err != nil {
+		t.Fatalf("query after a warmup crash: %v", err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/core"
 	"repro/internal/netem"
 	"repro/internal/quicsim"
 )
@@ -67,7 +68,7 @@ func TestBuiltinPropertiesAcrossTargets(t *testing.T) {
 	// Confirm each model-level witness on the wire: the live (degraded)
 	// replicas must reproduce the violating outputs.
 	for _, v := range violations {
-		live, err := exp.Replay(bg, v.Witness.Word, 5)
+		live, err := exp.Oracle().Query(bg, v.Witness.Word)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,8 +94,10 @@ func TestResultModel(t *testing.T) {
 	}
 }
 
-// TestExperimentReplay: live replay over the oracle plane agrees with the
-// learned model on a clean link.
+// TestExperimentReplay: a live replay through the experiment's own §5
+// guard agrees with the learned model on a clean link, and a replayed word
+// whose executions split evenly (replayCoin) ends in nondeterminism
+// instead of a tie-break.
 func TestExperimentReplay(t *testing.T) {
 	exp, err := NewExperiment(TargetQuiche, WithSeed(13), WithPerfectEquivalence())
 	if err != nil {
@@ -107,13 +110,48 @@ func TestExperimentReplay(t *testing.T) {
 	}
 	word := []string{quicsim.SymInitialCrypto, quicsim.SymHandshakeC, quicsim.SymShortStream}
 	want, _ := res.Machine.Run(word)
-	got, err := exp.Replay(bg, word, 3)
+	got, err := exp.Oracle().Query(bg, word)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Fatalf("replay %v, model %v", got, want)
 	}
+
+	coin, err := NewExperiment(replayCoin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coin.Close()
+	out, err := coin.Oracle().Query(bg, []string{"x"})
+	if _, ok := core.IsNondeterminism(err); !ok {
+		t.Fatalf("replay of a 2-2 RESET/{} split = %v, %v; want nondeterminism", out, err)
+	}
+}
+
+// replayCoin is a one-symbol target whose executions answer RESET, {},
+// {}, RESET in turn: the shape of mvfst's stateless-RESET coin.
+const replayCoin = "replay-coin"
+
+func init() {
+	Register(replayCoin, func(spec BuildSpec) (*System, error) {
+		sys := &System{Alphabet: []string{"x"}}
+		for range spec.Replicas {
+			sys.SULs = append(sys.SULs, &coinSUL{})
+		}
+		return sys, nil
+	})
+}
+
+type coinSUL struct{ execs int }
+
+func (c *coinSUL) Reset() error { c.execs++; return nil }
+
+func (c *coinSUL) Step(string) (string, error) {
+	if c.execs%4 < 2 {
+		return "RESET", nil
+	}
+	return "{}", nil
 }
 
 // TestWithConformance: the Wp-method pass recovers the full model without

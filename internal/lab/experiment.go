@@ -3,6 +3,7 @@ package lab
 import (
 	"context"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -257,7 +258,9 @@ func runKey(target string, cfg config) string {
 
 // warmup runs the WithWarmup word sequence through every replica: words
 // seeded random input words of length 10, the same sequence for each
-// replica so identically-seeded replicas stay behaviourally aligned.
+// replica so identically-seeded replicas stay behaviourally aligned. A
+// word an error wrapping learn.ErrVoided cut short (an adapter crash)
+// counts as driven: the next reset starts afresh.
 func warmup(sys *System, words int, seed int64) error {
 	rng := rand.New(rand.NewSource(seed*31 + 17))
 	seq := make([][]string, words)
@@ -269,20 +272,16 @@ func warmup(sys *System, words int, seed int64) error {
 		seq[i] = w
 	}
 	for _, sul := range sys.SULs {
-		for _, w := range seq {
-			if err := sul.Reset(); err != nil {
+		// The last, empty word leaves the replica reset so the first
+		// learning query starts from a fresh connection.
+		for _, w := range append(seq, nil) {
+			err := sul.Reset()
+			for i := 0; err == nil && i < len(w); i++ {
+				_, err = sul.Step(w[i])
+			}
+			if err != nil && !errors.Is(err, learn.ErrVoided) {
 				return err
 			}
-			for _, in := range w {
-				if _, err := sul.Step(in); err != nil {
-					return err
-				}
-			}
-		}
-		// Leave the replica reset so the first learning query starts from
-		// a fresh connection.
-		if err := sul.Reset(); err != nil {
-			return err
 		}
 	}
 	return nil
@@ -505,12 +504,15 @@ func timed(s core.SUL) core.Timed {
 // replica: every query resets the replica and replays the word over its
 // real transport — through any impairment link the experiment configured.
 // This is how witness words from the analysis plane replay against the
-// wire (analysis.Replay / analysis.ConfirmWitness). Each query is one
-// execution behind a one-vote guard, which casts an execution a late
-// response voided again. The oracle shares the replica with Learn, so do
-// not query it while a Learn is in flight.
+// wire (analysis.ConfirmWitness). Each query is settled by the
+// experiment's own §5 guard, weighed against the link's fault rate: it
+// answers what the executions agree on, casts voided ones again, and
+// fails with a *core.NondeterminismError where they disagree beyond the
+// link's faults. The oracle shares the replica with Learn, so do not
+// query it while a Learn is in flight.
 func (e *Experiment) Oracle() learn.Oracle {
-	return core.Guard(core.Oracle(e.suls[0]), core.GuardConfig{MinVotes: 1, MaxVotes: core.DefaultGuard().MaxVotes})
+	return core.NewGuardian(e.cfg.guard, e.cfg.impair.FaultRate(), nil, nil).
+		WrapTimed(core.Oracle(e.suls[0]), timed(e.sys.SULs[0]))
 }
 
 // StoreEntries returns the persistent query store's logged-query count
@@ -521,13 +523,6 @@ func (e *Experiment) StoreEntries() int {
 		return 0
 	}
 	return e.store.Entries()
-}
-
-// Replay runs one input word against the live target votes times and
-// returns the per-position majority outputs (analysis.Replay over
-// Oracle()).
-func (e *Experiment) Replay(ctx context.Context, word []string, votes int) ([]string, error) {
-	return analysis.Replay(ctx, e.Oracle(), word, votes)
 }
 
 // Close releases the transport resources (UDP sockets, listeners) the

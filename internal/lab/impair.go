@@ -79,7 +79,7 @@ type CellVerdict struct {
 	// QueryInflation is this cell's live queries (including votes)
 	// divided by the baseline's: what the link's flakiness cost.
 	QueryInflation float64
-	// Escalations and WastedVotes surface the guard's adaptive effort.
+	// Escalations and WastedVotes surface the guard's extra effort.
 	Escalations int64
 	WastedVotes int64
 }

@@ -77,11 +77,14 @@ type EquivalenceOracle interface {
 // symbols than input symbols, which violates the Mealy query contract.
 var ErrIncompleteOutput = errors.New("learn: oracle returned short output word")
 
+// ErrVoided marks an execution that was no complete observation: an SUL
+// fails it with an error wrapping ErrVoided, and the voting guard casts
+// the execution again rather than count it as a vote.
+var ErrVoided = errors.New("learn: execution voided")
+
 // ErrLateResponse voids one execution: a response datagram reached it
-// after the wait for it had closed, so the outputs it produced are not a
-// complete observation. The voting guard casts the execution again rather
-// than count it as a vote.
-var ErrLateResponse = errors.New("learn: execution voided by a late response")
+// after the wait for it had closed.
+var ErrLateResponse = fmt.Errorf("%w by a late response", ErrVoided)
 
 // Stats counts oracle traffic. All fields are safe for concurrent update.
 type Stats struct {

@@ -48,7 +48,7 @@ func TestCleanLinkIsTransparent(t *testing.T) {
 // the link for clean reports.
 func TestLossCausesObservableNondeterminism(t *testing.T) {
 	s, _ := lossySUL(quicsim.ProfileQuiche, Config{LossServer: 0.3, Seed: 2})
-	guarded := core.Guard(core.Oracle(s), core.GuardConfig{MinVotes: 3, MaxVotes: 12})
+	guarded := core.NewGuardian(core.GuardConfig{MinVotes: 3, MaxVotes: 12}, 0, nil, nil).Wrap(core.Oracle(s))
 	_, err := guarded.Query(bg, []string{quicsim.SymInitialCrypto, quicsim.SymHandshakeC, quicsim.SymShortStream})
 	if _, ok := core.IsNondeterminism(err); !ok {
 		t.Fatalf("expected nondeterminism under heavy loss, got %v", err)

@@ -98,7 +98,7 @@ func runDiff(ctx context.Context, spec *Spec, dir string, obs learn.Observer) (*
 	// Both sides learn into the job's one event stream (events carry no
 	// target attribution at the stream level, like `prognosis diff -v`).
 	out, err := cli.RunDiff(ctx, spec.TargetA, spec.TargetB, spec.Config, [2]learn.Observer{obs, obs},
-		cli.DiffOptions{Witnesses: orDefault(spec.Witnesses, 5), Replay: spec.ReplayWitness(), Votes: 5})
+		cli.DiffOptions{Witnesses: orDefault(spec.Witnesses, 5), Replay: spec.ReplayWitness()})
 	sum := summarize(out.Results[:]...)
 	if out.Report == nil {
 		return sum, err

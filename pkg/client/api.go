@@ -72,7 +72,8 @@ type Spec struct {
 	// regress writes per drifted target). Default 5.
 	Witnesses int `json:"witnesses,omitempty"`
 	// Replay confirms a diff's first witness against both live targets
-	// (majority vote per step), like `prognosis diff`. Default true.
+	// through each experiment's §5 guard, like `prognosis diff`. Default
+	// true.
 	Replay *bool `json:"replay,omitempty"`
 	// Property is an extra LTLf property for check jobs; Depth bounds its
 	// exploration (default 4).
